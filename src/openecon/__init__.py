@@ -5,7 +5,7 @@ from .model import (Demography, DomainError, Equilibrium, Fiscal,
                     annualize_rate, capital_demand, dividends, euler_growth,
                     future_wage, government_t1, labor_supply_present,
                     lifetime_utility, output, q_factor, saving_decomposition,
-                    solve_at_rate, wage_mpl, welfare)
+                    solve_at_rate, solve_rates, wage_mpl, welfare)
 from .closure import (BracketError, ClosureDiagnostics, ClosureSpec,
                       ConvergenceError, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
@@ -20,7 +20,7 @@ __all__ = [
     "annualize_rate", "capital_demand", "dividends", "euler_growth",
     "future_wage", "government_t1", "labor_supply_present",
     "lifetime_utility", "output", "q_factor", "saving_decomposition",
-    "solve_at_rate", "wage_mpl", "welfare",
+    "solve_at_rate", "solve_rates", "wage_mpl", "welfare",
     "BracketError", "ClosureDiagnostics", "ClosureSpec", "ConvergenceError",
     "calibrated_labor_weight", "resolve_rate", "welfare_stationarity_check",
     "ReferenceRow", "Scenario", "apply_scenario", "paper_suite",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -18,6 +19,9 @@ from .closure import (BracketError, ClosureSpec, ConvergenceError,
 from .model import DomainError, InfeasibleError, solve_at_rate
 from .scenarios import paper_suite, run_suite
 from .reference import ROW_KEYS, ROW_LABELS, baseline_instance
+
+# A grid point costs about 30 float64 values while it is evaluated.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _add_common(parser):
@@ -89,8 +93,13 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise configio.ParseError("--grid must be START,STOP,POINTS")
     start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise configio.ParseError("--grid START and STOP must be finite")
     if points < 2 or stop <= start:
         raise configio.ParseError("--grid needs STOP > START and POINTS >= 2")
+    if points > MAX_GRID_POINTS:
+        raise configio.ParseError(
+            f"--grid POINTS must be at most {MAX_GRID_POINTS}")
     return np.linspace(start, stop, points)
 
 
@@ -221,19 +230,14 @@ def cmd_schedules(args, out, err) -> int:
     for index, message in curve.errors:
         err.write(f"grid point {index} (r={curve.grid[index]:.6g}) skipped: "
                   f"{message}\n")
+    header = ["r", "I0", "S0N", "S1X", "residual"]
+    rows = zip(curve.grid.tolist(), curve.i0.tolist(), curve.s0n.tolist(),
+               curve.s1x.tolist(), curve.residual.tolist())
     if args.format == "json":
-        points = [{"r": float(r), "I0": float(i), "S0N": float(s0),
-                   "S1X": float(s1), "residual": float(res)}
-                  for r, i, s0, s1, res in zip(curve.grid, curve.i0,
-                                               curve.s0n, curve.s1x,
-                                               curve.residual)]
+        points = [dict(zip(header, row)) for row in rows]
         out.write(configio.to_json({"mode": curve.mode, "points": points}))
     else:
-        rows = [["r", "I0", "S0N", "S1X", "residual"]]
-        rows += [[float(r), float(i), float(s0), float(s1), float(res)]
-                 for r, i, s0, s1, res in zip(curve.grid, curve.i0, curve.s0n,
-                                              curve.s1x, curve.residual)]
-        out.write(configio.to_csv(rows))
+        out.write(configio.to_csv([header, *rows]))
     return 0
 
 

@@ -3,8 +3,9 @@
 The model never pins down r on its own (one equation of the system is
 redundant), so these are selection strategies, each returning a rate plus
 diagnostics.  `fixed` passes a rate through untouched; `balanced_trade` and
-`trade_share_target` bisect on the present trade balance; `welfare_sweep`
-scans a grid for the highest lifetime utility.
+`trade_share_target` bisect on the present trade balance, one scalar solve
+per step; `welfare_sweep` evaluates its whole grid in one model.solve_rates
+call and picks the highest lifetime utility.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .model import (DomainError, ModelInstance, lifetime_utility,
-                    solve_at_rate)
+                    solve_at_rate, solve_rates)
 
 DEFAULT_BRACKET = (0.01, 2.0)
 
@@ -134,15 +137,19 @@ def resolve_rate(instance: ModelInstance,
         diag.message = f"trade share driven to {spec.target_share}"
         return r_star, diag
 
-    # welfare_sweep: pure argmax over the grid, ties break to the lowest rate.
-    best_r = None
-    best_u = -math.inf
-    for r in sorted(spec.grid):
-        u = solve_at_rate(instance, r).welfare
-        diag.evaluations += 1
-        diag.history.append((r, u))
-        if u > best_u:
-            best_r, best_u = r, u
+    # welfare_sweep: argmax over the grid, ties break to the lowest rate and
+    # NaN never wins; the first bad point raises as its scalar solve does.
+    rates = sorted(spec.grid)
+    columns, errors = solve_rates(instance, rates)
+    if errors:
+        solve_at_rate(instance, rates[errors[0][0]])
+    welfare = columns["welfare"]
+    ranked = np.where(np.isnan(welfare), -np.inf, welfare)
+    best = int(np.argmax(ranked))          # the first of equal maxima
+    best_u = float(ranked[best])
+    best_r = rates[best] if best_u > -math.inf else None
+    diag.evaluations = len(rates)
+    diag.history = list(zip(rates, welfare.tolist()))
     diag.residual = best_u
     diag.message = f"highest welfare over {len(spec.grid)} grid rates"
     return best_r, diag

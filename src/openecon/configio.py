@@ -221,17 +221,66 @@ def csv_number(x: float) -> str:
 
 
 def to_json(payload) -> str:
-    """Serialize with stable key order and 15-significant-digit floats."""
-    def walk(node):
-        if isinstance(node, dict):
-            return {k: walk(v) for k, v in node.items()}
-        if isinstance(node, (list, tuple)):
-            return [walk(v) for v in node]
-        if isinstance(node, float):
-            return json_number(node)
-        return node
+    """Serialize with stable key order and 15-significant-digit floats.
 
-    return json.dumps(walk(payload), indent=2, sort_keys=True) + "\n"
+    The text is json.dumps(payload, indent=2, sort_keys=True) with every float
+    passed through json_number.  A list of flat dicts that share one key set
+    and hold only floats (schedule points) is formatted column by column.
+    """
+    return _dumps(payload, "") + "\n"
+
+
+def _dumps(node, indent: str) -> str:
+    """The JSON text of `node` as it appears nested at `indent`."""
+    inner = indent + "  "
+    if isinstance(node, dict) and node and all(isinstance(k, str) for k in node):
+        items = [f"{inner}{json.dumps(k)}: {_dumps(node[k], inner)}"
+                 for k in sorted(node)]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    rows = _float_records(node, inner)
+    if rows is not None:
+        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+    # json's indented text nests at `indent` by prefixing each later line
+    return json.dumps(_rounded(node), indent=2,
+                      sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _rounded(node):
+    if isinstance(node, dict):
+        return {k: _rounded(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_rounded(v) for v in node]
+    if isinstance(node, float):
+        return json_number(node)
+    return node
+
+
+def _float_records(rows, indent: str) -> list[str] | None:
+    """Each row's JSON text, or None unless `rows` is a non-empty list of
+    flat float dicts with the same non-empty set of string keys."""
+    if not (isinstance(rows, (list, tuple)) and rows):
+        return None
+    first = rows[0]
+    if not (isinstance(first, dict) and first
+            and all(isinstance(k, str) for k in first)
+            and all(isinstance(row, dict) and row.keys() == first.keys()
+                    for row in rows)):
+        return None
+    keys = sorted(first)
+    columns = []
+    for key in keys:
+        column = [row[key] for row in rows]
+        if set(map(type, column)) != {float}:
+            return None
+        # float(f"{x:.15g}") is json_number for every float; json's C encoder
+        # writes a flat list of floats with float.__repr__, NaN and Infinity
+        columns.append(json.dumps([float(f"{x:.15g}") for x in column])[1:-1]
+                       .split(", "))
+    template = (indent + "{\n"
+                + ",\n".join(f"{indent}  " + json.dumps(k).replace("%", "%%")
+                             + ": %s" for k in keys)
+                + "\n" + indent + "}")
+    return [template % values for values in zip(*columns)]
 
 
 def to_csv(rows: list[list]) -> str:

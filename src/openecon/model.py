@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Admissibility floor for the gross return delta + r.
 MIN_GROSS_RETURN = 1e-9
 
@@ -169,8 +171,11 @@ class Equilibrium:
 # ---------------------------------------------------------------------------
 
 def check_rate(tech: Technology, r: float) -> None:
-    """Raise DomainError unless r > -1 and delta + r is bounded away from 0."""
-    if r <= -1.0 or tech.delta + r <= MIN_GROSS_RETURN:
+    """Raise DomainError unless r > -1 and delta + r is bounded away from 0.
+
+    NaN fails both comparisons and is rejected too.
+    """
+    if not (r > -1.0 and tech.delta + r > MIN_GROSS_RETURN):
         raise DomainError(f"inadmissible rate r={r} (need r > -1 and delta + r > 0)")
 
 
@@ -320,55 +325,177 @@ def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
     The future labor market is exogenous (l1 = l1_max), the firm picks
     future capital at the given r, the household splits its present-value
     income across the two periods, and the trade balances absorb the rest.
+    Raises DomainError for an inadmissible rate or a value out of floating
+    range, InfeasibleError for non-positive present-value income.
     """
     p, t, d, f = (instance.preferences, instance.technology,
                   instance.demography, instance.fiscal)
-    check_rate(t, r)
-    R = 1.0 + r
+    try:
+        check_rate(t, r)
+        R = 1.0 + r
 
-    l1 = d.l1_max
-    L1 = d.n1 * l1
-    w1 = future_wage(t, r)
-    k1 = capital_demand(t, L1, r)
-    y1 = output(k1, t.a1, L1, t.alpha)
+        l1 = d.l1_max
+        L1 = d.n1 * l1
+        w1 = future_wage(t, r)
+        k1 = capital_demand(t, L1, r)
+        y1 = output(k1, t.a1, L1, t.alpha)
 
-    l0, binding = labor_supply_present(instance, r, w1)
-    L0 = d.n0 * l0
-    y0 = output(instance.k0, t.a0, L0, t.alpha)
-    w0 = wage_mpl(y0, L0, t.alpha)
+        l0, binding = labor_supply_present(instance, r, w1)
+        L0 = d.n0 * l0
+        y0 = output(instance.k0, t.a0, L0, t.alpha)
+        w0 = wage_mpl(y0, L0, t.alpha)
 
-    i0 = k1 - (1.0 - t.delta) * instance.k0
-    x0 = dividends(y0, w0, L0, i0, d.n0)
-    x1 = dividends(y1, w1, L1, 0.0, d.n1)
+        i0 = k1 - (1.0 - t.delta) * instance.k0
+        x0 = dividends(y0, w0, L0, i0, d.n0)
+        x1 = dividends(y1, w1, L1, 0.0, d.n1)
 
-    T1 = government_t1(f, r)
-    tax0 = f.t0 / d.n0
-    tax1 = T1 / d.n1
+        T1 = government_t1(f, r)
+        tax0 = f.t0 / d.n0
+        tax1 = T1 / d.n1
 
-    income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
-    if income <= 0:
-        raise InfeasibleError(
-            f"present-value income per household is {income} at r={r}")
+        income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
+        if income <= 0:
+            raise InfeasibleError(
+                f"present-value income per household is {income} at r={r}")
 
-    q = q_factor(p, r)
-    c0 = income / q
-    c1 = c0 * euler_growth(p, r)
-    C0 = d.n0 * c0
-    C1 = d.n1 * c1
+        q = q_factor(p, r)
+        c0 = income / q
+        c1 = c0 * euler_growth(p, r)
+        C0 = d.n0 * c0
+        C1 = d.n1 * c1
 
-    tb0 = y0 - C0 - i0 - f.g0
-    tb1 = y1 - C1 - f.g1
-    s0n = y0 - C0 - f.g0
-    s1x = tb1 / R
-    U = lifetime_utility(c0, l0, c1, l1, p)
+        tb0 = y0 - C0 - i0 - f.g0
+        tb1 = y1 - C1 - f.g1
+        s0n = y0 - C0 - f.g0
+        s1x = tb1 / R
+        U = lifetime_utility(c0, l0, c1, l1, p)
 
-    return Equilibrium(
-        r=r, y0=y0, y1=y1, k0=instance.k0, k1=k1, L0=L0, L1=L1,
-        l0=l0, l1=l1, w0=w0, w1=w1, c0=c0, c1=c1, C0=C0, C1=C1,
-        x0=x0, x1=x1, tax0=tax0, tax1=tax1, T0=f.t0, T1=T1,
-        tb0=tb0, tb1=tb1, i0=i0, q=q, s0n=s0n, s1x=s1x,
-        welfare=U, l0_binding=binding,
-    )
+        return Equilibrium(
+            r=r, y0=y0, y1=y1, k0=instance.k0, k1=k1, L0=L0, L1=L1,
+            l0=l0, l1=l1, w0=w0, w1=w1, c0=c0, c1=c1, C0=C0, C1=C1,
+            x0=x0, x1=x1, tax0=tax0, tax1=tax1, T0=f.t0, T1=T1,
+            tb0=tb0, tb1=tb1, i0=i0, q=q, s0n=s0n, s1x=s1x,
+            welfare=U, l0_binding=binding,
+        )
+    except OverflowError:
+        # Python's float ** raises where the result exceeds the double range.
+        raise DomainError(f"numerical overflow at r={r}") from None
+
+
+# ---------------------------------------------------------------------------
+# Rate arrays
+# ---------------------------------------------------------------------------
+# Each array form repeats its scalar counterpart operation for operation.
+# Powers that vary with r use np.float_power, which calls libm's pow as
+# Python's ** does; numpy's ** on arrays is off by an ulp on some values.
+
+_libm_log = np.frompyfunc(math.log, 1, 1)   # np.log may differ from math.log
+
+
+def admissible(tech: Technology, rates: np.ndarray) -> np.ndarray:
+    """Mask of the rates that check_rate accepts."""
+    return (rates > -1.0) & (tech.delta + rates > MIN_GROSS_RETURN)
+
+
+def capital_demand_rates(tech: Technology, L1: float, rates: np.ndarray) -> np.ndarray:
+    """capital_demand over an array of rates, without its checks."""
+    return tech.a1 * L1 * np.float_power(tech.alpha / (tech.delta + rates),
+                                         1.0 / (1.0 - tech.alpha))
+
+
+def euler_growth_rates(prefs: Preferences, rates: np.ndarray) -> np.ndarray:
+    """euler_growth over an array of rates, without its check."""
+    return np.float_power(prefs.beta * (1.0 + rates), 1.0 / prefs.gamma)
+
+
+def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
+                                                         list[tuple[int, str]]]:
+    """solve_at_rate over a 1-d sequence of rates, as (columns, errors).
+
+    columns maps each Equilibrium field to an array over the rates, with
+    values bit-identical to solve_at_rate(instance, rates[j]).  errors lists
+    (j, message) for each rate where that call raises DomainError or
+    InfeasibleError; those points are NaN (False in l0_binding).  Points the
+    array pass cannot vouch for are replayed through solve_at_rate.
+    """
+    p, t, d, f = (instance.preferences, instance.technology,
+                  instance.demography, instance.fiscal)
+    r = np.array(rates, dtype=float)
+    a = t.alpha
+    pw = np.float_power
+    with np.errstate(all="ignore"):
+        R = 1.0 + r
+        l1 = d.l1_max
+        L1 = d.n1 * l1
+        w1 = (1.0 - a) * t.a1 * pw(a / (t.delta + r), a / (1.0 - a))
+        k1 = capital_demand_rates(t, L1, r)
+        y1 = pw(k1, a) * (t.a1 * L1) ** (1.0 - a)
+
+        base = (p.beta * R * (1.0 - a)
+                * instance.k0 ** a * t.a0 ** (1.0 - a) * d.n0 ** (-a)
+                * d.l1_max ** p.theta / w1)
+        hours = pw(base, 1.0 / (p.theta + a))
+        binding = hours >= d.l0_max
+        l0 = np.where(binding, d.l0_max, hours)
+        L0 = d.n0 * l0
+        y0 = instance.k0 ** a * pw(t.a0 * L0, 1.0 - a)
+        w0 = (1.0 - a) * y0 / L0
+
+        i0 = k1 - (1.0 - t.delta) * instance.k0
+        x0 = (y0 - w0 * L0 - i0) / d.n0
+        x1 = (y1 - w1 * L1) / d.n1
+
+        T1 = R * f.g0 + f.g1 - f.t0 * R
+        tax0 = f.t0 / d.n0
+        tax1 = T1 / d.n1
+        income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
+
+        growth = euler_growth_rates(p, r)
+        q = 1.0 + growth / R
+        c0 = income / q
+        c1 = c0 * growth
+        C0 = d.n0 * c0
+        C1 = d.n1 * c1
+
+        def utility(c, l):
+            if p.gamma == 1.0:
+                uc = _libm_log(np.where(c > 0, c, np.nan)).astype(float)
+            else:
+                uc = pw(c, 1.0 - p.gamma) / (1.0 - p.gamma)
+            return uc - p.phi * pw(l, 1.0 + p.theta) / (1.0 + p.theta)
+
+        tb1 = y1 - C1 - f.g1
+        columns = {
+            "r": r, "y0": y0, "y1": y1, "k0": np.full_like(r, instance.k0),
+            "k1": k1, "L0": L0, "L1": np.full_like(r, L1), "l0": l0,
+            "l1": np.full_like(r, l1), "w0": w0, "w1": w1, "c0": c0, "c1": c1,
+            "C0": C0, "C1": C1, "x0": x0, "x1": x1,
+            "tax0": np.full_like(r, tax0), "tax1": tax1,
+            "T0": np.full_like(r, f.t0), "T1": T1,
+            "tb0": y0 - C0 - i0 - f.g0, "tb1": tb1, "i0": i0, "q": q,
+            "s0n": y0 - C0 - f.g0, "s1x": tb1 / R,
+            "welfare": utility(c0, l0) + p.beta * utility(c1, l1),
+        }
+        # The scalar path's checks, plus overflow: its ** raises where
+        # float_power returns inf, and hours can overflow before the clamp.
+        total = sum(columns.values()) + hours
+        vouched = (admissible(t, r) & (w1 > 0) & (k1 > 0) & (l0 > 0)
+                   & (income > 0) & (c1 > 0) & np.isfinite(total))
+        columns["l0_binding"] = binding
+
+        flagged = np.flatnonzero(~vouched)
+        for column in columns.values():
+            column[flagged] = False if column.dtype == bool else np.nan
+        errors = []
+        for j in flagged:     # numpy scalars warn where Python floats raise
+            try:
+                eq = solve_at_rate(instance, rates[j])
+            except (DomainError, InfeasibleError) as exc:
+                errors.append((int(j), str(exc)))
+                continue
+            for name, column in columns.items():
+                column[j] = getattr(eq, name)
+    return columns, errors
 
 
 def saving_decomposition(eq: Equilibrium) -> tuple[float, float]:

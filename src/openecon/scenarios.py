@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import reference
-from .closure import ClosureSpec, resolve_rate
+from .closure import ClosureSpec, ConvergenceError, resolve_rate
 from .model import Equilibrium, ModelInstance, annualize_rate, solve_at_rate
 
 # parameter path -> (sub-block attribute or None for top level, field name)
@@ -259,7 +259,7 @@ def run_suite(base: ModelInstance, scenarios: list[Scenario]) -> SuiteReport:
     for s in scenarios:
         try:
             result = _run_one(base, s)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, ConvergenceError) as exc:
             result = ScenarioResult(
                 name=s.name, rate=s.rate if s.rate is not None else float("nan"),
                 instance=base, equilibrium=None, rows={}, reference=s.reference,

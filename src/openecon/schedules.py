@@ -13,6 +13,12 @@ Two modes:
   discounting and the intertemporal price, and investment responds through
   the firm's capital demand.  The curves coincide with the full solution at
   r_ref and cross there.
+
+Both modes evaluate the whole grid as arrays: full mode through
+model.solve_rates, partial mode through the array forms of capital demand
+and the Euler factor.  Values are bit-identical to the per-point scalar
+functions, and inadmissible or infeasible points carry the scalar path's
+error messages.
 """
 
 from __future__ import annotations
@@ -21,15 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (DomainError, InfeasibleError, ModelInstance,
-                    capital_demand, check_rate, q_factor, solve_at_rate)
+from .model import (DomainError, ModelInstance, admissible,
+                    capital_demand_rates, check_rate, euler_growth_rates,
+                    solve_at_rate, solve_rates)
 
 MODES = ("full_equilibrium", "partial")
 
 
 @dataclass
 class ScheduleCurve:
-    """I0, S0N, S1X per grid rate, with identity residuals and slopes."""
+    """I0, S0N, S1X per grid rate, with identity residuals."""
 
     grid: np.ndarray
     i0: np.ndarray
@@ -37,7 +44,6 @@ class ScheduleCurve:
     s1x: np.ndarray
     residual: np.ndarray           # s0n + s1x - i0
     y0: np.ndarray                 # for scaling residual tolerances
-    slopes: dict[str, np.ndarray]  # central-difference slope per curve
     mode: str
     r_ref: float | None = None
     errors: list[tuple[int, str]] = field(default_factory=list)
@@ -62,14 +68,6 @@ def default_grid(r_ref: float, points: int = 41, half_width: float = 0.2) -> np.
     return np.linspace(max(0.01, r_ref - half_width), r_ref + half_width, points)
 
 
-def _slopes(grid, curves):
-    out = {}
-    for name, values in curves.items():
-        out[name] = np.gradient(values, grid)
-    out["saving_sum"] = np.gradient(curves["s0n"] + curves["s1x"], grid)
-    return out
-
-
 def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibrium",
                       r_ref: float | None = None) -> ScheduleCurve:
     """Evaluate the three schedules on `grid`.
@@ -91,45 +89,35 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
         if not grid[0] <= r_ref <= grid[-1]:
             raise ValueError("r_ref must lie within the grid span")
 
-    n = grid.size
-    i0 = np.full(n, np.nan)
-    s0n = np.full(n, np.nan)
-    s1x = np.full(n, np.nan)
-    y0 = np.full(n, np.nan)
-    errors: list[tuple[int, str]] = []
-
     if mode == "full_equilibrium":
-        for j, r in enumerate(grid):
-            try:
-                eq = solve_at_rate(instance, r)
-            except (DomainError, InfeasibleError) as exc:
-                errors.append((j, str(exc)))
-                continue
-            i0[j], s0n[j], s1x[j], y0[j] = eq.i0, eq.s0n, eq.s1x, eq.y0
+        columns, errors = solve_rates(instance, grid)
+        i0, s0n, s1x, y0 = (columns[k] for k in ("i0", "s0n", "s1x", "y0"))
     else:
         ref = solve_at_rate(instance, r_ref)
         d, t, f, p = (instance.demography, instance.technology,
                       instance.fiscal, instance.preferences)
         inc0 = ref.w0 * ref.l0 + ref.x0 - ref.tax0
         inc1 = ref.w1 * ref.l1 + ref.x1 - ref.tax1
-        for j, r in enumerate(grid):
+        ok = admissible(t, grid)
+        errors = []
+        for j in np.flatnonzero(~ok):
             try:
-                check_rate(t, r)
-                k1 = capital_demand(t, ref.L1, r)
-                c0 = (inc0 + inc1 / (1.0 + r)) / q_factor(p, r)
-            except (DomainError, InfeasibleError) as exc:
-                errors.append((j, str(exc)))
-                continue
-            i0[j] = k1 - (1.0 - t.delta) * instance.k0
-            s0n[j] = ref.y0 - d.n0 * c0 - f.g0
-            s1x[j] = ref.tb1 / (1.0 + r)
-            y0[j] = ref.y0
+                check_rate(t, grid[j])
+            except DomainError as exc:
+                errors.append((int(j), str(exc)))
+        with np.errstate(all="ignore"):
+            R = 1.0 + grid
+            k1 = capital_demand_rates(t, ref.L1, grid)
+            c0 = (inc0 + inc1 / R) / (1.0 + euler_growth_rates(p, grid) / R)
+            i0 = np.where(ok, k1 - (1.0 - t.delta) * instance.k0, np.nan)
+            s0n = np.where(ok, ref.y0 - d.n0 * c0 - f.g0, np.nan)
+            s1x = np.where(ok, ref.tb1 / R, np.nan)
+        y0 = np.where(ok, ref.y0, np.nan)
 
-    residual = s0n + s1x - i0
-    slopes = _slopes(grid, {"i0": i0, "s0n": s0n, "s1x": s1x})
+    with np.errstate(all="ignore"):
+        residual = s0n + s1x - i0
     return ScheduleCurve(grid=grid, i0=i0, s0n=s0n, s1x=s1x, residual=residual,
-                         y0=y0, slopes=slopes, mode=mode, r_ref=r_ref,
-                         errors=errors)
+                         y0=y0, mode=mode, r_ref=r_ref, errors=errors)
 
 
 def slope_check(curve: ScheduleCurve) -> SlopeReport:

@@ -3,6 +3,7 @@
 import json
 from io import StringIO
 
+import numpy as np
 import pytest
 
 from openecon.cli import main
@@ -33,6 +34,21 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    def test_nan_rate_exits_2(self):
+        code, out, err = run(["solve", "--rate", "nan", "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "inadmissible rate" in err
+
+    def test_overflow_exits_2(self, tmp_path):
+        path = tmp_path / "steep.txt"
+        path.write_text("alpha = 0.99\ndelta = 0.1\n")
+        code, out, err = run(["solve", "--rate", "-0.0999999",
+                              "--instance-file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflow" in err
 
     def test_rate_or_closure_required(self):
         code, _, err = run(["solve"])
@@ -123,6 +139,26 @@ class TestSchedules:
         payload = json.loads(out)
         assert payload["mode"] == "partial"
         assert len(payload["points"]) == 41
+
+    @pytest.mark.parametrize("grid", ["nan,1,3", "0,inf,3", "-inf,0,3"])
+    def test_non_finite_grid_exits_2(self, grid):
+        code, out, err = run(["schedules", f"--grid={grid}"])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_grid_points_capped_before_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        for argv in (["schedules", "--grid", "0.1,1.5,1000001"],
+                     ["sweep", "--closure", "welfare_sweep",
+                      "--grid", "0.1,1.5,1000001"]):
+            code, out, err = run(argv)
+            assert code == 2
+            assert out == ""
+            assert "at most 1000000" in err
 
     def test_byte_identical_reruns(self):
         argv = ["schedules", "--grid", "0.3,0.7,11", "--format", "json"]

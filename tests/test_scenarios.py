@@ -91,6 +91,15 @@ class TestSuite:
         assert report.results[1].error is not None
         assert not report.passed
 
+    def test_convergence_failure_does_not_abort(self, baseline):
+        slow = Scenario("slow", closure=ClosureSpec("balanced_trade",
+                                                    max_iterations=3))
+        report = run_suite(baseline, [slow] + paper_suite()[:1])
+        assert len(report.results) == 2
+        assert "no convergence" in report.results[0].error
+        assert report.results[1].passed
+        assert not report.passed
+
     def test_closure_driven_scenario(self, baseline):
         s = Scenario("bt", closure=ClosureSpec("balanced_trade",
                                                bracket=(0.4821, 2.0)))

@@ -70,7 +70,7 @@ class TestValidationAndFlagging:
         ones = np.ones(5)
         curve = ScheduleCurve(grid=grid, i0=ones, s0n=ones, s1x=ones,
                               residual=ones, y0=ones,
-                              slopes={}, mode="partial", r_ref=0.3)
+                              mode="partial", r_ref=0.3)
         report = slope_check(curve)
         assert np.all(report.saving_sum_slope == 0)
         assert np.all(report.i0_slope == 0)
