@@ -4,8 +4,8 @@ from .model import (Demography, DomainError, Equilibrium, Fiscal,
                     InfeasibleError, ModelInstance, Preferences, Technology,
                     annualize_rate, capital_demand, dividends, euler_growth,
                     future_wage, government_t1, labor_supply_present,
-                    lifetime_utility, output, q_factor, saving_decomposition,
-                    solve_at_rate, solve_rates, wage_mpl, welfare)
+                    lifetime_utility, output, q_factor, solve_at_rate,
+                    solve_rates, wage_mpl)
 from .closure import (BracketError, ClosureDiagnostics, ClosureSpec,
                       ConvergenceError, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
@@ -19,8 +19,8 @@ __all__ = [
     "ModelInstance", "Preferences", "Technology",
     "annualize_rate", "capital_demand", "dividends", "euler_growth",
     "future_wage", "government_t1", "labor_supply_present",
-    "lifetime_utility", "output", "q_factor", "saving_decomposition",
-    "solve_at_rate", "solve_rates", "wage_mpl", "welfare",
+    "lifetime_utility", "output", "q_factor", "solve_at_rate",
+    "solve_rates", "wage_mpl",
     "BracketError", "ClosureDiagnostics", "ClosureSpec", "ConvergenceError",
     "calibrated_labor_weight", "resolve_rate", "welfare_stationarity_check",
     "ReferenceRow", "Scenario", "apply_scenario", "paper_suite",

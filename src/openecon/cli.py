@@ -211,13 +211,9 @@ def cmd_table(args, out, err) -> int:
 
 
 def cmd_sweep(args, out, err) -> int:
-    instance = _load_instance(args)
     if not args.closure:
         raise configio.ParseError("sweep requires --closure")
-    rate, diag = _pick_rate(instance, args)
-    eq = solve_at_rate(instance, rate)
-    _emit_equilibrium(eq, args.format, out, diag)
-    return 0
+    return cmd_solve(args, out, err)
 
 
 def cmd_schedules(args, out, err) -> int:

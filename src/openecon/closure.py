@@ -70,7 +70,6 @@ class ClosureDiagnostics:
     evaluations: int = 0
     converged: bool = True
     residual: float = 0.0
-    message: str = ""
     history: list[tuple[float, float]] = field(default_factory=list)
 
 
@@ -113,7 +112,6 @@ def resolve_rate(instance: ModelInstance,
     diag = ClosureDiagnostics(kind=spec.kind)
 
     if spec.kind == "fixed":
-        diag.message = "rate passed through unchanged"
         return spec.fixed_rate, diag
 
     lo, hi = spec.bracket
@@ -124,7 +122,6 @@ def resolve_rate(instance: ModelInstance,
             return eq.tb0, abs(eq.tb0) <= spec.tolerance * eq.y0
 
         r_star = _bisect(objective, lo, hi, spec.max_iterations, diag)
-        diag.message = "present trade balance driven to zero"
         return r_star, diag
 
     if spec.kind == "trade_share_target":
@@ -134,7 +131,6 @@ def resolve_rate(instance: ModelInstance,
             return f, abs(f) <= spec.tolerance
 
         r_star = _bisect(objective, lo, hi, spec.max_iterations, diag)
-        diag.message = f"trade share driven to {spec.target_share}"
         return r_star, diag
 
     # welfare_sweep: argmax over the grid, ties break to the lowest rate and
@@ -151,7 +147,6 @@ def resolve_rate(instance: ModelInstance,
     diag.evaluations = len(rates)
     diag.history = list(zip(rates, welfare.tolist()))
     diag.residual = best_u
-    diag.message = f"highest welfare over {len(spec.grid)} grid rates"
     return best_r, diag
 
 

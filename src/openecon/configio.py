@@ -1,8 +1,8 @@
 """Plain-text instance and scenario files, plus CSV/JSON emission helpers.
 
-Instance files are flat `key = value` lines using the calibration-table
-spellings (alpha, gamma, delta, theta, rho, phi, A0, A1, N0, N1, K0, tax0,
-G0, G1, l0_max, l1_max, years_per_period).  Scenario files group lines
+Instance files are flat `key = value` lines, one per parameter of
+scenarios.PARAMETERS, written with its calibration-table spelling and read
+with any spelling canonical_parameter accepts.  Scenario files group lines
 under `[name]` headers; inside a section, `set.<param> = v` overrides a
 parameter, `perturb.<param> = f` scales it, and either `rate = r` or a
 `closure = kind` block selects the rate.
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 
 from .closure import ClosureSpec
-from .model import (Demography, Fiscal, ModelInstance, Preferences,
-                    Technology)
-from .scenarios import Scenario, canonical_parameter
+from .model import ModelInstance
+from .scenarios import (PARAMETERS, Scenario, canonical_parameter,
+                        parameter_value, with_parameters)
 from .reference import baseline_instance
 
 
@@ -33,7 +32,7 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_lines(text: str):
-    """Yield (lineno, key, value) for `key = value` lines; '#' starts a comment."""
+    """Yield (lineno, line) for each non-blank line, stripped; '#' starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -68,37 +67,13 @@ def parse_instance(text: str) -> ModelInstance:
         except KeyError:
             raise ParseError(f"line {lineno}: unknown parameter {key!r}") from None
         values[path] = _as_float(lineno, key, value)
-
-    instance = baseline_instance()
-    p, t, d, f = (instance.preferences, instance.technology,
-                  instance.demography, instance.fiscal)
-    pick = values.get
-    p = replace(p, gamma=pick("gamma", p.gamma), theta=pick("theta", p.theta),
-                rho=pick("rho", p.rho), phi=pick("phi", p.phi))
-    t = replace(t, alpha=pick("alpha", t.alpha), delta=pick("delta", t.delta),
-                a0=pick("a0", t.a0), a1=pick("a1", t.a1))
-    d = replace(d, n0=pick("n0", d.n0), n1=pick("n1", d.n1),
-                l0_max=pick("l0_max", d.l0_max), l1_max=pick("l1_max", d.l1_max))
-    f = replace(f, g0=pick("g0", f.g0), g1=pick("g1", f.g1), t0=pick("t0", f.t0))
-    return ModelInstance(preferences=p, technology=t, demography=d, fiscal=f,
-                         k0=pick("k0", instance.k0),
-                         years_per_period=pick("years_per_period",
-                                               instance.years_per_period))
+    return with_parameters(baseline_instance(), values)
 
 
 def format_instance(instance: ModelInstance) -> str:
     """Serialize an instance so that re-parsing reproduces it bit for bit."""
-    p, t, d, f = (instance.preferences, instance.technology,
-                  instance.demography, instance.fiscal)
-    pairs = [
-        ("alpha", t.alpha), ("gamma", p.gamma), ("delta", t.delta),
-        ("theta", p.theta), ("rho", p.rho), ("phi", p.phi),
-        ("A0", t.a0), ("A1", t.a1), ("N0", d.n0), ("N1", d.n1),
-        ("K0", instance.k0), ("tax0", f.t0), ("G0", f.g0), ("G1", f.g1),
-        ("l0_max", d.l0_max), ("l1_max", d.l1_max),
-        ("years_per_period", instance.years_per_period),
-    ]
-    return "".join(f"{key} = {value!r}\n" for key, value in pairs)
+    return "".join(f"{spelling} = {parameter_value(instance, path)!r}\n"
+                   for spelling, _, path in PARAMETERS)
 
 
 def read_instance(path: str) -> ModelInstance:

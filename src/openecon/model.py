@@ -310,11 +310,6 @@ def lifetime_utility(c0: float, l0: float, c1: float, l1: float,
     return period_utility(c0, l0, prefs) + prefs.beta * period_utility(c1, l1, prefs)
 
 
-def welfare(eq: Equilibrium, prefs: Preferences) -> float:
-    """Lifetime utility of the representative household at an equilibrium."""
-    return lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1, prefs)
-
-
 # ---------------------------------------------------------------------------
 # Full solve
 # ---------------------------------------------------------------------------
@@ -326,10 +321,13 @@ def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
     future capital at the given r, the household splits its present-value
     income across the two periods, and the trade balances absorb the rest.
     Raises DomainError for an inadmissible rate or a value out of floating
-    range, InfeasibleError for non-positive present-value income.
+    range, InfeasibleError for non-positive present-value income.  r is
+    converted to a Python float first: its ** raises on overflow, where a
+    numpy scalar's returns inf.
     """
     p, t, d, f = (instance.preferences, instance.technology,
                   instance.demography, instance.fiscal)
+    r = float(r)
     try:
         check_rate(t, r)
         R = 1.0 + r
@@ -487,7 +485,7 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
         for column in columns.values():
             column[flagged] = False if column.dtype == bool else np.nan
         errors = []
-        for j in flagged:     # numpy scalars warn where Python floats raise
+        for j in flagged:
             try:
                 eq = solve_at_rate(instance, rates[j])
             except (DomainError, InfeasibleError) as exc:
@@ -497,7 +495,3 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
                 column[j] = getattr(eq, name)
     return columns, errors
 
-
-def saving_decomposition(eq: Equilibrium) -> tuple[float, float]:
-    """(national saving, external saving): s0n + s1x = i0 up to roundoff."""
-    return eq.s0n, eq.s1x

@@ -8,11 +8,17 @@ travel with the scenarios rather than being recomputed.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .model import Demography, Fiscal, ModelInstance, Preferences, Technology
 
 
+@cache
 def baseline_instance() -> ModelInstance:
-    """The embedded baseline calibration (16 years per period)."""
+    """The embedded baseline calibration (16 years per period).
+
+    Every call returns the same instance; its blocks are frozen.
+    """
     return ModelInstance(
         preferences=Preferences(gamma=1.2, theta=9.0, rho=0.5, phi=1.0),
         technology=Technology(alpha=0.5, delta=1.0, a0=1.0, a1=1.0),

@@ -10,50 +10,70 @@ cross-scenario directional checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from . import reference
 from .closure import ClosureSpec, ConvergenceError, resolve_rate
 from .model import Equilibrium, ModelInstance, annualize_rate, solve_at_rate
 
-# parameter path -> (sub-block attribute or None for top level, field name)
-PARAMETER_PATHS: dict[str, tuple[str | None, str]] = {
-    "gamma": ("preferences", "gamma"),
-    "theta": ("preferences", "theta"),
-    "rho": ("preferences", "rho"),
-    "phi": ("preferences", "phi"),
-    "alpha": ("technology", "alpha"),
-    "delta": ("technology", "delta"),
-    "a0": ("technology", "a0"),
-    "a1": ("technology", "a1"),
-    "n0": ("demography", "n0"),
-    "n1": ("demography", "n1"),
-    "l0_max": ("demography", "l0_max"),
-    "l1_max": ("demography", "l1_max"),
-    "g0": ("fiscal", "g0"),
-    "g1": ("fiscal", "g1"),
-    "t0": ("fiscal", "t0"),
-    "k0": (None, "k0"),
-    "years_per_period": (None, "years_per_period"),
-}
+# (instance-file spelling, sub-block or None for top level, field name), in
+# instance-file order.  The field name is the parameter's canonical path.
+PARAMETERS: tuple[tuple[str, str | None, str], ...] = (
+    ("alpha", "technology", "alpha"),
+    ("gamma", "preferences", "gamma"),
+    ("delta", "technology", "delta"),
+    ("theta", "preferences", "theta"),
+    ("rho", "preferences", "rho"),
+    ("phi", "preferences", "phi"),
+    ("A0", "technology", "a0"),
+    ("A1", "technology", "a1"),
+    ("N0", "demography", "n0"),
+    ("N1", "demography", "n1"),
+    ("K0", None, "k0"),
+    ("tax0", "fiscal", "t0"),
+    ("G0", "fiscal", "g0"),
+    ("G1", "fiscal", "g1"),
+    ("l0_max", "demography", "l0_max"),
+    ("l1_max", "demography", "l1_max"),
+    ("years_per_period", None, "years_per_period"),
+)
 
-# Spellings used in instance/scenario files, mapped to canonical paths.
-PARAMETER_ALIASES: dict[str, str] = {
-    "a0": "a0", "a1": "a1", "n0": "n0", "n1": "n1", "k0": "k0",
-    "tax0": "t0", "g0": "g0", "g1": "g1",
-}
+_BLOCKS = {path: block for _, block, path in PARAMETERS}
+_GETTERS = {path: attrgetter(path if block is None else f"{block}.{path}")
+            for _, block, path in PARAMETERS}
+_CANONICAL = {name.lower(): path for spelling, _, path in PARAMETERS
+              for name in (spelling, path)}
 
 
 def canonical_parameter(name: str) -> str:
-    """Normalize a parameter spelling (e.g. 'A1', 'tax0') to its path."""
-    key = name.strip()
-    if key in PARAMETER_PATHS:
-        return key
-    lowered = key.lower()
-    if lowered in PARAMETER_ALIASES:
-        return PARAMETER_ALIASES[lowered]
-    if lowered in PARAMETER_PATHS:
-        return lowered
-    raise KeyError(f"unknown parameter {name!r}")
+    """Normalize a parameter spelling (e.g. 'A1', 'tax0') to its path.
+
+    Spellings and paths match case-insensitively, ignoring surrounding space.
+    """
+    try:
+        return _CANONICAL[name.strip().lower()]
+    except KeyError:
+        raise KeyError(f"unknown parameter {name!r}") from None
+
+
+def parameter_value(instance: ModelInstance, path: str) -> float:
+    """The value of the parameter at canonical `path`."""
+    return _GETTERS[path](instance)
+
+
+def with_parameters(instance: ModelInstance,
+                    values: dict[str, float]) -> ModelInstance:
+    """`instance` with each canonical path in `values` set, one replace per
+    touched block; `instance` itself if `values` is empty."""
+    if not values:
+        return instance
+    blocks: dict[str | None, dict[str, float]] = {}
+    for path, value in values.items():
+        blocks.setdefault(_BLOCKS[path], {})[path] = value
+    top = blocks.pop(None, {})
+    for block, fields in blocks.items():
+        top[block] = replace(getattr(instance, block), **fields)
+    return replace(instance, **top)
 
 
 @dataclass(frozen=True)
@@ -88,28 +108,17 @@ class Scenario:
             raise ValueError(f"scenario {self.name!r} needs a rate or a closure")
 
 
-def _get_parameter(instance: ModelInstance, path: str) -> float:
-    block, name = PARAMETER_PATHS[canonical_parameter(path)]
-    holder = instance if block is None else getattr(instance, block)
-    return getattr(holder, name)
-
-
-def _set_parameter(instance: ModelInstance, path: str, value: float) -> ModelInstance:
-    block, name = PARAMETER_PATHS[canonical_parameter(path)]
-    if block is None:
-        return replace(instance, **{name: value})
-    sub = replace(getattr(instance, block), **{name: value})
-    return replace(instance, **{block: sub})
-
-
 def apply_scenario(base: ModelInstance, s: Scenario) -> ModelInstance:
-    """Return a new instance with the scenario's changes; base is untouched."""
-    out = base
-    for path, value in s.overrides.items():
-        out = _set_parameter(out, path, value)
+    """Return a new instance with the scenario's changes; base is untouched.
+
+    Perturbations scale the value after any override of the same path.
+    """
+    values = {canonical_parameter(path): value
+              for path, value in s.overrides.items()}
     for path, factor in s.perturbations.items():
-        out = _set_parameter(out, path, _get_parameter(out, path) * factor)
-    return out
+        path = canonical_parameter(path)
+        values[path] = values.get(path, parameter_value(base, path)) * factor
+    return with_parameters(base, values)
 
 
 def report_row(eq: Equilibrium, instance: ModelInstance) -> dict[str, float]:

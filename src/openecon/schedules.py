@@ -17,8 +17,8 @@ Two modes:
 Both modes evaluate the whole grid as arrays: full mode through
 model.solve_rates, partial mode through the array forms of capital demand
 and the Euler factor.  Values are bit-identical to the per-point scalar
-functions, and inadmissible or infeasible points carry the scalar path's
-error messages.
+functions, and inadmissible, infeasible or overflowing points carry the
+scalar path's error messages.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
                       r_ref: float | None = None) -> ScheduleCurve:
     """Evaluate the three schedules on `grid`.
 
-    Points where the model is inadmissible are recorded in `errors`, set to
-    NaN, and flag the curve.  Partial mode requires r_ref inside the grid
+    Points where the model is inadmissible or a value overflows are recorded
+    in `errors`, set to NaN, and flag the curve.  Partial mode requires r_ref inside the grid
     span.
     """
     grid = np.asarray(grid, dtype=float)
@@ -98,21 +98,25 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
                       instance.fiscal, instance.preferences)
         inc0 = ref.w0 * ref.l0 + ref.x0 - ref.tax0
         inc1 = ref.w1 * ref.l1 + ref.x1 - ref.tax1
-        ok = admissible(t, grid)
+        with np.errstate(all="ignore"):
+            R = 1.0 + grid
+            k1 = capital_demand_rates(t, ref.L1, grid)
+            c0 = (inc0 + inc1 / R) / (1.0 + euler_growth_rates(p, grid) / R)
+            i0 = k1 - (1.0 - t.delta) * instance.k0
+            s0n = ref.y0 - d.n0 * c0 - f.g0
+            s1x = ref.tb1 / R
+        ok = (admissible(t, grid) & np.isfinite(i0) & np.isfinite(s0n)
+              & np.isfinite(s1x))
         errors = []
         for j in np.flatnonzero(~ok):
             try:
                 check_rate(t, grid[j])
             except DomainError as exc:
                 errors.append((int(j), str(exc)))
-        with np.errstate(all="ignore"):
-            R = 1.0 + grid
-            k1 = capital_demand_rates(t, ref.L1, grid)
-            c0 = (inc0 + inc1 / R) / (1.0 + euler_growth_rates(p, grid) / R)
-            i0 = np.where(ok, k1 - (1.0 - t.delta) * instance.k0, np.nan)
-            s0n = np.where(ok, ref.y0 - d.n0 * c0 - f.g0, np.nan)
-            s1x = np.where(ok, ref.tb1 / R, np.nan)
-        y0 = np.where(ok, ref.y0, np.nan)
+            else:
+                errors.append((int(j), f"numerical overflow at r={grid[j]}"))
+        i0, s0n, s1x, y0 = (np.where(ok, v, np.nan)
+                            for v in (i0, s0n, s1x, ref.y0))
 
     with np.errstate(all="ignore"):
         residual = s0n + s1x - i0

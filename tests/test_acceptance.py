@@ -10,6 +10,10 @@ root alpha* of the bracket (about 0.4615 at delta+r = 1.4821) and negative
 above it.  The criterion_8 case therefore asserts the red verdict, that
 the reported rising segments are exactly those the analysis predicts, and
 that capital demand rises below alpha* and falls above it; see README.
+
+Criteria 3 and 4 read one cached evaluation of the sampled economies over
+CHECK_RATES.  The per-point loops it replaced are kept below as references,
+and the cached values must equal theirs exactly.
 """
 
 import math
@@ -18,8 +22,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from openecon import baseline_instance
-from openecon.acceptance import CRITERIA
+from openecon import InfeasibleError, baseline_instance, solve_at_rate
+from openecon.acceptance import (CHECK_RATES, CRITERIA, _worst_residuals,
+                                 sample_feasible_instances, sample_instance)
 from openecon.model import capital_demand
 
 # Criterion 8 as stated: 41 capital shares on [0.3, 0.7] at the baseline rate.
@@ -83,3 +88,64 @@ def test_criterion(number, criterion, capsys):
         check_criterion_8_red(result)
     else:
         assert result.passed, result.detail
+
+
+# ---------------------------------------------------------------------------
+# References: the replaced per-point loops
+# ---------------------------------------------------------------------------
+
+def reference_sample(count, rates, seed=20260824, max_draws=10000):
+    """The sampling loop, and how many draws it took."""
+    rng = np.random.default_rng(seed)
+    out = []
+    draws = 0
+    for _ in range(max_draws):
+        if len(out) >= count:
+            break
+        instance = sample_instance(rng)
+        draws += 1
+        try:
+            for r in rates:
+                solve_at_rate(instance, r)
+        except InfeasibleError:
+            continue
+        out.append(instance)
+    return out, draws
+
+
+def reference_worst_residuals():
+    instances, _ = reference_sample(100, CHECK_RATES)
+    worst_walras = worst_saving = 0.0
+    worst_euler = worst_labor = worst_profit = 0.0
+    for instance in instances:
+        p, t = instance.preferences, instance.technology
+        for r in CHECK_RATES:
+            eq = solve_at_rate(instance, r)
+            scale = 1.0 / eq.y0
+            worst_walras = max(worst_walras,
+                               abs(eq.tb0 + eq.tb1 / (1.0 + r)) * scale)
+            worst_saving = max(worst_saving,
+                               abs(eq.s0n + eq.s1x - eq.i0) * scale)
+            growth = (p.beta * (1.0 + r)) ** (1.0 / p.gamma)
+            worst_euler = max(worst_euler, abs(eq.c1 / eq.c0 / growth - 1.0))
+            if not eq.l0_binding:
+                lhs = eq.l0 ** p.theta * eq.w1
+                rhs = p.beta * (1.0 + r) * eq.w0 * eq.l1 ** p.theta
+                worst_labor = max(worst_labor, abs(lhs / rhs - 1.0))
+            profit_gap = eq.y1 - eq.w1 * eq.L1 - (t.delta + r) * eq.k1
+            worst_profit = max(worst_profit, abs(profit_gap) / eq.y1)
+    return worst_walras, worst_saving, worst_euler, worst_labor, worst_profit
+
+
+def test_worst_residuals_match_per_point_loops():
+    assert _worst_residuals() == reference_worst_residuals()
+
+
+@pytest.mark.parametrize("count, rates, rejected", [
+    (100, CHECK_RATES, False),
+    (30, [-0.45, 0.5], True),    # income turns negative for some draws
+], ids=["check_rates", "rejecting_rates"])
+def test_sample_matches_per_point_loop(count, rates, rejected):
+    want, draws = reference_sample(count, rates)
+    assert (draws > count) is rejected
+    assert sample_feasible_instances(count, rates) == want

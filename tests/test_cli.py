@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through cli.main with captured streams."""
 
 import json
+import math
 from io import StringIO
 
 import numpy as np
@@ -159,6 +160,38 @@ class TestSchedules:
             assert code == 2
             assert out == ""
             assert "at most 1000000" in err
+
+    def test_overflow_reads_as_in_solve(self, tmp_path):
+        """A numpy grid rate overflows with the same message as --rate."""
+        path = tmp_path / "steep.txt"
+        path.write_text("alpha = 0.99\ndelta = 0.1\n")
+        instance = ["--instance-file", str(path)]
+        code, out, err = run(["solve", "--rate", "-0.0999", *instance])
+        assert (code, out) == (2, "")
+        assert err == "error: numerical overflow at r=-0.0999\n"
+        for mode in ("full", "partial"):
+            code, out, err = run(["schedules", "--grid=-0.0999,1,3",
+                                  "--mode", mode, "--rate", "1", *instance])
+            assert code == 0
+            assert out.splitlines()[1] == "-0.0999,nan,nan,nan,nan"
+            assert err.splitlines()[0] == ("grid point 0 (r=-0.0999) skipped: "
+                                           "numerical overflow at r=-0.0999")
+
+    def test_partial_overflow_is_skipped(self, tmp_path):
+        path = tmp_path / "steep.txt"
+        path.write_text("alpha = 0.98\ndelta = 0.1\n")
+        code, out, err = run(["schedules", "--mode", "partial",
+                              "--grid=-0.09999999,10,3", "--rate", "10",
+                              "--format", "json", "--instance-file", str(path)])
+        assert code == 0
+        assert "Infinity" not in out
+        first, *rest = json.loads(out)["points"]
+        assert first["r"] == -0.09999999
+        assert all(math.isnan(first[key])
+                   for key in ("I0", "S0N", "S1X", "residual"))
+        assert all(math.isfinite(v) for point in rest for v in point.values())
+        assert err == ("grid point 0 (r=-0.1) skipped: "
+                       "numerical overflow at r=-0.09999999\n")
 
     def test_byte_identical_reruns(self):
         argv = ["schedules", "--grid", "0.3,0.7,11", "--format", "json"]

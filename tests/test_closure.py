@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from openecon import (BracketError, ClosureSpec, ConvergenceError,
@@ -81,11 +82,10 @@ class TestTradeShareTarget:
 
 class TestWelfareSweep:
     def test_tie_breaks_to_lowest_rate(self, baseline, monkeypatch):
-        class Flat:
-            welfare = 1.0
+        def flat(instance, rates):
+            return {"welfare": np.ones(len(rates))}, []
 
-        monkeypatch.setattr(closure_mod, "solve_at_rate",
-                            lambda inst, r: Flat())
+        monkeypatch.setattr(closure_mod, "solve_rates", flat)
         spec = ClosureSpec("welfare_sweep", grid=(0.9, 0.3, 0.6))
         r, _ = resolve_rate(baseline, spec)
         assert r == 0.3

@@ -10,7 +10,32 @@ from openecon.configio import (ParseError, csv_number, format_instance,
                                to_csv, to_json)
 
 
+BASELINE_TEXT = """\
+alpha = 0.5
+gamma = 1.2
+delta = 1.0
+theta = 9.0
+rho = 0.5
+phi = 1.0
+A0 = 1.0
+A1 = 1.0
+N0 = 10.0
+N1 = 10.0
+K0 = 31756.0
+tax0 = 0.0
+G0 = 0.0
+G1 = 0.0
+l0_max = 35000.0
+l1_max = 29440.0
+years_per_period = 16.0
+"""
+
+
 class TestInstanceRoundTrip:
+    def test_baseline_text(self, baseline):
+        assert format_instance(baseline) == BASELINE_TEXT
+        assert parse_instance(BASELINE_TEXT) == baseline
+
     def test_bit_identical_equilibria(self, baseline):
         tweaked = replace(baseline, k0=12345.6789,
                           preferences=replace(baseline.preferences,

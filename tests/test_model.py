@@ -10,8 +10,7 @@ from openecon import (Demography, DomainError, Fiscal, ModelInstance,
                       Preferences, Technology, annualize_rate, capital_demand,
                       dividends, euler_growth, future_wage, government_t1,
                       labor_supply_present, lifetime_utility, output,
-                      q_factor, saving_decomposition, solve_at_rate, wage_mpl,
-                      welfare)
+                      q_factor, solve_at_rate, wage_mpl)
 from openecon.closure import ClosureSpec, resolve_rate
 
 BASE_TECH = Technology(alpha=0.5, delta=1.0, a0=1.0, a1=1.0)
@@ -266,7 +265,7 @@ class TestSolveAtRate:
 
 class TestSavingDecomposition:
     def test_baseline(self, baseline_eq):
-        s0n, s1x = saving_decomposition(baseline_eq)
+        s0n, s1x = baseline_eq.s0n, baseline_eq.s1x
         assert s0n == pytest.approx(18556.0, rel=5e-3)
         assert s1x == pytest.approx(14949.0, rel=5e-3)
 
@@ -274,7 +273,7 @@ class TestSavingDecomposition:
         spec = ClosureSpec(kind="balanced_trade", bracket=(0.4821, 2.0))
         r_star, _ = resolve_rate(baseline, spec)
         eq = solve_at_rate(baseline, r_star)
-        s0n, s1x = saving_decomposition(eq)
+        s0n, s1x = eq.s0n, eq.s1x
         assert abs(s1x) <= 1e-9 * eq.y0
         assert s0n == pytest.approx(eq.i0, rel=1e-9)
 
@@ -282,10 +281,10 @@ class TestSavingDecomposition:
         instance = replace(baseline,
                            preferences=replace(baseline.preferences, rho=0.575))
         eq = solve_at_rate(instance, 0.5560)
-        assert saving_decomposition(eq)[1] == pytest.approx(11359.92, rel=5e-3)
+        assert eq.s1x == pytest.approx(11359.92, rel=5e-3)
 
     def test_identity(self, baseline_eq):
-        s0n, s1x = saving_decomposition(baseline_eq)
+        s0n, s1x = baseline_eq.s0n, baseline_eq.s1x
         assert s0n + s1x == pytest.approx(baseline_eq.i0, rel=1e-12)
 
 
@@ -314,7 +313,9 @@ class TestWelfare:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_welfare_matches_equilibrium_field(self, baseline, baseline_eq):
-        assert welfare(baseline_eq, baseline.preferences) == baseline_eq.welfare
+        eq = baseline_eq
+        assert eq.welfare == lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1,
+                                              baseline.preferences)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,16 @@ from openecon import (ClosureSpec, Scenario, apply_scenario, paper_suite,
 from openecon.scenarios import canonical_parameter, row_deviation
 
 
+# instance-file spelling -> canonical parameter path
+SPELLINGS = {
+    "alpha": "alpha", "gamma": "gamma", "delta": "delta", "theta": "theta",
+    "rho": "rho", "phi": "phi", "A0": "a0", "A1": "a1", "N0": "n0",
+    "N1": "n1", "K0": "k0", "tax0": "t0", "G0": "g0", "G1": "g1",
+    "l0_max": "l0_max", "l1_max": "l1_max",
+    "years_per_period": "years_per_period",
+}
+
+
 class TestApplyScenario:
     def test_perturb_gamma(self, baseline):
         s = Scenario("g", rate=0.4821, perturbations={"gamma": 1.15})
@@ -46,9 +56,13 @@ class TestApplyScenario:
                                               overrides={"sigma": 2.0}))
 
     def test_aliases(self):
-        assert canonical_parameter("A1") == "a1"
-        assert canonical_parameter("tax0") == "t0"
-        assert canonical_parameter("K0") == "k0"
+        for spelling, path in SPELLINGS.items():
+            for name in (spelling, path):
+                for form in (name, name.upper(), f"  {name}\t "):
+                    assert canonical_parameter(form) == path, form
+        for name in ("tax", "t1", "A 1", "alpha0", ""):
+            with pytest.raises(KeyError):
+                canonical_parameter(name)
 
 
 class TestReportRow:

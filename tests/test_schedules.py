@@ -101,6 +101,19 @@ class TestValidationAndFlagging:
         good = [j for j in range(grid.size) if j not in bad]
         assert np.all(np.isfinite(curve.i0[good]))
 
+    def test_partial_errors_in_index_order(self, baseline):
+        """Inadmissible and overflowing points both become NaN errors."""
+        steep = replace(baseline, technology=replace(
+            baseline.technology, alpha=0.98, delta=0.1))
+        grid = np.array([-0.2, -0.1, -0.09999999, 10.0])
+        curve = compute_schedules(steep, grid, mode="partial", r_ref=10.0)
+        assert [j for j, _ in curve.errors] == [0, 1, 2]
+        assert curve.errors[0][1].startswith("inadmissible rate r=-0.2")
+        assert curve.errors[1][1].startswith("inadmissible rate r=-0.1")
+        assert curve.errors[2][1] == "numerical overflow at r=-0.09999999"
+        for values in (curve.i0, curve.s0n, curve.s1x, curve.residual, curve.y0):
+            assert np.all(np.isnan(values[:3])) and np.isfinite(values[3])
+
     def test_default_grid(self):
         grid = default_grid(0.4821)
         assert grid.size == 41
