@@ -29,6 +29,14 @@ class InfeasibleError(ValueError):
     """The household's present-value income is non-positive at this rate."""
 
 
+def _require_finite(block, names: tuple[str, ...]) -> None:
+    """Raise DomainError for the first of `block`'s fields `names` that is
+    NaN or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(block, name)):
+            raise DomainError(f"{name} must be finite")
+
+
 # ---------------------------------------------------------------------------
 # Parameter blocks
 # ---------------------------------------------------------------------------
@@ -52,6 +60,7 @@ class Preferences:
     def __post_init__(self):
         if not (self.gamma > 0 and self.theta > 0 and self.rho > 0 and self.phi > 0):
             raise DomainError("gamma, theta, rho, phi must all be positive")
+        _require_finite(self, ("gamma", "theta", "rho", "phi"))
 
     @property
     def beta(self) -> float:
@@ -80,6 +89,7 @@ class Technology:
             raise DomainError("delta must lie in (0, 1]")
         if not (self.a0 > 0 and self.a1 > 0):
             raise DomainError("labor efficiencies must be positive")
+        _require_finite(self, ("a0", "a1"))
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,7 @@ class Demography:
     def __post_init__(self):
         if not (self.n0 > 0 and self.n1 > 0 and self.l0_max > 0 and self.l1_max > 0):
             raise DomainError("household counts and time endowments must be positive")
+        _require_finite(self, ("n0", "n1", "l0_max", "l1_max"))
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,7 @@ class Fiscal:
     def __post_init__(self):
         if self.g0 < 0 or self.g1 < 0:
             raise DomainError("government purchases must be non-negative")
+        _require_finite(self, ("g0", "g1", "t0"))
 
 
 @dataclass(frozen=True)
@@ -125,6 +137,7 @@ class ModelInstance:
             raise DomainError("initial capital k0 must be positive")
         if self.years_per_period <= 0:
             raise DomainError("years_per_period must be positive")
+        _require_finite(self, ("k0", "years_per_period"))
 
 
 @dataclass(frozen=True)

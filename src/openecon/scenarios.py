@@ -101,7 +101,11 @@ class Scenario:
     reference: ReferenceRow | None = None
 
     def __post_init__(self):
-        dup = set(self.overrides) & set(self.perturbations)
+        # unknown names are left as they are; apply_scenario rejects them
+        def paths(names):
+            return {_CANONICAL.get(name.strip().lower(), name) for name in names}
+
+        dup = paths(self.overrides) & paths(self.perturbations)
         if dup:
             raise ValueError(f"parameters in both overrides and perturbations: {dup}")
         if self.rate is None and self.closure is None:

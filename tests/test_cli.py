@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from openecon.cli import main
+from openecon.scenarios import PARAMETERS
 
 
 def run(argv):
@@ -70,6 +71,24 @@ class TestSolve:
                             "--instance-file", "/nonexistent/calib.txt"])
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("spelling", [p[0] for p in PARAMETERS])
+    def test_non_finite_parameter_exits_2(self, tmp_path, spelling):
+        path = tmp_path / "calib.txt"
+        for value in ("nan", "inf", "-inf"):
+            path.write_text(f"{spelling} = {value}\n")
+            code, out, err = run(["solve", "--rate", "0.5", "--format", "json",
+                                  "--instance-file", str(path)])
+            assert (code, out) == (2, ""), value
+            assert err.startswith("error:")
+
+    @pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"],
+                                        ["--bracket", "0.01,inf"]])
+    def test_non_finite_closure_input_exits_2(self, option):
+        code, out, err = run(["solve", "--closure", "balanced_trade",
+                              "--format", "csv"] + option)
+        assert (code, out) == (2, "")
+        assert "finite" in err
 
 
 class TestTable:

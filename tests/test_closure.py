@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from openecon import (BracketError, ClosureSpec, ConvergenceError,
-                      calibrated_labor_weight, resolve_rate, solve_at_rate,
-                      welfare_stationarity_check)
+from openecon import (BracketError, ClosureSpec, ConvergenceError, DomainError,
+                      InfeasibleError, calibrated_labor_weight, resolve_rate,
+                      solve_at_rate, welfare_stationarity_check)
 from openecon import closure as closure_mod
+from openecon.acceptance import sample_instance
+
+# balanced_trade on the baseline over (0.4821, 2.0), as plain bisection found it
+BISECTION_RATE = 0.7483044201658339
 
 
 class TestFixed:
@@ -115,6 +121,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ClosureSpec("balanced_trade", tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="finite"):
+            ClosureSpec("balanced_trade", tolerance=tolerance)
+
+    @pytest.mark.parametrize("bracket", [(0.01, math.inf), (-math.inf, 2.0),
+                                         (math.nan, 2.0), (0.01, math.nan)])
+    def test_non_finite_bracket(self, bracket):
+        with pytest.raises(ValueError):
+            ClosureSpec("balanced_trade", bracket=bracket)
+
 
 class TestWelfareStationarity:
     def test_negative_at_published_rate(self, baseline):
@@ -137,3 +154,136 @@ class TestWelfareStationarity:
     def test_bad_step(self, baseline):
         with pytest.raises(ValueError):
             welfare_stationarity_check(baseline, 0.5, h=0.0)
+
+
+# ---------------------------------------------------------------------------
+# ITP root finding against the plain bisection it replaced
+# ---------------------------------------------------------------------------
+
+def reference_bisect(objective, lo, hi, max_iterations):
+    """The replaced `closure._bisect`, without its diagnostics."""
+    f_lo, done = objective(lo)
+    if done:
+        return lo
+    f_hi, done = objective(hi)
+    if done:
+        return hi
+    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+        raise BracketError("same sign at both bracket ends")
+    for _ in range(max_iterations):
+        mid = 0.5 * (lo + hi)
+        f_mid, done = objective(mid)
+        if done:
+            return mid
+        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    raise ConvergenceError(f"no convergence after {max_iterations} steps")
+
+
+def closure_objective(instance, spec):
+    """`resolve_rate`'s objective for a root-finding spec: (value, done)."""
+    def objective(r):
+        eq = solve_at_rate(instance, r)
+        if spec.kind == "balanced_trade":
+            return eq.tb0, abs(eq.tb0) <= spec.tolerance * eq.y0
+        f = eq.tb0 / eq.y0 - spec.target_share
+        return f, abs(f) <= spec.tolerance
+    return objective
+
+
+class TestFindRoot:
+    def test_baseline_evaluations(self, baseline):
+        spec = ClosureSpec("balanced_trade", bracket=(0.4821, 2.0))
+        r, diag = resolve_rate(baseline, spec)
+        assert diag.evaluations <= 10
+        assert abs(r - BISECTION_RATE) <= 1e-9
+
+    @settings(max_examples=500, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lo=st.floats(0.01, 1.99), span=st.floats(1e-3, 1.0),
+           target=st.one_of(st.none(), st.floats(-0.6, 0.3)))
+    def test_agrees_with_bisection(self, seed, lo, span, target):
+        instance = sample_instance(np.random.default_rng(seed))
+        hi = min(lo + span * (2.0 - lo), 2.0)
+        spec = (ClosureSpec("balanced_trade", bracket=(lo, hi))
+                if target is None else
+                ClosureSpec("trade_share_target", target_share=target,
+                            bracket=(lo, hi)))
+        objective = closure_objective(instance, spec)
+        try:
+            reference_bisect(objective, lo, hi, spec.max_iterations)
+        except BracketError:
+            with pytest.raises(BracketError):
+                resolve_rate(instance, spec)
+            return
+        except (DomainError, InfeasibleError):
+            pass
+
+        tried = []
+
+        def recording_solve(inst, r):
+            tried.append(r)
+            return solve_at_rate(inst, r)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(closure_mod, "solve_at_rate", recording_solve)
+            try:
+                r, diag = resolve_rate(instance, spec)
+            except (DomainError, InfeasibleError):
+                # a rate inside the bracket really has no equilibrium
+                assert lo <= tried[-1] <= hi
+                return
+        assert lo <= r <= hi
+        assert objective(r)[1]
+        assert diag.evaluations == len(tried)
+        assert_minmax(diag.history, lo, hi, objective(lo)[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_power=st.floats(-4.0, 4.0), root=st.floats(0.001, 0.999),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_minmax_on_skewed_curves(self, log_power, root, sign):
+        # x^p - root^p with p far from 1 is where regula falsi stalls; the
+        # projection step must still shrink the bracket like bisection.
+        power = math.exp(log_power)
+
+        def objective(x):
+            f = sign * (x ** power - root ** power)
+            return f, abs(f) <= 1e-13
+
+        diag = closure_mod.ClosureDiagnostics("test")
+        try:
+            closure_mod._find_root(objective, 0.0, 1.0, 200, diag)
+        except ConvergenceError:
+            pass      # the bracket shrank to adjacent floats first
+        assert_minmax(diag.history, 0.0, 1.0, objective(0.0)[0])
+
+    def test_evaluations_on_random_economies(self):
+        rng = np.random.default_rng(20260824)
+        evaluations = []
+        while len(evaluations) < 200:
+            instance = sample_instance(rng)
+            try:
+                _, diag = resolve_rate(instance, ClosureSpec("balanced_trade"))
+            except (BracketError, InfeasibleError):
+                continue
+            evaluations.append(diag.evaluations)
+        assert max(evaluations) <= 12
+        assert sum(evaluations) / len(evaluations) <= 10.0
+
+
+def assert_minmax(history, lo, hi, f_lo):
+    """Rebuilt from `history`, the bracket after j steps is at most
+    2^(2-j) times as wide as [lo, hi], and every step lies inside it."""
+    # A projected step meets the bound with equality, so rounding in the
+    # midpoint and the radius may exceed it by a few ulps.
+    slack = 4 * math.ulp(max(abs(lo), abs(hi)))
+    a, b = lo, hi
+    for j, (x, f_x) in enumerate(history, start=1):
+        assert a <= x <= b
+        if math.copysign(1.0, f_x) == math.copysign(1.0, f_lo):
+            a, f_lo = x, f_x
+        else:
+            b = x
+        assert b - a <= (hi - lo) * 2.0 ** (2 - j) + slack

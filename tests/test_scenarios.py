@@ -45,6 +45,12 @@ class TestApplyScenario:
             Scenario("bad", rate=0.5, overrides={"gamma": 2.0},
                      perturbations={"gamma": 1.1})
 
+    def test_disjoint_by_canonical_name(self):
+        for over, pert in (("A1", "a1"), ("tax0", "T0"), (" K0", "k0 ")):
+            with pytest.raises(ValueError):
+                Scenario("bad", rate=0.5, overrides={over: 2.0},
+                         perturbations={pert: 1.1})
+
     def test_needs_rate_or_closure(self):
         with pytest.raises(ValueError):
             Scenario("bad")
