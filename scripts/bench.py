@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Record one checkout's benchmark as BENCH_<pr>.json.
+
+    python3 scripts/bench.py --pr N [ROOT]
+
+Runs perfbench/run.py in ROOT (default: the checkout holding this script)
+on every workload of ROOT's BENCHMARK.json, once untraced and once traced,
+with seed SEED for BENCHMARK.json's run_seconds, then times the Tier-1
+test command there, and writes BENCH_N.json in the current directory.
+`src_tree` is the git tree id of the src/ that was measured, uncommitted
+edits included; `git rev-parse <commit>:src` gives the same id for the
+commit that holds that source.  perfbench
+is read only through its last two stdout lines (the info line and the
+result line), so a checkout older than this script can be measured too.
+Standard library only.  Runs one process at a time: perfbench pins itself
+and its children to one CPU.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+HERE_ROOT = Path(__file__).resolve().parents[1]
+SEED = 1   # the seed CI runs, so BENCH files and CI logs compare directly
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def git(root: Path, *args: str) -> str | None:
+    proc = subprocess.run(["git", "-C", str(root), *args],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def src_tree(root: Path) -> str | None:
+    """Git tree id of root/src as it is on disk (tracked and new files)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        for args in (["read-tree", "HEAD"], ["add", "-A", "src"],
+                     ["write-tree", "--prefix=src/"]):
+            proc = subprocess.run(["git", "-C", str(root), *args], env=env,
+                                  capture_output=True, text=True)
+            if proc.returncode != 0:
+                return None
+        return proc.stdout.strip()
+
+
+def perfbench(root: Path, workload: str, seconds: float,
+              trace: int) -> tuple[dict, dict]:
+    """(info line, result line) of one perfbench run."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(SEED), "--seconds", str(seconds),
+            "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{' '.join(argv[1:])} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def tier1(root: Path) -> dict:
+    """Wall time and pass/fail counts of the Tier-1 pytest command."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", env.get("PYTHONPATH")]))
+    start = perf_counter()
+    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True,
+                          text=True)
+    wall_s = perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {kind: int(n) for n, kind in
+              re.findall(r"(\d+) (passed|failed|error|errors|skipped)", summary)}
+    return {"wall_s": round(wall_s, 3), "exit_code": proc.returncode,
+            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "summary": summary}
+
+
+def values(result: dict) -> dict:
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", nargs="?", type=Path, default=HERE_ROOT,
+                        help="source checkout to measure (default: this one)")
+    parser.add_argument("--pr", type=int, required=True,
+                        help="number in the output name BENCH_<pr>.json")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+
+    record = {"pr": args.pr, "commit": git(root, "rev-parse", "HEAD"),
+              "dirty": bool(git(root, "status", "--porcelain", "src")),
+              "src_tree": src_tree(root),
+              "seed": SEED, "seconds": seconds, "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
+        _, plain = perfbench(root, workload, seconds, 0)
+        info, traced = perfbench(root, workload, seconds, 1)
+        # The traced counts come from perfbench's probe, the same for every
+        # workload.
+        record["env"], record["counts"] = info["env"], info["counts"]
+        record["workloads"][workload] = {
+            "correct": plain["correct"] and traced["correct"],
+            "attempted": plain["attempted"] + traced["attempted"],
+            "failed": plain["failed"] + traced["failed"],
+            "end_to_end": values(plain),
+            "per_layer": values(traced),
+        }
+        print(f"{workload}: {record['workloads'][workload]['end_to_end']}",
+              file=sys.stderr)
+    record["repo.src_lines"] = traced["metrics"]["repo.src_lines"]["value"]
+    record["tier1"] = tier1(root)
+
+    out = Path(f"BENCH_{args.pr}.json")
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
+                   encoding="utf-8")
+    ok = all(w["correct"] and not w["failed"]
+             for w in record["workloads"].values())
+    return 0 if ok and record["tier1"]["exit_code"] == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,15 +10,17 @@ import argparse
 import dataclasses
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import acceptance, configio, reference, schedules
+from . import configio, schedules
 from .closure import (BracketError, ClosureSpec, ConvergenceError,
                       resolve_rate)
 from .model import DomainError, InfeasibleError, solve_at_rate
 from .scenarios import paper_suite, run_suite
 from .reference import ROW_KEYS, ROW_LABELS, baseline_instance
+
+if TYPE_CHECKING:          # annotations only
+    import numpy as np
 
 # A grid point costs about 30 float64 values while it is evaluated.
 MAX_GRID_POINTS = 1_000_000
@@ -88,11 +90,20 @@ def _load_instance(args):
     return baseline_instance()
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_fields(spec: str, option: str, form: str, types: tuple) -> list:
+    """Split a comma-separated option value into len(types) typed fields."""
     parts = spec.split(",")
-    if len(parts) != 3:
-        raise configio.ParseError("--grid must be START,STOP,POINTS")
-    start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        if len(parts) == len(types):
+            return [kind(part) for kind, part in zip(types, parts)]
+    except ValueError:
+        pass
+    raise configio.ParseError(f"{option} must be {form}")
+
+
+def _parse_grid(spec: str) -> np.ndarray:
+    start, stop, points = _parse_fields(spec, "--grid", "START,STOP,POINTS",
+                                        (float, float, int))
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise configio.ParseError("--grid START and STOP must be finite")
     if points < 2 or stop <= start:
@@ -100,6 +111,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     if points > MAX_GRID_POINTS:
         raise configio.ParseError(
             f"--grid POINTS must be at most {MAX_GRID_POINTS}")
+    import numpy as np
     return np.linspace(start, stop, points)
 
 
@@ -108,8 +120,8 @@ def _closure_from_args(args) -> ClosureSpec | None:
         return None
     kwargs = {}
     if args.bracket:
-        lo, hi = (float(v) for v in args.bracket.split(","))
-        kwargs["bracket"] = (lo, hi)
+        kwargs["bracket"] = tuple(_parse_fields(args.bracket, "--bracket",
+                                                "LO,HI", (float, float)))
     if args.tol is not None:
         kwargs["tolerance"] = args.tol
     if args.closure == "fixed":
@@ -141,7 +153,6 @@ def _emit_equilibrium(eq, fmt, out, diagnostics=None):
                 "kind": diagnostics.kind,
                 "iterations": diagnostics.iterations,
                 "evaluations": diagnostics.evaluations,
-                "converged": diagnostics.converged,
                 "residual": diagnostics.residual,
             }}
         out.write(configio.to_json(payload))
@@ -238,6 +249,7 @@ def cmd_schedules(args, out, err) -> int:
 
 
 def cmd_check(args, out, err) -> int:
+    from . import acceptance   # loads numpy; the other commands need not
     results = acceptance.run_all(emit=lambda line: out.write(line + "\n"))
     return 0 if all(r.passed for r in results) else 1
 

@@ -6,15 +6,13 @@ diagnostics.  `fixed` passes a rate through untouched; `balanced_trade` and
 `trade_share_target` find a root of the present trade balance by ITP
 (interpolate, truncate, project), one scalar solve per step; `welfare_sweep`
 evaluates its whole grid in one model.solve_rates call and picks the highest
-lifetime utility.
+lifetime utility.  Only that branch loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .model import (DomainError, ModelInstance, lifetime_utility,
                     solve_at_rate, solve_rates)
@@ -62,6 +60,8 @@ class ClosureSpec:
             raise ValueError("fixed closure needs fixed_rate")
         if self.kind == "trade_share_target" and self.target_share is None:
             raise ValueError("trade_share_target closure needs target_share")
+        if self.target_share is not None and not math.isfinite(self.target_share):
+            raise ValueError("target_share must be finite")
         if self.kind == "welfare_sweep" and not self.grid:
             raise ValueError("welfare_sweep closure needs a rate grid")
 
@@ -71,7 +71,6 @@ class ClosureDiagnostics:
     kind: str
     iterations: int = 0
     evaluations: int = 0
-    converged: bool = True
     residual: float = 0.0
     history: list[tuple[float, float]] = field(default_factory=list)
 
@@ -159,6 +158,7 @@ def resolve_rate(instance: ModelInstance,
 
     # welfare_sweep: argmax over the grid, ties break to the lowest rate and
     # NaN never wins; the first bad point raises as its scalar solve does.
+    import numpy as np
     rates = sorted(spec.grid)
     columns, errors = solve_rates(instance, rates)
     if errors:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:          # annotations only; array code imports numpy itself
+    import numpy as np
 
 # Admissibility floor for the gross return delta + r.
 MIN_GROSS_RETURN = 1e-9
@@ -399,9 +401,8 @@ def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
 # Each array form repeats its scalar counterpart operation for operation.
 # Powers that vary with r use np.float_power, which calls libm's pow as
 # Python's ** does; numpy's ** on arrays is off by an ulp on some values.
-
-_libm_log = np.frompyfunc(math.log, 1, 1)   # np.log may differ from math.log
-
+# The array functions that call numpy import it inside the function, so the
+# scalar path above (solve, table, root-finding closures) runs without it.
 
 def admissible(tech: Technology, rates: np.ndarray) -> np.ndarray:
     """Mask of the rates that check_rate accepts."""
@@ -410,12 +411,14 @@ def admissible(tech: Technology, rates: np.ndarray) -> np.ndarray:
 
 def capital_demand_rates(tech: Technology, L1: float, rates: np.ndarray) -> np.ndarray:
     """capital_demand over an array of rates, without its checks."""
+    import numpy as np
     return tech.a1 * L1 * np.float_power(tech.alpha / (tech.delta + rates),
                                          1.0 / (1.0 - tech.alpha))
 
 
 def euler_growth_rates(prefs: Preferences, rates: np.ndarray) -> np.ndarray:
     """euler_growth over an array of rates, without its check."""
+    import numpy as np
     return np.float_power(prefs.beta * (1.0 + rates), 1.0 / prefs.gamma)
 
 
@@ -429,6 +432,7 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
     InfeasibleError; those points are NaN (False in l0_binding).  Points the
     array pass cannot vouch for are replayed through solve_at_rate.
     """
+    import numpy as np
     p, t, d, f = (instance.preferences, instance.technology,
                   instance.demography, instance.fiscal)
     r = np.array(rates, dtype=float)
@@ -469,8 +473,9 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
         C1 = d.n1 * c1
 
         def utility(c, l):
-            if p.gamma == 1.0:
-                uc = _libm_log(np.where(c > 0, c, np.nan)).astype(float)
+            if p.gamma == 1.0:     # np.log may differ from math.log
+                libm_log = np.frompyfunc(math.log, 1, 1)
+                uc = libm_log(np.where(c > 0, c, np.nan)).astype(float)
             else:
                 uc = pw(c, 1.0 - p.gamma) / (1.0 - p.gamma)
             return uc - p.phi * pw(l, 1.0 + p.theta) / (1.0 + p.theta)

@@ -19,17 +19,23 @@ model.solve_rates, partial mode through the array forms of capital demand
 and the Euler factor.  Values are bit-identical to the per-point scalar
 functions, and inadmissible, infeasible or overflowing points carry the
 scalar path's error messages.
+
+numpy is imported inside each function, not at module level: the package
+imports this module, and the scalar commands (solve, table, root-finding
+sweeps) must not pay for loading numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (DomainError, ModelInstance, admissible,
                     capital_demand_rates, check_rate, euler_growth_rates,
                     solve_at_rate, solve_rates)
+
+if TYPE_CHECKING:          # annotations only
+    import numpy as np
 
 MODES = ("full_equilibrium", "partial")
 
@@ -65,6 +71,7 @@ class SlopeReport:
 
 def default_grid(r_ref: float, points: int = 41, half_width: float = 0.2) -> np.ndarray:
     """Rate grid centered on r_ref, floored at 0.01."""
+    import numpy as np
     return np.linspace(max(0.01, r_ref - half_width), r_ref + half_width, points)
 
 
@@ -76,6 +83,7 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
     in `errors`, set to NaN, and flag the curve.  Partial mode requires r_ref inside the grid
     span.
     """
+    import numpy as np
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d array of rates")
@@ -131,6 +139,7 @@ def slope_check(curve: ScheduleCurve) -> SlopeReport:
     is the local-stability condition behind the crossing geometry; in full
     mode the sum tracks investment identically, so nothing is flagged.
     """
+    import numpy as np
     if curve.grid.size < 3:
         raise ValueError("slope check needs at least 3 grid points")
     d_r = np.diff(curve.grid)

@@ -2,13 +2,23 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import openecon
 from openecon.cli import main
 from openecon.scenarios import PARAMETERS
+
+SRC = str(Path(openecon.__file__).resolve().parents[1])
+SCALAR_COMMANDS = [["solve", "--rate", "0.4821"], ["table"],
+                   ["sweep", "--closure", "balanced_trade",
+                    "--bracket", "0.4821,2.0"]]
 
 
 def run(argv):
@@ -90,6 +100,20 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "finite" in err
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_exits_2(self, target):
+        code, out, err = run(["solve", "--closure", "trade_share_target",
+                              f"--target={target}", "--format", "json"])
+        assert (code, out) == (2, "")
+        assert err == "error: target_share must be finite\n"
+
+    @pytest.mark.parametrize("bracket", ["0.5", "a,b", "0.1,0.2,0.3"])
+    def test_malformed_bracket_exits_2(self, bracket):
+        code, out, err = run(["solve", "--closure", "balanced_trade",
+                              "--bracket", bracket])
+        assert (code, out) == (2, "")
+        assert err == "error: --bracket must be LO,HI\n"
+
 
 class TestTable:
     def test_default_suite_passes(self):
@@ -130,7 +154,7 @@ class TestSweep:
         assert code == 0
         payload = json.loads(out)
         assert payload["equilibrium"]["r"] == pytest.approx(0.748304, abs=1e-4)
-        assert payload["closure"]["converged"] is True
+        assert "converged" not in payload["closure"]
 
     def test_requires_closure(self):
         code, _, err = run(["sweep", "--rate", "0.5"])
@@ -166,6 +190,13 @@ class TestSchedules:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("grid", ["a,1,5", "0.1,1,5.5", "0.1,1"])
+    def test_malformed_grid_exits_2(self, grid):
+        for argv in (["schedules"], ["sweep", "--closure", "welfare_sweep"]):
+            code, out, err = run([*argv, f"--grid={grid}"])
+            assert (code, out) == (2, "")
+            assert err == "error: --grid must be START,STOP,POINTS\n"
 
     def test_grid_points_capped_before_allocation(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -229,3 +260,53 @@ class TestCheck:
         assert len(failing) == 1
         assert "criterion 8" in failing[0]
         assert code == 1
+
+
+def run_fresh(script, *args):
+    """Run a Python script in a fresh interpreter that imports openecon from SRC."""
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# argv[1]: "block" makes numpy unimportable first; argv[2]: the commands.
+SCALAR_SCRIPT = """
+import io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from openecon import cli
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    runs.append([cli.main(argv, out=out, err=err), out.getvalue(), err.getvalue()])
+print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules}))
+"""
+
+
+class TestStartUp:
+    """The scalar commands neither load nor need numpy."""
+
+    def test_scalar_commands_leave_numpy_unloaded(self):
+        result = run_fresh(SCALAR_SCRIPT, "load", json.dumps(SCALAR_COMMANDS))
+        assert [code for code, _, _ in result["runs"]] == [0, 0, 0]
+        assert result["numpy"] is False
+
+    def test_scalar_commands_run_without_numpy(self):
+        result = run_fresh(SCALAR_SCRIPT, "block", json.dumps(SCALAR_COMMANDS))
+        assert result["runs"] == [list(run(argv)) for argv in SCALAR_COMMANDS]
+
+    def test_package_still_binds_schedules(self):
+        result = run_fresh("""
+import json, sys
+import openecon
+loaded = "openecon.schedules" in sys.modules
+numpy_at_import = "numpy" in sys.modules
+from openecon import baseline_instance, compute_schedules
+curve = compute_schedules(baseline_instance(), [0.3, 0.5, 0.7])
+print(json.dumps([loaded, numpy_at_import, curve.i0.tolist()]))
+""")
+        loaded, numpy_at_import, i0 = result
+        assert loaded and not numpy_at_import
+        assert len(i0) == 3 and all(math.isfinite(v) for v in i0)

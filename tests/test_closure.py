@@ -21,7 +21,6 @@ class TestFixed:
     def test_identity(self, baseline):
         r, diag = resolve_rate(baseline, ClosureSpec("fixed", fixed_rate=0.4821))
         assert r == 0.4821
-        assert diag.converged
         assert diag.evaluations == 0
 
     def test_never_touches_model(self, baseline, monkeypatch):
@@ -45,7 +44,6 @@ class TestBalancedTrade:
         assert abs(eq.tb0) <= 1e-10 * eq.y0
         # Walras: the future balance vanishes with the present one
         assert abs(eq.tb1) <= 1e-8 * eq.y1
-        assert diag.converged
 
     def test_root_location(self, baseline):
         spec = ClosureSpec("balanced_trade", bracket=(0.4821, 2.0))
@@ -131,6 +129,11 @@ class TestSpecValidation:
     def test_non_finite_bracket(self, bracket):
         with pytest.raises(ValueError):
             ClosureSpec("balanced_trade", bracket=bracket)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target(self, target):
+        with pytest.raises(ValueError, match="^target_share must be finite$"):
+            ClosureSpec("trade_share_target", target_share=target)
 
 
 class TestWelfareStationarity:
