@@ -16,10 +16,9 @@ import numpy as np
 from .closure import (ClosureSpec, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
 from .model import (Demography, Fiscal, ModelInstance, Preferences,
-                    Technology, annualize_rate, capital_demand,
-                    euler_growth_rates, future_wage, labor_supply_present,
-                    lifetime_utility, output, solve_at_rate, solve_rates,
-                    wage_mpl)
+                    Technology, _euler_factor, annualize_rate, capital_demand,
+                    future_wage, labor_supply_present, lifetime_utility,
+                    output, solve_at_rate, solve_rates, wage_mpl)
 from .reference import baseline_instance
 from .scenarios import paper_suite, run_suite
 
@@ -129,7 +128,8 @@ def _worst_residuals() -> tuple[float, float, float, float, float]:
         gaps = (
             np.abs(c["tb0"] + c["tb1"] / R) * (1.0 / c["y0"]),
             np.abs(c["s0n"] + c["s1x"] - c["i0"]) * (1.0 / c["y0"]),
-            np.abs(c["c1"] / c["c0"] / euler_growth_rates(p, CHECK_RATES) - 1.0),
+            np.abs(c["c1"] / c["c0"] / _euler_factor(p, CHECK_RATES, np.float_power)
+                   - 1.0),
             np.abs(labor_lhs[free] / labor_rhs[free] - 1.0),
             np.abs(c["y1"] - c["w1"] * c["L1"] - (t.delta + CHECK_RATES) * c["k1"])
             / c["y1"],

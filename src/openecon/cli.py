@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -173,11 +174,13 @@ def cmd_solve(args, out, err) -> int:
 
 
 def cmd_table(args, out, err) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise configio.ParseError("--tol must be finite and positive")
     instance = _load_instance(args)
     if args.scenario_file:
         scenario_list = configio.read_scenarios(args.scenario_file)
     else:
-        scenario_list = paper_suite(args.tol if args.tol else 2e-3)
+        scenario_list = paper_suite(2e-3 if args.tol is None else args.tol)
     report = run_suite(instance, scenario_list)
 
     if args.format == "json":
@@ -228,6 +231,8 @@ def cmd_sweep(args, out, err) -> int:
 
 
 def cmd_schedules(args, out, err) -> int:
+    if not math.isfinite(args.rate):
+        raise configio.ParseError("--rate must be finite")
     instance = _load_instance(args)
     grid = (_parse_grid(args.grid) if args.grid
             else schedules.default_grid(args.rate))
@@ -269,11 +274,19 @@ def main(argv=None, out=None, err=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args, out, err)
+        status = COMMANDS[args.command](args, out, err)
+        out.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`openecon check | head -1`).  Point it at
+        # devnull, as the Python docs' SIGPIPE note advises, and exit 1.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     except (DomainError, InfeasibleError, BracketError, ConvergenceError,
             configio.ParseError, FileNotFoundError, ValueError, KeyError) as exc:
         err.write(f"error: {exc}\n")
         return 2
+    return status
 
 
 if __name__ == "__main__":

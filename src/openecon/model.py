@@ -13,6 +13,8 @@ All functions are pure; identical inputs produce bit-identical outputs.
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -21,6 +23,8 @@ if TYPE_CHECKING:          # annotations only; array code imports numpy itself
 
 # Admissibility floor for the gross return delta + r.
 MIN_GROSS_RETURN = 1e-9
+
+_OUTPUT_INPUTS = "output requires positive capital, efficiency and hours"
 
 
 class DomainError(ValueError):
@@ -182,16 +186,69 @@ class Equilibrium:
 
 
 # ---------------------------------------------------------------------------
+# Float and array operations
+# ---------------------------------------------------------------------------
+
+# What differs between evaluating on a Python float and on a rate array.
+# power: Python's ** (raises OverflowError) or np.float_power (libm's pow, as
+# **; numpy's own ** on arrays is off by an ulp on some values).  log:
+# math.log, or a ufunc calling it.  clamp: (hours, cap) -> (capped hours,
+# whether the cap binds).  reject(failed, error, message, *args): raise, or
+# take the failed points out of the array's mask of vouched points.
+_Ops = namedtuple("_Ops", "power log clamp reject")
+
+
+def _clamp(hours: float, cap: float) -> tuple[float, bool]:
+    return (cap, True) if hours >= cap else (hours, False)
+
+
+def _reject(failed, error: type, message: str, *args) -> None:
+    if failed:
+        raise error(message.format(*args))
+
+
+_FLOATS = _Ops(operator.pow, math.log, _clamp, _reject)
+
+
+def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray]:
+    """Ops over rate arrays of `shape`, and their mask of vouched points.
+    Callers replay the points that are not vouched or not finite."""
+    import numpy as np
+    vouched = np.ones(shape, dtype=bool)
+
+    def log(c):
+        libm_log = np.frompyfunc(math.log, 1, 1)
+        return libm_log(np.where(c > 0, c, np.nan)).astype(float)
+
+    def clamp(hours, cap):
+        vouched[~np.isfinite(hours)] = False   # the float ** raises first
+        binding = hours >= cap
+        return np.where(binding, cap, hours), binding
+
+    def reject(failed, error, message, *args):
+        vouched[failed] = False
+
+    return _Ops(np.float_power, log, clamp, reject), vouched
+
+
+# ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def check_rate(tech: Technology, r: float) -> None:
-    """Raise DomainError unless r > -1 and delta + r is bounded away from 0.
+def _check_rate(tech: Technology, r, reject) -> None:
+    """check_rate's test on a float or a rate array, through `reject`."""
+    reject((r <= -1.0) | (tech.delta + r <= MIN_GROSS_RETURN) | (r != r),
+           DomainError, "inadmissible rate r={} (need r > -1 and delta + r > 0)", r)
 
-    NaN fails both comparisons and is rejected too.
-    """
-    if not (r > -1.0 and tech.delta + r > MIN_GROSS_RETURN):
-        raise DomainError(f"inadmissible rate r={r} (need r > -1 and delta + r > 0)")
+
+def check_rate(tech: Technology, r: float) -> None:
+    """Raise DomainError unless r > -1 and delta + r > MIN_GROSS_RETURN (not NaN)."""
+    _check_rate(tech, r, _reject)
+
+
+def _capital_demand(tech: Technology, L1: float, r, power):
+    return tech.a1 * L1 * power(tech.alpha / (tech.delta + r),
+                                1.0 / (1.0 - tech.alpha))
 
 
 def capital_demand(tech: Technology, L1: float, r: float) -> float:
@@ -204,13 +261,13 @@ def capital_demand(tech: Technology, L1: float, r: float) -> float:
     check_rate(tech, r)
     if L1 <= 0:
         raise DomainError("aggregate future hours L1 must be positive")
-    return tech.a1 * L1 * (tech.alpha / (tech.delta + r)) ** (1.0 / (1.0 - tech.alpha))
+    return _capital_demand(tech, L1, r, operator.pow)
 
 
 def output(K: float, A: float, L: float, alpha: float) -> float:
     """Cobb-Douglas output K^alpha * (A*L)^(1-alpha)."""
     if K <= 0 or A <= 0 or L <= 0:
-        raise DomainError("output requires positive capital, efficiency and hours")
+        raise DomainError(_OUTPUT_INPUTS)
     return K ** alpha * (A * L) ** (1.0 - alpha)
 
 
@@ -244,24 +301,28 @@ def labor_supply_present(instance: ModelInstance, r: float, w1: float) -> tuple[
         raise DomainError("rate must exceed -1")
     if w1 <= 0:
         raise DomainError("future wage must be positive")
+    hours = _present_hours(instance, r, w1, operator.pow)
+    return _clamp(hours, instance.demography.l0_max)
+
+
+def _present_hours(instance: ModelInstance, r, w1, power):
+    """labor_supply_present's closed form, before the clamp."""
     p, t, d = instance.preferences, instance.technology, instance.demography
     a = t.alpha
-    base = (
-        p.beta * (1.0 + r) * (1.0 - a)
-        * instance.k0 ** a * t.a0 ** (1.0 - a) * d.n0 ** (-a)
-        * d.l1_max ** p.theta / w1
-    )
-    l0 = base ** (1.0 / (p.theta + a))
-    if l0 >= d.l0_max:
-        return d.l0_max, True
-    return l0, False
+    return power(p.beta * (1.0 + r) * (1.0 - a) * power(instance.k0, a)
+                 * power(t.a0, 1.0 - a) * power(d.n0, -a)
+                 * power(d.l1_max, p.theta) / w1, 1.0 / (p.theta + a))
+
+
+def _euler_factor(prefs: Preferences, r, power):
+    return power(prefs.beta * (1.0 + r), 1.0 / prefs.gamma)
 
 
 def euler_growth(prefs: Preferences, r: float) -> float:
     """Consumption growth factor c1/c0 = [beta*(1+r)]^(1/gamma)."""
     if r <= -1.0:
         raise DomainError("rate must exceed -1")
-    return (prefs.beta * (1.0 + r)) ** (1.0 / prefs.gamma)
+    return _euler_factor(prefs, r, operator.pow)
 
 
 def q_factor(prefs: Preferences, r: float) -> float:
@@ -302,6 +363,13 @@ def annualize_rate(per_period: float, years: float) -> float:
 # Welfare
 # ---------------------------------------------------------------------------
 
+def _period_utility(c, l, prefs: Preferences, ops: _Ops):
+    ops.reject(c <= 0, DomainError, "consumption must be positive")
+    uc = (ops.log(c) if prefs.gamma == 1.0
+          else ops.power(c, 1.0 - prefs.gamma) / (1.0 - prefs.gamma))
+    return uc - prefs.phi * ops.power(l, 1.0 + prefs.theta) / (1.0 + prefs.theta)
+
+
 def period_utility(c: float, l: float, prefs: Preferences) -> float:
     """Separable period utility: power function of c minus power function of l.
 
@@ -310,13 +378,7 @@ def period_utility(c: float, l: float, prefs: Preferences) -> float:
     the constant 1/(1-gamma); utility *differences* are therefore continuous
     in gamma at 1, while levels diverge with the constant.
     """
-    if c <= 0:
-        raise DomainError("consumption must be positive")
-    if prefs.gamma == 1.0:
-        uc = math.log(c)
-    else:
-        uc = c ** (1.0 - prefs.gamma) / (1.0 - prefs.gamma)
-    return uc - prefs.phi * l ** (1.0 + prefs.theta) / (1.0 + prefs.theta)
+    return _period_utility(c, l, prefs, _FLOATS)
 
 
 def lifetime_utility(c0: float, l0: float, c1: float, l1: float,
@@ -329,97 +391,77 @@ def lifetime_utility(c0: float, l0: float, c1: float, l1: float,
 # Full solve
 # ---------------------------------------------------------------------------
 
-def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
-    """Evaluate the complete equation system at the rate r.
+def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
+    """The complete equation system at r, a float or an array of rates.
 
     The future labor market is exogenous (l1 = l1_max), the firm picks
     future capital at the given r, the household splits its present-value
     income across the two periods, and the trade balances absorb the rest.
+    Each check runs before the operation it guards, in the float path's
+    order.  Over an array, fields that do not vary with r stay floats.
+    """
+    p, t, d, f = (instance.preferences, instance.technology,
+                  instance.demography, instance.fiscal)
+    power, reject = ops.power, ops.reject
+    a = t.alpha
+    _check_rate(t, r, reject)
+    R = 1.0 + r
+
+    l1 = d.l1_max
+    L1 = d.n1 * l1
+    w1 = (1.0 - a) * t.a1 * power(a / (t.delta + r), a / (1.0 - a))
+    reject(L1 <= 0, DomainError, "aggregate future hours L1 must be positive")
+    k1 = _capital_demand(t, L1, r, power)
+    reject(k1 <= 0, DomainError, _OUTPUT_INPUTS)
+    y1 = power(k1, a) * power(t.a1 * L1, 1.0 - a)
+
+    reject(w1 <= 0, DomainError, "future wage must be positive")
+    l0, binding = ops.clamp(_present_hours(instance, r, w1, power), d.l0_max)
+    L0 = d.n0 * l0
+    reject(L0 <= 0, DomainError, _OUTPUT_INPUTS)
+    y0 = power(instance.k0, a) * power(t.a0 * L0, 1.0 - a)
+    w0 = (1.0 - a) * y0 / L0
+
+    i0 = k1 - (1.0 - t.delta) * instance.k0
+    x0 = (y0 - w0 * L0 - i0) / d.n0
+    x1 = (y1 - w1 * L1) / d.n1
+    T1 = R * f.g0 + f.g1 - f.t0 * R
+    tax0 = f.t0 / d.n0
+    tax1 = T1 / d.n1
+
+    income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
+    reject(income <= 0, InfeasibleError,
+           "present-value income per household is {} at r={}", income, r)
+    growth = _euler_factor(p, r, power)
+    q = 1.0 + growth / R
+    c0 = income / q
+    c1 = c0 * growth
+    C0 = d.n0 * c0
+    C1 = d.n1 * c1
+    tb1 = y1 - C1 - f.g1
+    welfare = (_period_utility(c0, l0, p, ops)
+               + p.beta * _period_utility(c1, l1, p, ops))
+
+    return Equilibrium(   # in field order: binding 29 keywords is slower
+        r, y0, y1, instance.k0, k1, L0, L1, l0, l1, w0, w1, c0, c1, C0, C1,
+        x0, x1, tax0, tax1, f.t0, T1, y0 - C0 - i0 - f.g0, tb1, i0, q,
+        y0 - C0 - f.g0, tb1 / R, welfare, binding)
+
+
+def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
+    """Evaluate the complete equation system at the rate r.
+
     Raises DomainError for an inadmissible rate or a value out of floating
     range, InfeasibleError for non-positive present-value income.  r is
     converted to a Python float first: its ** raises on overflow, where a
     numpy scalar's returns inf.
     """
-    p, t, d, f = (instance.preferences, instance.technology,
-                  instance.demography, instance.fiscal)
     r = float(r)
     try:
-        check_rate(t, r)
-        R = 1.0 + r
-
-        l1 = d.l1_max
-        L1 = d.n1 * l1
-        w1 = future_wage(t, r)
-        k1 = capital_demand(t, L1, r)
-        y1 = output(k1, t.a1, L1, t.alpha)
-
-        l0, binding = labor_supply_present(instance, r, w1)
-        L0 = d.n0 * l0
-        y0 = output(instance.k0, t.a0, L0, t.alpha)
-        w0 = wage_mpl(y0, L0, t.alpha)
-
-        i0 = k1 - (1.0 - t.delta) * instance.k0
-        x0 = dividends(y0, w0, L0, i0, d.n0)
-        x1 = dividends(y1, w1, L1, 0.0, d.n1)
-
-        T1 = government_t1(f, r)
-        tax0 = f.t0 / d.n0
-        tax1 = T1 / d.n1
-
-        income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
-        if income <= 0:
-            raise InfeasibleError(
-                f"present-value income per household is {income} at r={r}")
-
-        q = q_factor(p, r)
-        c0 = income / q
-        c1 = c0 * euler_growth(p, r)
-        C0 = d.n0 * c0
-        C1 = d.n1 * c1
-
-        tb0 = y0 - C0 - i0 - f.g0
-        tb1 = y1 - C1 - f.g1
-        s0n = y0 - C0 - f.g0
-        s1x = tb1 / R
-        U = lifetime_utility(c0, l0, c1, l1, p)
-
-        return Equilibrium(
-            r=r, y0=y0, y1=y1, k0=instance.k0, k1=k1, L0=L0, L1=L1,
-            l0=l0, l1=l1, w0=w0, w1=w1, c0=c0, c1=c1, C0=C0, C1=C1,
-            x0=x0, x1=x1, tax0=tax0, tax1=tax1, T0=f.t0, T1=T1,
-            tb0=tb0, tb1=tb1, i0=i0, q=q, s0n=s0n, s1x=s1x,
-            welfare=U, l0_binding=binding,
-        )
+        return _system(instance, r, _FLOATS)
     except OverflowError:
         # Python's float ** raises where the result exceeds the double range.
         raise DomainError(f"numerical overflow at r={r}") from None
-
-
-# ---------------------------------------------------------------------------
-# Rate arrays
-# ---------------------------------------------------------------------------
-# Each array form repeats its scalar counterpart operation for operation.
-# Powers that vary with r use np.float_power, which calls libm's pow as
-# Python's ** does; numpy's ** on arrays is off by an ulp on some values.
-# The array functions that call numpy import it inside the function, so the
-# scalar path above (solve, table, root-finding closures) runs without it.
-
-def admissible(tech: Technology, rates: np.ndarray) -> np.ndarray:
-    """Mask of the rates that check_rate accepts."""
-    return (rates > -1.0) & (tech.delta + rates > MIN_GROSS_RETURN)
-
-
-def capital_demand_rates(tech: Technology, L1: float, rates: np.ndarray) -> np.ndarray:
-    """capital_demand over an array of rates, without its checks."""
-    import numpy as np
-    return tech.a1 * L1 * np.float_power(tech.alpha / (tech.delta + rates),
-                                         1.0 / (1.0 - tech.alpha))
-
-
-def euler_growth_rates(prefs: Preferences, rates: np.ndarray) -> np.ndarray:
-    """euler_growth over an array of rates, without its check."""
-    import numpy as np
-    return np.float_power(prefs.beta * (1.0 + rates), 1.0 / prefs.gamma)
 
 
 def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
@@ -433,71 +475,14 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
     array pass cannot vouch for are replayed through solve_at_rate.
     """
     import numpy as np
-    p, t, d, f = (instance.preferences, instance.technology,
-                  instance.demography, instance.fiscal)
     r = np.array(rates, dtype=float)
-    a = t.alpha
-    pw = np.float_power
+    ops, vouched = _array_ops(r.shape)
     with np.errstate(all="ignore"):
-        R = 1.0 + r
-        l1 = d.l1_max
-        L1 = d.n1 * l1
-        w1 = (1.0 - a) * t.a1 * pw(a / (t.delta + r), a / (1.0 - a))
-        k1 = capital_demand_rates(t, L1, r)
-        y1 = pw(k1, a) * (t.a1 * L1) ** (1.0 - a)
-
-        base = (p.beta * R * (1.0 - a)
-                * instance.k0 ** a * t.a0 ** (1.0 - a) * d.n0 ** (-a)
-                * d.l1_max ** p.theta / w1)
-        hours = pw(base, 1.0 / (p.theta + a))
-        binding = hours >= d.l0_max
-        l0 = np.where(binding, d.l0_max, hours)
-        L0 = d.n0 * l0
-        y0 = instance.k0 ** a * pw(t.a0 * L0, 1.0 - a)
-        w0 = (1.0 - a) * y0 / L0
-
-        i0 = k1 - (1.0 - t.delta) * instance.k0
-        x0 = (y0 - w0 * L0 - i0) / d.n0
-        x1 = (y1 - w1 * L1) / d.n1
-
-        T1 = R * f.g0 + f.g1 - f.t0 * R
-        tax0 = f.t0 / d.n0
-        tax1 = T1 / d.n1
-        income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
-
-        growth = euler_growth_rates(p, r)
-        q = 1.0 + growth / R
-        c0 = income / q
-        c1 = c0 * growth
-        C0 = d.n0 * c0
-        C1 = d.n1 * c1
-
-        def utility(c, l):
-            if p.gamma == 1.0:     # np.log may differ from math.log
-                libm_log = np.frompyfunc(math.log, 1, 1)
-                uc = libm_log(np.where(c > 0, c, np.nan)).astype(float)
-            else:
-                uc = pw(c, 1.0 - p.gamma) / (1.0 - p.gamma)
-            return uc - p.phi * pw(l, 1.0 + p.theta) / (1.0 + p.theta)
-
-        tb1 = y1 - C1 - f.g1
-        columns = {
-            "r": r, "y0": y0, "y1": y1, "k0": np.full_like(r, instance.k0),
-            "k1": k1, "L0": L0, "L1": np.full_like(r, L1), "l0": l0,
-            "l1": np.full_like(r, l1), "w0": w0, "w1": w1, "c0": c0, "c1": c1,
-            "C0": C0, "C1": C1, "x0": x0, "x1": x1,
-            "tax0": np.full_like(r, tax0), "tax1": tax1,
-            "T0": np.full_like(r, f.t0), "T1": T1,
-            "tb0": y0 - C0 - i0 - f.g0, "tb1": tb1, "i0": i0, "q": q,
-            "s0n": y0 - C0 - f.g0, "s1x": tb1 / R,
-            "welfare": utility(c0, l0) + p.beta * utility(c1, l1),
-        }
-        # The scalar path's checks, plus overflow: its ** raises where
-        # float_power returns inf, and hours can overflow before the clamp.
-        total = sum(columns.values()) + hours
-        vouched = (admissible(t, r) & (w1 > 0) & (k1 > 0) & (l0 > 0)
-                   & (income > 0) & (c1 > 0) & np.isfinite(total))
-        columns["l0_binding"] = binding
+        eq = _system(instance, r, ops)
+        columns = {k: v if isinstance(v, np.ndarray) else np.full_like(r, v)
+                   for k, v in vars(eq).items()}
+        # Overflow: the float path's ** raises where float_power returns inf.
+        vouched &= np.isfinite(sum(columns.values()))
 
         flagged = np.flatnonzero(~vouched)
         for column in columns.values():
@@ -512,4 +497,3 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
             for name, column in columns.items():
                 column[j] = getattr(eq, name)
     return columns, errors
-

@@ -15,10 +15,10 @@ Two modes:
   r_ref and cross there.
 
 Both modes evaluate the whole grid as arrays: full mode through
-model.solve_rates, partial mode through the array forms of capital demand
-and the Euler factor.  Values are bit-identical to the per-point scalar
-functions, and inadmissible, infeasible or overflowing points carry the
-scalar path's error messages.
+model.solve_rates, partial mode through the model's rate check, capital
+demand and Euler factor with its array ops.  Values are bit-identical to the
+per-point scalar functions, and inadmissible, infeasible or overflowing
+points carry the scalar path's error messages.
 
 numpy is imported inside each function, not at module level: the package
 imports this module, and the scalar commands (solve, table, root-finding
@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .model import (DomainError, ModelInstance, admissible,
-                    capital_demand_rates, check_rate, euler_growth_rates,
-                    solve_at_rate, solve_rates)
+from .model import (DomainError, ModelInstance, _array_ops, _capital_demand,
+                    _check_rate, _euler_factor, check_rate, solve_at_rate,
+                    solve_rates)
 
 if TYPE_CHECKING:          # annotations only
     import numpy as np
@@ -106,15 +106,16 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
                       instance.fiscal, instance.preferences)
         inc0 = ref.w0 * ref.l0 + ref.x0 - ref.tax0
         inc1 = ref.w1 * ref.l1 + ref.x1 - ref.tax1
+        ops, ok = _array_ops(grid.shape)
         with np.errstate(all="ignore"):
+            _check_rate(t, grid, ops.reject)
             R = 1.0 + grid
-            k1 = capital_demand_rates(t, ref.L1, grid)
-            c0 = (inc0 + inc1 / R) / (1.0 + euler_growth_rates(p, grid) / R)
+            k1 = _capital_demand(t, ref.L1, grid, ops.power)
+            c0 = (inc0 + inc1 / R) / (1.0 + _euler_factor(p, grid, ops.power) / R)
             i0 = k1 - (1.0 - t.delta) * instance.k0
             s0n = ref.y0 - d.n0 * c0 - f.g0
             s1x = ref.tb1 / R
-        ok = (admissible(t, grid) & np.isfinite(i0) & np.isfinite(s0n)
-              & np.isfinite(s1x))
+        ok &= np.isfinite(i0) & np.isfinite(s0n) & np.isfinite(s1x)
         errors = []
         for j in np.flatnonzero(~ok):
             try:

@@ -139,6 +139,12 @@ class TestTable:
         assert code == 1
         assert "deviates" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_exits_2(self, tol):
+        code, out, err = run(["table", f"--tol={tol}"])
+        assert (code, out) == (2, "")
+        assert err == "error: --tol must be finite and positive\n"
+
     def test_scenario_file(self, tmp_path):
         path = tmp_path / "scen.txt"
         path.write_text("[only]\nrate = 0.4821\nperturb.gamma = 1.15\n")
@@ -243,6 +249,14 @@ class TestSchedules:
         assert err == ("grid point 0 (r=-0.1) skipped: "
                        "numerical overflow at r=-0.09999999\n")
 
+    @pytest.mark.parametrize("argv", [["--rate", "nan"],
+                                      ["--rate", "inf", "--mode", "partial"],
+                                      ["--rate=-inf", "--grid=0.1,1,5"]])
+    def test_non_finite_rate_exits_2(self, argv):
+        code, out, err = run(["schedules", *argv])
+        assert (code, out) == (2, "")
+        assert err == "error: --rate must be finite\n"
+
     def test_byte_identical_reruns(self):
         argv = ["schedules", "--grid", "0.3,0.7,11", "--format", "json"]
         _, a, _ = run(argv)
@@ -260,6 +274,32 @@ class TestCheck:
         assert len(failing) == 1
         assert "criterion 8" in failing[0]
         assert code == 1
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the command with exit 1 and
+    nothing on stderr, whether stdout is buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_before_output(self, unbuffered):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "openecon.cli", "solve", "--rate", "0.4821"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered})
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (1, b"")
+        proc.stderr.close()
+
+    def test_closed_after_first_line(self):
+        """`openecon check | head -1`: check writes a line per criterion."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "openecon.cli", "check"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "1"})
+        assert proc.stdout.readline().startswith(b"PASS  criterion 1:")
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (1, b"")
+        proc.stderr.close()
 
 
 def run_fresh(script, *args):

@@ -1,13 +1,15 @@
-"""The rate-array paths against the per-point code they replaced.
+"""The rate-array paths and the equation kernel against the code they replaced.
 
-Each reference below is the loop the array path replaced, kept verbatim
-apart from its name: the full-equilibrium and partial schedule loops, the
-welfare sweep and the recursive JSON walk.  The array paths must reproduce
-them exactly, bit for bit and message for message.
+Each reference below is the code a new path replaced, kept verbatim apart
+from its name: the full-equilibrium and partial schedule loops, the welfare
+sweep, the recursive JSON walk, and solve_at_rate as it was written before
+the float and array paths shared one statement of the equation system.  The
+new paths must reproduce them exactly, bit for bit and message for message.
 """
 
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openecon import (ClosureSpec, DomainError, Equilibrium, InfeasibleError,
-                      capital_demand, compute_schedules, resolve_rate,
-                      solve_at_rate)
+                      ModelInstance, baseline_instance, capital_demand,
+                      compute_schedules, dividends, euler_growth, future_wage,
+                      government_t1, labor_supply_present, lifetime_utility,
+                      output, resolve_rate, solve_at_rate, wage_mpl)
 from openecon.acceptance import sample_instance
 from openecon.configio import json_number, to_json
 from openecon.model import check_rate, q_factor, solve_rates
@@ -28,6 +32,72 @@ FIELDS = list(Equilibrium.__dataclass_fields__)
 # ---------------------------------------------------------------------------
 # References: the replaced per-point code
 # ---------------------------------------------------------------------------
+
+def reference_solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
+    """Evaluate the complete equation system at the rate r.
+
+    The future labor market is exogenous (l1 = l1_max), the firm picks
+    future capital at the given r, the household splits its present-value
+    income across the two periods, and the trade balances absorb the rest.
+    Raises DomainError for an inadmissible rate or a value out of floating
+    range, InfeasibleError for non-positive present-value income.  r is
+    converted to a Python float first: its ** raises on overflow, where a
+    numpy scalar's returns inf.
+    """
+    p, t, d, f = (instance.preferences, instance.technology,
+                  instance.demography, instance.fiscal)
+    r = float(r)
+    try:
+        check_rate(t, r)
+        R = 1.0 + r
+
+        l1 = d.l1_max
+        L1 = d.n1 * l1
+        w1 = future_wage(t, r)
+        k1 = capital_demand(t, L1, r)
+        y1 = output(k1, t.a1, L1, t.alpha)
+
+        l0, binding = labor_supply_present(instance, r, w1)
+        L0 = d.n0 * l0
+        y0 = output(instance.k0, t.a0, L0, t.alpha)
+        w0 = wage_mpl(y0, L0, t.alpha)
+
+        i0 = k1 - (1.0 - t.delta) * instance.k0
+        x0 = dividends(y0, w0, L0, i0, d.n0)
+        x1 = dividends(y1, w1, L1, 0.0, d.n1)
+
+        T1 = government_t1(f, r)
+        tax0 = f.t0 / d.n0
+        tax1 = T1 / d.n1
+
+        income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
+        if income <= 0:
+            raise InfeasibleError(
+                f"present-value income per household is {income} at r={r}")
+
+        q = q_factor(p, r)
+        c0 = income / q
+        c1 = c0 * euler_growth(p, r)
+        C0 = d.n0 * c0
+        C1 = d.n1 * c1
+
+        tb0 = y0 - C0 - i0 - f.g0
+        tb1 = y1 - C1 - f.g1
+        s0n = y0 - C0 - f.g0
+        s1x = tb1 / R
+        U = lifetime_utility(c0, l0, c1, l1, p)
+
+        return Equilibrium(
+            r=r, y0=y0, y1=y1, k0=instance.k0, k1=k1, L0=L0, L1=L1,
+            l0=l0, l1=l1, w0=w0, w1=w1, c0=c0, c1=c1, C0=C0, C1=C1,
+            x0=x0, x1=x1, tax0=tax0, tax1=tax1, T0=f.t0, T1=T1,
+            tb0=tb0, tb1=tb1, i0=i0, q=q, s0n=s0n, s1x=s1x,
+            welfare=U, l0_binding=binding,
+        )
+    except OverflowError:
+        # Python's float ** raises where the result exceeds the double range.
+        raise DomainError(f"numerical overflow at r={r}") from None
+
 
 def reference_full(instance, grid):
     n = grid.size
@@ -199,6 +269,75 @@ def test_welfare_sweep_matches_loop(data, instance, as_array):
     assert diag.residual == best_u
     assert diag.history == history
     assert diag.evaluations == len(grid)
+
+
+def bits(value):
+    """A field's exact value: floats by their bytes, so -0.0 and NaN count."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def assert_kernel_matches_reference(instance, rates):
+    """solve_at_rate and solve_rates both give the replaced code's fields
+    and errors."""
+    columns, errors = solve_rates(instance, rates)
+    want_errors = []
+    for j, r in enumerate(rates):
+        want = outcome(reference_solve_at_rate, instance, r)
+        got = outcome(solve_at_rate, instance, r)
+        if isinstance(want, tuple):
+            assert got == want, r
+            want_errors.append((j, want[1]))
+            continue
+        assert isinstance(got, Equilibrium), (r, got)
+        for name in FIELDS:
+            assert (bits(getattr(got, name)) == bits(getattr(want, name))
+                    == bits(columns[name][j].item())), (name, r)
+    assert errors == want_errors
+
+
+def edge_economies(b):
+    """Overflow (of the firm's powers, of hours before the clamp, of the
+    hours term in utility), log utility, L1 underflow, a tiny initial
+    capital, and output so large that income is NaN (which the replaced
+    code let through)."""
+    t = b.technology
+    return {
+        "steep": replace(b, technology=replace(t, alpha=0.99, delta=0.1)),
+        "log_small_hours": replace(
+            b, k0=1.0, preferences=replace(b.preferences, gamma=1.0, theta=1.0),
+            demography=replace(b.demography, l0_max=1.0, l1_max=1.0)),
+        "L1_underflow": replace(b, demography=replace(b.demography, n1=1e-200,
+                                                      l1_max=1e-200)),
+        "tiny_k0": replace(b, k0=1e-300),
+        "hours_overflow": replace(b, preferences=replace(b.preferences, theta=0.05),
+                                  technology=replace(t, alpha=0.2, a0=1e100)),
+        "utility_overflow": replace(
+            b, preferences=replace(b.preferences, theta=1.0),
+            demography=replace(b.demography, l1_max=1e200)),
+        "nan_income": replace(b, technology=replace(t, a0=1e300),
+                              demography=replace(b.demography, n0=1e10)),
+    }
+
+
+EDGE_ECONOMIES = edge_economies(baseline_instance())
+EDGE_RATES = np.concatenate([
+    np.linspace(-0.11, -0.05, 61), np.linspace(0.01, 2.0, 41),
+    [-1.5, -1.0, -0.3, 1e300, math.inf, -math.inf, math.nan]])
+
+
+@given(data=st.data(), instance=economies())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_replaced_solve_at_rate(data, instance):
+    grid = data.draw(rate_grids(instance.technology.delta))
+    assert_kernel_matches_reference(instance, grid)
+    assert_kernel_matches_reference(instance, grid.tolist())
+
+
+@pytest.mark.parametrize("name", list(EDGE_ECONOMIES))
+def test_kernel_matches_replaced_solve_at_rate_on_edges(name):
+    instance = EDGE_ECONOMIES[name]
+    assert_kernel_matches_reference(instance, EDGE_RATES)
+    assert_kernel_matches_reference(instance, EDGE_RATES.tolist())
 
 
 def test_overflowing_economy_matches_scalar_solve(baseline):
