@@ -243,13 +243,13 @@ def cmd_schedules(args, out, err) -> int:
         err.write(f"grid point {index} (r={curve.grid[index]:.6g}) skipped: "
                   f"{message}\n")
     header = ["r", "I0", "S0N", "S1X", "residual"]
-    rows = zip(curve.grid.tolist(), curve.i0.tolist(), curve.s0n.tolist(),
-               curve.s1x.tolist(), curve.residual.tolist())
+    columns = [v.tolist() for v in (curve.grid, curve.i0, curve.s0n,
+                                    curve.s1x, curve.residual)]
     if args.format == "json":
-        points = [dict(zip(header, row)) for row in rows]
+        points = configio.Records(dict(zip(header, columns)))
         out.write(configio.to_json({"mode": curve.mode, "points": points}))
     else:
-        out.write(configio.to_csv([header, *rows]))
+        out.write(configio.to_csv([header, *zip(*columns)]))
     return 0
 
 

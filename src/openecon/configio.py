@@ -8,13 +8,15 @@ parameter, `perturb.<param> = f` scales it, and either `rate = r` or a
 `closure = kind` block selects the rate.
 
 Numeric output is deterministic: JSON carries 15 significant digits, CSV
-carries 6.
+carries 6.  Float columns such as schedule points reach to_json as a Records
+and are written column by column, with null for NaN and infinities.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 from .closure import ClosureSpec
 from .model import ModelInstance
@@ -195,12 +197,27 @@ def csv_number(x: float) -> str:
     return f"{x:.6g}"
 
 
+class Records:
+    """Rows of floats held as columns: key -> list of floats, one per row.
+    to_json writes them as it writes the rows as dicts, but with null for a
+    value that json_number makes NaN or infinite."""
+
+    def __init__(self, columns: dict[str, list[float]]):
+        if len(set(map(len, columns.values()))) > 1:
+            raise ValueError("Records columns must have one length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+
 def to_json(payload) -> str:
     """Serialize with stable key order and 15-significant-digit floats.
 
     The text is json.dumps(payload, indent=2, sort_keys=True) with every float
-    passed through json_number.  A list of flat dicts that share one key set
-    and hold only floats (schedule points) is formatted column by column.
+    passed through json_number.  A Records, as the payload or a dict value,
+    is written column by column, with null for NaN and infinities (RFC 8259
+    has no NaN); elsewhere they stay json's NaN and Infinity.
     """
     return _dumps(payload, "") + "\n"
 
@@ -212,8 +229,16 @@ def _dumps(node, indent: str) -> str:
         items = [f"{inner}{json.dumps(k)}: {_dumps(node[k], inner)}"
                  for k in sorted(node)]
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    rows = _float_records(node, inner)
-    if rows is not None:
+    if isinstance(node, Records):
+        if not len(node):
+            return "[]"
+        keys = sorted(node.columns)
+        template = (inner + "{\n"
+                    + ",\n".join(f"{inner}  " + json.dumps(k).replace("%", "%%")
+                                 + ": %s" for k in keys)
+                    + "\n" + inner + "}")
+        rows = map(template.__mod__,
+                   zip(*(_json_floats(node.columns[k]) for k in keys)))
         return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
     # json's indented text nests at `indent` by prefixing each later line
     return json.dumps(_rounded(node), indent=2,
@@ -230,38 +255,37 @@ def _rounded(node):
     return node
 
 
-def _float_records(rows, indent: str) -> list[str] | None:
-    """Each row's JSON text, or None unless `rows` is a non-empty list of
-    flat float dicts with the same non-empty set of string keys."""
-    if not (isinstance(rows, (list, tuple)) and rows):
-        return None
-    first = rows[0]
-    if not (isinstance(first, dict) and first
-            and all(isinstance(k, str) for k in first)
-            and all(isinstance(row, dict) and row.keys() == first.keys()
-                    for row in rows)):
-        return None
-    keys = sorted(first)
-    columns = []
-    for key in keys:
-        column = [row[key] for row in rows]
-        if set(map(type, column)) != {float}:
-            return None
-        # float(f"{x:.15g}") is json_number for every float; json's C encoder
-        # writes a flat list of floats with float.__repr__, NaN and Infinity
-        columns.append(json.dumps([float(f"{x:.15g}") for x in column])[1:-1]
-                       .split(", "))
-    template = (indent + "{\n"
-                + ",\n".join(f"{indent}  " + json.dumps(k).replace("%", "%%")
-                             + ": %s" for k in keys)
-                + "\n" + indent + "}")
-    return [template % values for values in zip(*columns)]
+def _json_floats(column: list[float]) -> list[str]:
+    """json.dumps' text of each json_number(x), or null where it is not finite.
+
+    A 15-digit text round-trips, so float.__repr__ keeps its digits and only
+    adds ".0" to an integer and writes exponent 15 in full.  Subnormals (whose
+    digits may not round-trip) and exponent 308 (which may round to inf) take
+    the float round trip.  Texts with no "." or "e" left are integers, or
+    nan, inf and json's Infinity."""
+    text = "%.15g\n" * len(column) % tuple(column)
+    texts = text.split()
+    if "e+15\n" in text or "e+308" in text or "e-3" in text:
+        texts = [json.dumps(float(t)) if t.endswith(("e+15", "e+308"))
+                 or "e-3" in t else t for t in texts]
+    return [t if "." in t or "e" in t else t + ".0" if t[-1].isdigit()
+            else "null" for t in texts]
 
 
 def to_csv(rows: list[list]) -> str:
-    """Render rows of strings/numbers as simple comma-separated text."""
-    rendered = []
-    for row in rows:
-        rendered.append(",".join(
-            cell if isinstance(cell, str) else csv_number(cell) for cell in row))
-    return "\n".join(rendered) + "\n"
+    """Render rows of strings/numbers as simple comma-separated text.
+
+    Rows after the first that are all floats, of one width, are written with
+    one %-template per row, which gives csv_number's text."""
+    body = rows[1:]
+    if (set(map(type, chain.from_iterable(body))) == {float}
+            and len(set(map(len, body))) == 1):
+        template = ",".join(["%.6g"] * len(body[0]))
+        return "\n".join([_csv_row(rows[0]),
+                          *map(template.__mod__, map(tuple, body))]) + "\n"
+    return "\n".join(map(_csv_row, rows)) + "\n"
+
+
+def _csv_row(row) -> str:
+    return ",".join(cell if isinstance(cell, str) else csv_number(cell)
+                    for cell in row)

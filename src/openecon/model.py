@@ -458,10 +458,14 @@ def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
     """
     r = float(r)
     try:
-        return _system(instance, r, _FLOATS)
-    except OverflowError:
-        # Python's float ** raises where the result exceeds the double range.
-        raise DomainError(f"numerical overflow at r={r}") from None
+        eq = _system(instance, r, _FLOATS)
+        # A product such as a0 * L0 or a1 * L1 overflows to inf without
+        # raising, and income (so c0) is then NaN or inf.
+        if eq.c0 < math.inf:
+            return eq
+    except OverflowError:      # where Python's float ** exceeds the double range
+        pass
+    raise DomainError(f"numerical overflow at r={r}")
 
 
 def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],

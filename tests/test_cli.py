@@ -243,11 +243,31 @@ class TestSchedules:
         assert "Infinity" not in out
         first, *rest = json.loads(out)["points"]
         assert first["r"] == -0.09999999
-        assert all(math.isnan(first[key])
+        assert all(first[key] is None
                    for key in ("I0", "S0N", "S1X", "residual"))
         assert all(math.isfinite(v) for point in rest for v in point.values())
         assert err == ("grid point 0 (r=-0.1) skipped: "
                        "numerical overflow at r=-0.09999999\n")
+
+    def test_overflowing_output_is_rejected(self, tmp_path):
+        """a0 * L0 overflows, so y0 is inf and income NaN: solve exits 2,
+        schedules skips every point, with null in JSON and nan in CSV."""
+        path = tmp_path / "huge.txt"
+        path.write_text("A0 = 1e300\nN0 = 1e10\n")
+        instance = ["--instance-file", str(path)]
+        code, out, err = run(["solve", "--rate", "0.5", *instance])
+        assert (code, out) == (2, "")
+        assert err == "error: numerical overflow at r=0.5\n"
+        skipped = ("grid point 0 (r=0.1) skipped: numerical overflow at r=0.1\n"
+                   "grid point 1 (r=1) skipped: numerical overflow at r=1.0\n")
+        code, out, err = run(["schedules", "--grid=0.1,1,2", "--format",
+                              "json", *instance])
+        assert (code, err) == (0, skipped)
+        assert [list(point.values()) for point in json.loads(out)["points"]] \
+            == [[None, None, None, 0.1, None], [None, None, None, 1.0, None]]
+        code, out, err = run(["schedules", "--grid=0.1,1,2", *instance])
+        assert (code, err) == (0, skipped)
+        assert out.splitlines()[1:] == ["0.1,nan,nan,nan,nan", "1,nan,nan,nan,nan"]
 
     @pytest.mark.parametrize("argv", [["--rate", "nan"],
                                       ["--rate", "inf", "--mode", "partial"],

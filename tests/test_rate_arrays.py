@@ -2,9 +2,10 @@
 
 Each reference below is the code a new path replaced, kept verbatim apart
 from its name: the full-equilibrium and partial schedule loops, the welfare
-sweep, the recursive JSON walk, and solve_at_rate as it was written before
-the float and array paths shared one statement of the equation system.  The
-new paths must reproduce them exactly, bit for bit and message for message.
+sweep, the recursive JSON walk, the cell-by-cell CSV loop, and solve_at_rate
+as it was written before the float and array paths shared one statement of
+the equation system.  The new paths must reproduce them exactly, bit for bit
+and message for message.
 """
 
 import json
@@ -23,7 +24,7 @@ from openecon import (ClosureSpec, DomainError, Equilibrium, InfeasibleError,
                       government_t1, labor_supply_present, lifetime_utility,
                       output, resolve_rate, solve_at_rate, wage_mpl)
 from openecon.acceptance import sample_instance
-from openecon.configio import json_number, to_json
+from openecon.configio import Records, csv_number, json_number, to_csv, to_json
 from openecon.model import check_rate, q_factor, solve_rates
 
 FIELDS = list(Equilibrium.__dataclass_fields__)
@@ -162,6 +163,15 @@ def reference_to_json(payload):
     return json.dumps(walk(payload), indent=2, sort_keys=True) + "\n"
 
 
+def reference_to_csv(rows: list[list]) -> str:
+    """Render rows of strings/numbers as simple comma-separated text."""
+    rendered = []
+    for row in rows:
+        rendered.append(",".join(
+            cell if isinstance(cell, str) else csv_number(cell) for cell in row))
+    return "\n".join(rendered) + "\n"
+
+
 def outcome(fn, *args):
     """fn's result, or the type and message of what it raised."""
     try:
@@ -278,11 +288,15 @@ def bits(value):
 
 def assert_kernel_matches_reference(instance, rates):
     """solve_at_rate and solve_rates both give the replaced code's fields
-    and errors."""
+    and errors, apart from one deliberate change: where the replaced code
+    let a product overflow to inf and income become NaN or inf, both report
+    a numerical overflow."""
     columns, errors = solve_rates(instance, rates)
     want_errors = []
     for j, r in enumerate(rates):
         want = outcome(reference_solve_at_rate, instance, r)
+        if isinstance(want, Equilibrium) and not math.isfinite(want.c0):
+            want = DomainError, f"numerical overflow at r={float(r)}"
         got = outcome(solve_at_rate, instance, r)
         if isinstance(want, tuple):
             assert got == want, r
@@ -298,8 +312,8 @@ def assert_kernel_matches_reference(instance, rates):
 def edge_economies(b):
     """Overflow (of the firm's powers, of hours before the clamp, of the
     hours term in utility), log utility, L1 underflow, a tiny initial
-    capital, and output so large that income is NaN (which the replaced
-    code let through)."""
+    capital, and present or future output so large that income is NaN
+    (which the replaced code let through and solve_at_rate rejects)."""
     t = b.technology
     return {
         "steep": replace(b, technology=replace(t, alpha=0.99, delta=0.1)),
@@ -316,6 +330,8 @@ def edge_economies(b):
             demography=replace(b.demography, l1_max=1e200)),
         "nan_income": replace(b, technology=replace(t, a0=1e300),
                               demography=replace(b.demography, n0=1e10)),
+        "nan_future_income": replace(b, technology=replace(t, a1=1e300),
+                                     demography=replace(b.demography, n1=1e10)),
     }
 
 
@@ -400,3 +416,63 @@ def test_to_json_schedule_points():
                "residual": 1e-5 / (r or 1.0)} for r in (0.0, 0.5, 1e15, -math.inf)]
     payload = {"mode": "full_equilibrium", "points": points, "é": [points, {}]}
     assert to_json(payload) == reference_to_json(payload)
+
+
+# Where json's repr and the %-text of 15 digits part ways: subnormals, signed
+# zeros, integral values, exponent 15, the smallest double, non-finite values
+# and the largest doubles, which round to inf.
+column_floats = (st.floats() | st.floats(-3e-308, 3e-308)
+                 | st.floats(1e15, 1e16, exclude_max=True)
+                 | st.integers(-2**60, 2**60).map(float)
+                 | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e15, -1e16,
+                                    2.2250738585072014e-308, 1e-300, 1e-30,
+                                    1.7976931348623157e308,
+                                    -1.7976931348623151e308]))
+column_keys = st.text(alphabet="%\"\\é✓ab", max_size=4) | st.text(max_size=4)
+
+
+@given(data=st.data(), names=st.lists(column_keys, max_size=5, unique=True),
+       size=st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_records_match_row_dicts(data, names, size):
+    columns = {k: data.draw(st.lists(column_floats, min_size=size,
+                                     max_size=size)) for k in names}
+    rows = [{k: v if math.isfinite(json_number(v)) else None
+             for k, v in zip(columns, values)}
+            for values in zip(*columns.values())]
+    payload = {"mode": "partial", "points": Records(columns)}
+    assert to_json(payload) == reference_to_json({"mode": "partial",
+                                                  "points": rows})
+    assert to_json(Records(columns)) == reference_to_json(rows)
+
+
+def test_records_columns_must_match():
+    with pytest.raises(ValueError, match="one length"):
+        Records({"a": [1.0], "b": []})
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows of floats; sometimes a bool, an int or a string
+    in the body, or a row of another width."""
+    width = draw(st.integers(1, 5))
+    header = draw(st.lists(st.text(max_size=3), min_size=width, max_size=width))
+    body = draw(st.lists(st.lists(column_floats | st.just(math.nan),
+                                  min_size=width, max_size=width).map(tuple),
+                         max_size=6))
+    if body and draw(st.booleans()):
+        j = draw(st.integers(0, len(body) - 1))
+        row = list(body[j])
+        if draw(st.booleans()):
+            row[draw(st.integers(0, width - 1))] = draw(
+                st.booleans() | st.integers() | st.text(max_size=3))
+        else:
+            row.append(1.0)
+        body[j] = row
+    return [header, *body]
+
+
+@given(rows=csv_tables())
+@settings(max_examples=200, deadline=None)
+def test_to_csv_matches_cell_loop(rows):
+    assert to_csv(rows) == reference_to_csv(rows)
