@@ -9,7 +9,8 @@ parameter, `perturb.<param> = f` scales it, and either `rate = r` or a
 
 Numeric output is deterministic: JSON carries 15 significant digits, CSV
 carries 6.  Float columns such as schedule points reach to_json as a Records
-and are written column by column, with null for NaN and infinities.
+and are written column by column, with null for NaN and infinities; JSON is
+strict, so a non-finite float anywhere else raises ValueError.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def _as_float(lineno: int, key: str, value: str) -> float:
         return float(value)
     except ValueError:
         raise ParseError(f"line {lineno}: {key} = {value!r} is not a number") from None
+
+
+def _as_int(lineno: int, key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"line {lineno}: {key} = {value!r} is not an integer") from None
 
 
 def parse_instance(text: str) -> ModelInstance:
@@ -103,15 +111,19 @@ def _build_closure(lineno: int, entries: dict[str, str]) -> ClosureSpec:
         parts = entries["bracket"].split(",")
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: bracket must be 'lo,hi'")
-        kwargs["bracket"] = (float(parts[0]), float(parts[1]))
+        kwargs["bracket"] = tuple(_as_float(lineno, "bracket", part.strip())
+                                  for part in parts)
     if "target" in entries:
-        kwargs["target_share"] = float(entries["target"])
+        kwargs["target_share"] = _as_float(lineno, "target", entries["target"])
     if "closure_tol" in entries:
-        kwargs["tolerance"] = float(entries["closure_tol"])
+        kwargs["tolerance"] = _as_float(lineno, "closure_tol",
+                                        entries["closure_tol"])
     if "max_iterations" in entries:
-        kwargs["max_iterations"] = int(entries["max_iterations"])
+        kwargs["max_iterations"] = _as_int(lineno, "max_iterations",
+                                           entries["max_iterations"])
     if "sweep_grid" in entries:
-        kwargs["grid"] = tuple(float(v) for v in entries["sweep_grid"].split(","))
+        kwargs["grid"] = tuple(_as_float(lineno, "sweep_grid", v.strip())
+                               for v in entries["sweep_grid"].split(","))
     if "rate" in entries and kind == "fixed":
         kwargs["fixed_rate"] = float(entries["rate"])
     try:
@@ -217,7 +229,7 @@ def to_json(payload) -> str:
     The text is json.dumps(payload, indent=2, sort_keys=True) with every float
     passed through json_number.  A Records, as the payload or a dict value,
     is written column by column, with null for NaN and infinities (RFC 8259
-    has no NaN); elsewhere they stay json's NaN and Infinity.
+    has no NaN); elsewhere they raise ValueError.
     """
     return _dumps(payload, "") + "\n"
 
@@ -241,8 +253,8 @@ def _dumps(node, indent: str) -> str:
                    zip(*(_json_floats(node.columns[k]) for k in keys)))
         return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
     # json's indented text nests at `indent` by prefixing each later line
-    return json.dumps(_rounded(node), indent=2,
-                      sort_keys=True).replace("\n", "\n" + indent)
+    return json.dumps(_rounded(node), indent=2, sort_keys=True,
+                      allow_nan=False).replace("\n", "\n" + indent)
 
 
 def _rounded(node):

@@ -185,6 +185,17 @@ class Equilibrium:
     l0_binding: bool
 
 
+_FIELDS = tuple(Equilibrium.__dataclass_fields__)
+
+
+def _equilibrium(*values) -> Equilibrium:
+    """An Equilibrium of `values` in field order, built without the frozen
+    __init__, which sets the 29 fields one object.__setattr__ at a time."""
+    eq = object.__new__(Equilibrium)
+    eq.__dict__.update(zip(_FIELDS, values))
+    return eq
+
+
 # ---------------------------------------------------------------------------
 # Float and array operations
 # ---------------------------------------------------------------------------
@@ -399,6 +410,8 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
     income across the two periods, and the trade balances absorb the rest.
     Each check runs before the operation it guards, in the float path's
     order.  Over an array, fields that do not vary with r stay floats.
+    The record is built by _equilibrium; public construction keeps the
+    dataclass's generated __init__.
     """
     p, t, d, f = (instance.preferences, instance.technology,
                   instance.demography, instance.fiscal)
@@ -442,7 +455,7 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
     welfare = (_period_utility(c0, l0, p, ops)
                + p.beta * _period_utility(c1, l1, p, ops))
 
-    return Equilibrium(   # in field order: binding 29 keywords is slower
+    return _equilibrium(
         r, y0, y1, instance.k0, k1, L0, L1, l0, l1, w0, w1, c0, c1, C0, C1,
         x0, x1, tax0, tax1, f.t0, T1, y0 - C0 - i0 - f.g0, tb1, i0, q,
         y0 - C0 - f.g0, tb1 / R, welfare, binding)

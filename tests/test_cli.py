@@ -152,6 +152,35 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[0] == "row,only"
 
+    def test_failed_scenario_json_is_strict(self, tmp_path):
+        """A scenario that fails has no rate: null, not json's NaN."""
+        path = tmp_path / "bad.txt"
+        path.write_text("[bad]\nclosure = balanced_trade\nbracket = 0.01, 0.02\n")
+        code, out, err = run(["table", "--format", "json",
+                              "--scenario-file", str(path)])
+        assert code == 1
+        assert err.startswith("bad: error: objective has the same sign")
+
+        def not_json(constant):
+            raise AssertionError(f"{constant} in table JSON")
+
+        (scenario,) = json.loads(out, parse_constant=not_json)["scenarios"]
+        assert scenario["rate"] is None
+
+    @pytest.mark.parametrize("line, message", [
+        ("bracket = x, 2", "bracket = 'x' is not a number"),
+        ("target = a", "target = 'a' is not a number"),
+        ("closure_tol = ?", "closure_tol = '?' is not a number"),
+        ("sweep_grid = 0.1, zz", "sweep_grid = 'zz' is not a number"),
+        ("max_iterations = 1.5", "max_iterations = '1.5' is not an integer"),
+    ])
+    def test_bad_closure_value_exits_2(self, tmp_path, line, message):
+        path = tmp_path / "scen.txt"
+        path.write_text(f"# closure values\n[x]\nclosure = balanced_trade\n{line}\n")
+        code, out, err = run(["table", "--scenario-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2: {message}\n"
+
 
 class TestSweep:
     def test_balanced_trade(self):

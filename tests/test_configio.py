@@ -3,11 +3,14 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from openecon import solve_at_rate
+from openecon import DomainError, ModelInstance, solve_at_rate
 from openecon.configio import (ParseError, csv_number, format_instance,
                                json_number, parse_instance, parse_scenarios,
                                to_csv, to_json)
+from openecon.scenarios import PARAMETERS, Scenario
 
 
 BASELINE_TEXT = """\
@@ -141,3 +144,68 @@ class TestNumericEmission:
     def test_to_csv(self):
         assert to_csv([["r", "I0"], [0.4821, 33506.02]]) == \
             "r,I0\n0.4821,33506\n"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: lines built from the real keys, with good and bad values
+# ---------------------------------------------------------------------------
+
+SPELLINGS = [name for spelling, _, path in PARAMETERS for name in (spelling, path)]
+values = (st.floats(0.01, 2.0).map(repr) | st.integers(1, 40).map(str)
+          | st.floats().map(repr) | st.text(max_size=6)
+          | st.sampled_from(["1e999", "-0", "nan", "x", "?", "", "1.5", "1,2",
+                             "0x10", "1_000", "-3"]))
+value_lists = st.lists(values, min_size=1, max_size=4).map(", ".join)
+CLOSURE_KINDS = ["fixed", "balanced_trade", "trade_share_target",
+                 "welfare_sweep", "bisect"]
+
+
+def lines(key, value):
+    return st.tuples(key, value).map(" = ".join)
+
+
+parameter_lines = lines(st.sampled_from(SPELLINGS), values)
+scenario_lines = (
+    lines(st.sampled_from(["set.", "perturb."]).flatmap(
+        lambda prefix: st.sampled_from(SPELLINGS + ["beta"]).map(
+            prefix.__add__)), values)
+    | lines(st.just("rate"), values)
+    | lines(st.just("closure"), st.sampled_from(CLOSURE_KINDS))
+    | lines(st.sampled_from(["bracket", "sweep_grid"]), value_lists)
+    | lines(st.sampled_from(["target", "closure_tol", "max_iterations"]), values))
+random_lines = st.text(max_size=12)
+
+
+@st.composite
+def scenario_texts(draw):
+    """[name] sections of scenario lines, most with a closure line, and a
+    random line now and then."""
+    out = []
+    for name in draw(st.lists(st.text(max_size=4), max_size=3)):
+        out.append(f"[{name}]")
+        if draw(st.integers(0, 3)):
+            out.append(f"closure = {draw(st.sampled_from(CLOSURE_KINDS))}")
+        out += draw(st.lists(scenario_lines, max_size=5))
+    if out and draw(st.integers(0, 3)) == 0:
+        out.insert(draw(st.integers(0, len(out))), draw(random_lines))
+    return "\n".join(out)
+
+
+@given(text=st.lists(parameter_lines | random_lines, max_size=8).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_instance_gives_instance_or_input_error(text):
+    try:
+        instance = parse_instance(text)
+    except (ParseError, DomainError):
+        return
+    assert isinstance(instance, ModelInstance)
+
+
+@given(text=scenario_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_scenarios_gives_scenarios_or_input_error(text):
+    try:
+        scenarios = parse_scenarios(text)
+    except (ParseError, DomainError):
+        return
+    assert all(isinstance(s, Scenario) for s in scenarios)

@@ -8,10 +8,12 @@ the equation system.  The new paths must reproduce them exactly, bit for bit
 and message for message.
 """
 
+import copy
 import json
 import math
+import pickle
 import struct
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from openecon import (ClosureSpec, DomainError, Equilibrium, InfeasibleError,
                       compute_schedules, dividends, euler_growth, future_wage,
                       government_t1, labor_supply_present, lifetime_utility,
                       output, resolve_rate, solve_at_rate, wage_mpl)
+from openecon import model
 from openecon.acceptance import sample_instance
 from openecon.configio import Records, csv_number, json_number, to_csv, to_json
 from openecon.model import check_rate, q_factor, solve_rates
@@ -367,6 +370,57 @@ def test_overflowing_economy_matches_scalar_solve(baseline):
         solve_at_rate(steep, -0.0999)
 
 
+def hashed(eq):
+    """hash(eq), or the message of the TypeError an array field raises."""
+    try:
+        return hash(eq)
+    except TypeError as exc:
+        return str(exc)
+
+
+def assert_same_record(eq, twin):
+    """eq, built by the kernel, behaves as twin, built by the dataclass's
+    generated __init__: equality, hash, repr, asdict, replace, field order,
+    copies, pickling, and frozen fields."""
+    assert type(eq) is Equilibrium
+    assert list(vars(eq)) == list(vars(twin)) == FIELDS
+    assert eq == twin and twin == eq
+    assert hashed(eq) == hashed(twin)
+    assert repr(eq) == repr(twin)
+    assert repr(asdict(eq)) == repr(asdict(twin))
+    assert replace(eq, r=0.5) == replace(twin, r=0.5)
+    for other in (copy.copy(eq), pickle.loads(pickle.dumps(eq))):
+        assert type(other) is Equilibrium
+        assert list(vars(other)) == FIELDS
+        assert other == twin
+    with pytest.raises(FrozenInstanceError):
+        eq.r = 0.5
+    with pytest.raises(FrozenInstanceError):
+        del eq.welfare
+    assert eq == twin
+
+
+@pytest.mark.parametrize("r", [0.4821, 0.01, 2.0])
+def test_solve_at_rate_record_is_a_dataclass_record(baseline, r):
+    assert_same_record(solve_at_rate(baseline, r),
+                       reference_solve_at_rate(baseline, r))
+
+
+def test_solve_rates_record_is_a_dataclass_record(baseline, monkeypatch):
+    """The record solve_rates' array pass builds, over one rate."""
+    built, equilibrium = [], model._equilibrium
+
+    def spy(*values):
+        built.append(equilibrium(*values))
+        return built[-1]
+
+    monkeypatch.setattr(model, "_equilibrium", spy)
+    solve_rates(baseline, [0.4821])
+    (eq,) = built
+    assert isinstance(eq.y0, np.ndarray)
+    assert_same_record(eq, Equilibrium(**vars(eq)))
+
+
 def test_log_utility_matches_scalar_solve(baseline):
     """gamma = 1 with small hours, so that log(c) shows in welfare: numpy's
     vectorized log differs from math.log by an ulp at some of these points."""
@@ -405,17 +459,37 @@ payloads = st.recursive(
     max_leaves=25)
 
 
+def not_json(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def assert_matches_strict_walk(payload):
+    """to_json gives the replaced walk's text, or raises ValueError where
+    that text holds json's NaN or Infinity, which RFC 8259 does not have."""
+    text = reference_to_json(payload)
+    try:
+        json.loads(text, parse_constant=not_json)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            to_json(payload)
+    else:
+        assert to_json(payload) == text
+
+
 @given(payload=payloads)
 @settings(max_examples=400, deadline=None)
 def test_to_json_matches_walk_and_dumps(payload):
-    assert to_json(payload) == reference_to_json(payload)
+    assert_matches_strict_walk(payload)
 
 
 def test_to_json_schedule_points():
-    points = [{"r": r, "I0": 1e16 * r, "S0N": -0.0, "S1X": math.nan,
-               "residual": 1e-5 / (r or 1.0)} for r in (0.0, 0.5, 1e15, -math.inf)]
-    payload = {"mode": "full_equilibrium", "points": points, "é": [points, {}]}
-    assert to_json(payload) == reference_to_json(payload)
+    """Row dicts with NaN or -inf raise; with null in their place they give
+    the walk's bytes."""
+    for s1x, low in ((math.nan, -math.inf), (None, -3.0)):
+        points = [{"r": r, "I0": 1e16 * r, "S0N": -0.0, "S1X": s1x,
+                   "residual": 1e-5 / (r or 1.0)} for r in (0.0, 0.5, 1e15, low)]
+        payload = {"mode": "full_equilibrium", "points": points, "é": [points, {}]}
+        assert_matches_strict_walk(payload)
 
 
 # Where json's repr and the %-text of 15 digits part ways: subnormals, signed
