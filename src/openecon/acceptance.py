@@ -62,19 +62,19 @@ def sample_instance(rng: np.random.Generator) -> ModelInstance:
     )
 
 
-def sample_feasible_instances(count: int, rates, seed: int = 20260824,
-                              max_draws: int = 10000) -> list[ModelInstance]:
-    """Instances that solve at every rate in `rates`."""
-    rng = np.random.default_rng(seed)
+def sample_feasible_instances(count: int, rates) -> list[ModelInstance]:
+    """The first `count` instances of a fixed draw that solve at every rate
+    in `rates`, among at most 10000 draws."""
+    rng = np.random.default_rng(20260824)
     out: list[ModelInstance] = []
-    for _ in range(max_draws):
+    for _ in range(10000):
         if len(out) >= count:
             break
         instance = sample_instance(rng)
         if not solve_rates(instance, rates)[1]:
             out.append(instance)
     if len(out) < count:
-        raise RuntimeError(f"only {len(out)} feasible instances in {max_draws} draws")
+        raise RuntimeError(f"only {len(out)} feasible instances in 10000 draws")
     return out
 
 
@@ -154,10 +154,9 @@ def _criterion_4() -> CriterionResult:
         f"euler {worst_euler:.2e}, labor {worst_labor:.2e}, profit {worst_profit:.2e}")
 
 
-def iterate_labor_supply(instance: ModelInstance, r: float, w1: float,
-                         damping: float = 0.5, tol: float = 1e-14,
-                         max_iter: int = 500) -> float:
-    """Damped fixed-point oracle for present hours (ignores the clamp)."""
+def iterate_labor_supply(instance: ModelInstance, r: float, w1: float) -> float:
+    """Fixed-point oracle for present hours (ignores the clamp), damped by
+    half in logs, to a relative step of 1e-14 or 500 iterations."""
     p, t, d = instance.preferences, instance.technology, instance.demography
     a = t.alpha
     scale = (1.0 - a) * instance.k0 ** a * t.a0 ** (1.0 - a)
@@ -167,10 +166,9 @@ def iterate_labor_supply(instance: ModelInstance, r: float, w1: float,
         return (p.beta * w0 * (1.0 + r) / w1) ** (1.0 / p.theta) * d.l1_max
 
     l0 = d.l1_max
-    for _ in range(max_iter):
-        nxt = math.exp((1.0 - damping) * math.log(l0)
-                       + damping * math.log(step(l0)))
-        if abs(nxt / l0 - 1.0) < tol:
+    for _ in range(500):
+        nxt = math.exp(0.5 * math.log(l0) + 0.5 * math.log(step(l0)))
+        if abs(nxt / l0 - 1.0) < 1e-14:
             return nxt
         l0 = nxt
     return l0

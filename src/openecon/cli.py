@@ -190,7 +190,7 @@ def cmd_table(args, out, err) -> int:
         for result in report.results:
             payload["scenarios"].append({
                 "name": result.name,
-                "rate": None if math.isnan(result.rate) else result.rate,
+                "rate": result.rate,
                 "rows": result.rows,
                 "reference": (result.reference.values
                               if result.reference else None),

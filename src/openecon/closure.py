@@ -56,6 +56,8 @@ class ClosureSpec:
             raise ValueError("bracket must satisfy r_lo < r_hi")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be finite and positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if self.kind == "fixed" and self.fixed_rate is None:
             raise ValueError("fixed closure needs fixed_rate")
         if self.kind == "trade_share_target" and self.target_share is None:
@@ -64,6 +66,8 @@ class ClosureSpec:
             raise ValueError("target_share must be finite")
         if self.kind == "welfare_sweep" and not self.grid:
             raise ValueError("welfare_sweep closure needs a rate grid")
+        if not all(map(math.isfinite, self.grid)):
+            raise ValueError("grid rates must be finite")
 
 
 @dataclass
@@ -156,22 +160,18 @@ def resolve_rate(instance: ModelInstance,
         r_star = _find_root(objective, lo, hi, spec.max_iterations, diag)
         return r_star, diag
 
-    # welfare_sweep: argmax over the grid, ties break to the lowest rate and
-    # NaN never wins; the first bad point raises as its scalar solve does.
-    import numpy as np
+    # welfare_sweep: argmax over the grid, ties break to the lowest rate; the
+    # first bad point raises as its scalar solve does, so welfare is finite.
     rates = sorted(spec.grid)
     columns, errors = solve_rates(instance, rates)
     if errors:
         solve_at_rate(instance, rates[errors[0][0]])
     welfare = columns["welfare"]
-    ranked = np.where(np.isnan(welfare), -np.inf, welfare)
-    best = int(np.argmax(ranked))          # the first of equal maxima
-    best_u = float(ranked[best])
-    best_r = rates[best] if best_u > -math.inf else None
+    best = int(welfare.argmax())           # the first of equal maxima
     diag.evaluations = len(rates)
     diag.history = list(zip(rates, welfare.tolist()))
-    diag.residual = best_u
-    return best_r, diag
+    diag.residual = float(welfare[best])
+    return rates[best], diag
 
 
 def calibrated_labor_weight(instance: ModelInstance, r: float) -> float:

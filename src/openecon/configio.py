@@ -91,11 +91,6 @@ def read_instance(path: str) -> ModelInstance:
         return parse_instance(fh.read())
 
 
-def write_instance(path: str, instance: ModelInstance) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(instance))
-
-
 # ---------------------------------------------------------------------------
 # Scenario files
 # ---------------------------------------------------------------------------
@@ -104,28 +99,31 @@ _CLOSURE_KEYS = ("closure", "bracket", "target", "closure_tol",
                  "max_iterations", "sweep_grid")
 
 
-def _build_closure(lineno: int, entries: dict[str, str]) -> ClosureSpec:
-    kind = entries["closure"]
+def _build_closure(entries: dict[str, tuple[int, str, str]],
+                   rate: float | None) -> ClosureSpec:
+    """A section's ClosureSpec; `entries` maps each key to (lineno, key,
+    value).  A value's error names its own line, the spec's the closure line."""
+    def numbers(key):
+        lineno, key, value = entries[key]
+        parts = value.split(",")
+        if key == "bracket" and len(parts) != 2:
+            raise ParseError(f"line {lineno}: bracket must be 'lo,hi'")
+        return tuple(_as_float(lineno, key, part.strip()) for part in parts)
+
+    lineno, _, kind = entries["closure"]
     kwargs = {}
     if "bracket" in entries:
-        parts = entries["bracket"].split(",")
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: bracket must be 'lo,hi'")
-        kwargs["bracket"] = tuple(_as_float(lineno, "bracket", part.strip())
-                                  for part in parts)
+        kwargs["bracket"] = numbers("bracket")
     if "target" in entries:
-        kwargs["target_share"] = _as_float(lineno, "target", entries["target"])
+        kwargs["target_share"] = _as_float(*entries["target"])
     if "closure_tol" in entries:
-        kwargs["tolerance"] = _as_float(lineno, "closure_tol",
-                                        entries["closure_tol"])
+        kwargs["tolerance"] = _as_float(*entries["closure_tol"])
     if "max_iterations" in entries:
-        kwargs["max_iterations"] = _as_int(lineno, "max_iterations",
-                                           entries["max_iterations"])
+        kwargs["max_iterations"] = _as_int(*entries["max_iterations"])
     if "sweep_grid" in entries:
-        kwargs["grid"] = tuple(_as_float(lineno, "sweep_grid", v.strip())
-                               for v in entries["sweep_grid"].split(","))
-    if "rate" in entries and kind == "fixed":
-        kwargs["fixed_rate"] = float(entries["rate"])
+        kwargs["grid"] = numbers("sweep_grid")
+    if kind == "fixed":
+        kwargs["fixed_rate"] = rate
     try:
         return ClosureSpec(kind=kind, **kwargs)
     except ValueError as exc:
@@ -134,8 +132,8 @@ def _build_closure(lineno: int, entries: dict[str, str]) -> ClosureSpec:
 
 def parse_scenarios(text: str) -> list[Scenario]:
     """Parse a scenario file into Scenario objects, preserving order."""
-    sections: list[tuple[int, str, dict[str, str]]] = []
-    current: dict[str, str] | None = None
+    sections: list[tuple[int, str, dict[str, tuple[int, str, str]]]] = []
+    current: dict[str, tuple[int, str, str]] | None = None
     for lineno, line in _parse_lines(text):
         if line.startswith("[") and line.endswith("]"):
             current = {}
@@ -144,36 +142,36 @@ def parse_scenarios(text: str) -> list[Scenario]:
         key, value = _split_kv(lineno, line)
         if current is None:
             raise ParseError(f"line {lineno}: scenario entry before any [name] header")
-        current[key] = value
+        current[key] = lineno, key, value
 
     scenarios = []
-    for lineno, name, entries in sections:
+    for header, name, entries in sections:
         overrides: dict[str, float] = {}
         perturbations: dict[str, float] = {}
         rate = None
         closure = None
-        for key, value in entries.items():
+        for key, (lineno, _, value) in entries.items():
             if key == "rate":
                 rate = _as_float(lineno, key, value)
+                if not math.isfinite(rate):
+                    raise ParseError(f"line {lineno}: rate must be finite")
             elif key.startswith("set."):
                 overrides[_scenario_param(lineno, key[4:])] = \
                     _as_float(lineno, key, value)
             elif key.startswith("perturb."):
                 perturbations[_scenario_param(lineno, key[8:])] = \
                     _as_float(lineno, key, value)
-            elif key in _CLOSURE_KEYS:
-                pass  # handled below
-            else:
+            elif key not in _CLOSURE_KEYS:
                 raise ParseError(f"line {lineno}: unknown scenario key {key!r}")
         if "closure" in entries:
-            closure = _build_closure(lineno, entries)
+            closure = _build_closure(entries, rate)
             if closure.kind == "fixed":
                 rate = None  # the closure carries the rate
         try:
             scenarios.append(Scenario(name=name, rate=rate, overrides=overrides,
                                       perturbations=perturbations, closure=closure))
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+            raise ParseError(f"line {header}: {exc}") from None
     return scenarios
 
 
@@ -194,11 +192,8 @@ def read_scenarios(path: str) -> list[Scenario]:
 # ---------------------------------------------------------------------------
 
 def json_number(x: float) -> float:
-    """Round to 15 significant digits for byte-stable JSON output."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return x
-    if math.isnan(x) or math.isinf(x):
-        return x
+    """Round to 15 significant digits for byte-stable JSON output; NaN and
+    infinities come back unchanged."""
     return float(f"{x:.15g}")
 
 

@@ -223,7 +223,7 @@ _FLOATS = _Ops(operator.pow, math.log, _clamp, _reject)
 
 def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray]:
     """Ops over rate arrays of `shape`, and their mask of vouched points.
-    Callers replay the points that are not vouched or not finite."""
+    Callers replay the points that are not vouched."""
     import numpy as np
     vouched = np.ones(shape, dtype=bool)
 
@@ -451,14 +451,22 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
     c1 = c0 * growth
     C0 = d.n0 * c0
     C1 = d.n1 * c1
+    tb0 = y0 - C0 - i0 - f.g0
     tb1 = y1 - C1 - f.g1
+    s0n = y0 - C0 - f.g0
+    s1x = tb1 / R
     welfare = (_period_utility(c0, l0, p, ops)
                + p.beta * _period_utility(c1, l1, p, ops))
+    # The one overflow rule: a product such as a0 * L0 overflows to inf
+    # without raising.  Every earlier field reaches c0 through income, so
+    # any NaN or inf (or a sum past the double range) makes total NaN.
+    total = c0 + c1 + C1 + tb0 + s0n + s1x + welfare
+    reject(total - total != 0, DomainError, "numerical overflow at r={}", r)
 
     return _equilibrium(
         r, y0, y1, instance.k0, k1, L0, L1, l0, l1, w0, w1, c0, c1, C0, C1,
-        x0, x1, tax0, tax1, f.t0, T1, y0 - C0 - i0 - f.g0, tb1, i0, q,
-        y0 - C0 - f.g0, tb1 / R, welfare, binding)
+        x0, x1, tax0, tax1, f.t0, T1, tb0, tb1, i0, q, s0n, s1x, welfare,
+        binding)
 
 
 def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
@@ -471,14 +479,9 @@ def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
     """
     r = float(r)
     try:
-        eq = _system(instance, r, _FLOATS)
-        # A product such as a0 * L0 or a1 * L1 overflows to inf without
-        # raising, and income (so c0) is then NaN or inf.
-        if eq.c0 < math.inf:
-            return eq
+        return _system(instance, r, _FLOATS)
     except OverflowError:      # where Python's float ** exceeds the double range
-        pass
-    raise DomainError(f"numerical overflow at r={r}")
+        raise DomainError(f"numerical overflow at r={r}") from None
 
 
 def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
@@ -498,9 +501,6 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
         eq = _system(instance, r, ops)
         columns = {k: v if isinstance(v, np.ndarray) else np.full_like(r, v)
                    for k, v in vars(eq).items()}
-        # Overflow: the float path's ** raises where float_power returns inf.
-        vouched &= np.isfinite(sum(columns.values()))
-
         flagged = np.flatnonzero(~vouched)
         for column in columns.values():
             column[flagged] = False if column.dtype == bool else np.nan

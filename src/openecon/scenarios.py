@@ -157,9 +157,7 @@ def row_deviation(computed: float, expected: float) -> float:
 @dataclass
 class ScenarioResult:
     name: str
-    rate: float
-    instance: ModelInstance
-    equilibrium: Equilibrium
+    rate: float | None             # None where the closure failed
     rows: dict[str, float]
     reference: ReferenceRow | None
     deviations: dict[str, float] = field(default_factory=dict)
@@ -194,10 +192,9 @@ def _run_one(base: ModelInstance, s: Scenario) -> ScenarioResult:
     rate = s.rate
     if rate is None:
         rate, _ = resolve_rate(instance, s.closure)
-    eq = solve_at_rate(instance, rate)
-    rows = report_row(eq, instance)
-    result = ScenarioResult(name=s.name, rate=rate, instance=instance,
-                            equilibrium=eq, rows=rows, reference=s.reference)
+    rows = report_row(solve_at_rate(instance, rate), instance)
+    result = ScenarioResult(name=s.name, rate=rate, rows=rows,
+                            reference=s.reference)
     if s.reference is not None:
         for key, expected in s.reference.values.items():
             dev = row_deviation(rows[key], expected)
@@ -273,10 +270,8 @@ def run_suite(base: ModelInstance, scenarios: list[Scenario]) -> SuiteReport:
         try:
             result = _run_one(base, s)
         except (ValueError, KeyError, ConvergenceError) as exc:
-            result = ScenarioResult(
-                name=s.name, rate=s.rate if s.rate is not None else float("nan"),
-                instance=base, equilibrium=None, rows={}, reference=s.reference,
-                error=str(exc))
+            result = ScenarioResult(name=s.name, rate=s.rate, rows={},
+                                    reference=s.reference, error=str(exc))
         results.append(result)
         if result.error is None:
             if not s.overrides and not s.perturbations:

@@ -51,12 +51,7 @@ class ScheduleCurve:
     residual: np.ndarray           # s0n + s1x - i0
     y0: np.ndarray                 # for scaling residual tolerances
     mode: str
-    r_ref: float | None = None
     errors: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def flagged(self) -> bool:
-        return bool(self.errors)
 
 
 @dataclass
@@ -69,10 +64,10 @@ class SlopeReport:
     flagged_segments: list[int]      # saving sum not upward in partial mode
 
 
-def default_grid(r_ref: float, points: int = 41, half_width: float = 0.2) -> np.ndarray:
-    """Rate grid centered on r_ref, floored at 0.01."""
+def default_grid(r_ref: float, points: int = 41) -> np.ndarray:
+    """Rate grid from r_ref - 0.2 to r_ref + 0.2, floored at 0.01."""
     import numpy as np
-    return np.linspace(max(0.01, r_ref - half_width), r_ref + half_width, points)
+    return np.linspace(max(0.01, r_ref - 0.2), r_ref + 0.2, points)
 
 
 def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibrium",
@@ -80,7 +75,7 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
     """Evaluate the three schedules on `grid`.
 
     Points where the model is inadmissible or a value overflows are recorded
-    in `errors`, set to NaN, and flag the curve.  Partial mode requires r_ref inside the grid
+    in `errors` and set to NaN.  Partial mode requires r_ref inside the grid
     span.
     """
     import numpy as np
@@ -130,7 +125,7 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
     with np.errstate(all="ignore"):
         residual = s0n + s1x - i0
     return ScheduleCurve(grid=grid, i0=i0, s0n=s0n, s1x=s1x, residual=residual,
-                         y0=y0, mode=mode, r_ref=r_ref, errors=errors)
+                         y0=y0, mode=mode, errors=errors)
 
 
 def slope_check(curve: ScheduleCurve) -> SlopeReport:

@@ -173,13 +173,36 @@ class TestTable:
         ("closure_tol = ?", "closure_tol = '?' is not a number"),
         ("sweep_grid = 0.1, zz", "sweep_grid = 'zz' is not a number"),
         ("max_iterations = 1.5", "max_iterations = '1.5' is not an integer"),
+        ("rate = x", "rate = 'x' is not a number"),
+        ("rate = nan", "rate must be finite"),
+        ("set.A1 = y", "set.A1 = 'y' is not a number"),
+        ("set.beta = 1", "unknown parameter 'beta'"),
+        ("perturb.gamma = z", "perturb.gamma = 'z' is not a number"),
+        ("shock = 2", "unknown scenario key 'shock'"),
     ])
     def test_bad_closure_value_exits_2(self, tmp_path, line, message):
         path = tmp_path / "scen.txt"
         path.write_text(f"# closure values\n[x]\nclosure = balanced_trade\n{line}\n")
         code, out, err = run(["table", "--scenario-file", str(path)])
         assert (code, out) == (2, "")
-        assert err == f"error: line 2: {message}\n"
+        assert err == f"error: line 4: {message}\n"
+
+    @pytest.mark.parametrize("lines, message", [
+        ("closure = balanced_trade\nmax_iterations = -5",
+         "line 2: max_iterations must be at least 1"),
+        ("closure = welfare_sweep\nsweep_grid = nan, inf",
+         "line 2: grid rates must be finite"),
+        ("perturb.gamma = 1.1", "line 1: scenario 'x' needs a rate or a closure"),
+    ])
+    def test_bad_closure_spec_names_closure_line(self, tmp_path, lines, message):
+        """ClosureSpec errors name the closure line, Scenario errors the
+        header line, and both stop the run before any solve."""
+        path = tmp_path / "scen.txt"
+        path.write_text(f"[x]\n{lines}\n")
+        code, out, err = run(["table", "--format", "json",
+                              "--scenario-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
 
 class TestSweep:
@@ -297,6 +320,29 @@ class TestSchedules:
         code, out, err = run(["schedules", "--grid=0.1,1,2", *instance])
         assert (code, err) == (0, skipped)
         assert out.splitlines()[1:] == ["0.1,nan,nan,nan,nan", "1,nan,nan,nan,nan"]
+
+    def test_overflowing_consumption_is_rejected(self, tmp_path):
+        """N0 = 1e306: c0 is finite but C0 = n0 * c0 overflows, so tb0 and
+        s0n are -inf.  solve and the welfare sweep exit 2, and schedules
+        skips every point."""
+        path = tmp_path / "crowded.txt"
+        path.write_text("N0 = 1e306\n")
+        instance = ["--instance-file", str(path)]
+        code, out, err = run(["solve", "--rate", "0.4821", *instance])
+        assert (code, out) == (2, "")
+        assert err == "error: numerical overflow at r=0.4821\n"
+        code, out, err = run(["sweep", "--closure", "welfare_sweep",
+                              "--grid=0.3,0.6,4", *instance])
+        assert (code, out) == (2, "")
+        assert err == "error: numerical overflow at r=0.3\n"
+        code, out, err = run(["schedules", "--grid=0.3,0.6,4", *instance])
+        assert code == 0
+        assert "inf" not in out
+        assert out.splitlines()[1:] == [f"{r},nan,nan,nan,nan"
+                                        for r in ("0.3", "0.4", "0.5", "0.6")]
+        assert [line.split(" skipped: ")[1] for line in err.splitlines()] == [
+            f"numerical overflow at r={r}"
+            for r in (0.3, 0.39999999999999997, 0.5, 0.6)]
 
     @pytest.mark.parametrize("argv", [["--rate", "nan"],
                                       ["--rate", "inf", "--mode", "partial"],

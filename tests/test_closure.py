@@ -135,6 +135,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^target_share must be finite$"):
             ClosureSpec("trade_share_target", target_share=target)
 
+    @pytest.mark.parametrize("max_iterations", [0, -5])
+    def test_max_iterations_below_one(self, max_iterations):
+        with pytest.raises(ValueError, match="^max_iterations must be at least 1$"):
+            ClosureSpec("balanced_trade", max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("grid", [(0.3, math.nan), (math.inf,),
+                                      (-math.inf, 0.5)])
+    def test_non_finite_grid(self, grid):
+        with pytest.raises(ValueError, match="^grid rates must be finite$"):
+            ClosureSpec("welfare_sweep", grid=grid)
+
 
 class TestWelfareStationarity:
     def test_negative_at_published_rate(self, baseline):

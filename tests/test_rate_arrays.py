@@ -29,6 +29,7 @@ from openecon import model
 from openecon.acceptance import sample_instance
 from openecon.configio import Records, csv_number, json_number, to_csv, to_json
 from openecon.model import check_rate, q_factor, solve_rates
+from openecon.scenarios import with_parameters
 
 FIELDS = list(Equilibrium.__dataclass_fields__)
 
@@ -292,13 +293,14 @@ def bits(value):
 def assert_kernel_matches_reference(instance, rates):
     """solve_at_rate and solve_rates both give the replaced code's fields
     and errors, apart from one deliberate change: where the replaced code
-    let a product overflow to inf and income become NaN or inf, both report
-    a numerical overflow."""
+    let a product overflow to inf and returned a field that is NaN or
+    infinite, both report a numerical overflow."""
     columns, errors = solve_rates(instance, rates)
     want_errors = []
     for j, r in enumerate(rates):
         want = outcome(reference_solve_at_rate, instance, r)
-        if isinstance(want, Equilibrium) and not math.isfinite(want.c0):
+        if isinstance(want, Equilibrium) and not all(
+                math.isfinite(getattr(want, name)) for name in FIELDS):
             want = DomainError, f"numerical overflow at r={float(r)}"
         got = outcome(solve_at_rate, instance, r)
         if isinstance(want, tuple):
@@ -315,8 +317,9 @@ def assert_kernel_matches_reference(instance, rates):
 def edge_economies(b):
     """Overflow (of the firm's powers, of hours before the clamp, of the
     hours term in utility), log utility, L1 underflow, a tiny initial
-    capital, and present or future output so large that income is NaN
-    (which the replaced code let through and solve_at_rate rejects)."""
+    capital, present or future output so large that income is NaN, and
+    present hours so many that aggregate consumption is inf while c0 is
+    finite (which the replaced code let through and solve_at_rate rejects)."""
     t = b.technology
     return {
         "steep": replace(b, technology=replace(t, alpha=0.99, delta=0.1)),
@@ -335,6 +338,8 @@ def edge_economies(b):
                               demography=replace(b.demography, n0=1e10)),
         "nan_future_income": replace(b, technology=replace(t, a1=1e300),
                                      demography=replace(b.demography, n1=1e10)),
+        "inf_aggregate_consumption": replace(
+            b, demography=replace(b.demography, n0=1e306)),
     }
 
 
@@ -357,6 +362,33 @@ def test_kernel_matches_replaced_solve_at_rate_on_edges(name):
     instance = EDGE_ECONOMIES[name]
     assert_kernel_matches_reference(instance, EDGE_RATES)
     assert_kernel_matches_reference(instance, EDGE_RATES.tolist())
+
+
+EXTREME_PARAMETERS = ["gamma", "theta", "rho", "phi", "a0", "a1", "n0", "n1",
+                      "l0_max", "l1_max", "k0", "g0", "g1"]
+
+
+@st.composite
+def extreme_economies(draw):
+    """The baseline with one to four positive parameters drawn log-uniform
+    over 1e-300 to 1e300."""
+    names = draw(st.lists(st.sampled_from(EXTREME_PARAMETERS), min_size=1,
+                          max_size=4, unique=True))
+    return with_parameters(baseline_instance(), {
+        name: 10.0 ** draw(st.floats(-300.0, 300.0)) for name in names})
+
+
+@given(data=st.data(), instance=extreme_economies())
+@settings(max_examples=300, deadline=None)
+def test_extreme_economies_solve_finite_or_raise(data, instance):
+    """No successful solve has a NaN or infinite field, and solve_rates
+    agrees with solve_at_rate point for point."""
+    rates = data.draw(rate_grids(instance.technology.delta, low=-0.5))
+    for r in rates:
+        eq = outcome(solve_at_rate, instance, r)
+        if isinstance(eq, Equilibrium):
+            assert all(math.isfinite(getattr(eq, name)) for name in FIELDS), r
+    assert_matches_scalar_solve(instance, rates)
 
 
 def test_overflowing_economy_matches_scalar_solve(baseline):

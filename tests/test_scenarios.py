@@ -120,6 +120,14 @@ class TestSuite:
         assert report.results[1].passed
         assert not report.passed
 
+    def test_failed_closure_has_no_rate(self, baseline):
+        s = Scenario("bad", closure=ClosureSpec("balanced_trade",
+                                                bracket=(0.01, 0.02)))
+        (result,) = run_suite(baseline, [s]).results
+        assert result.rate is None
+        assert result.error.startswith("objective has the same sign")
+        assert result.rows == {} and not result.passed
+
     def test_closure_driven_scenario(self, baseline):
         s = Scenario("bt", closure=ClosureSpec("balanced_trade",
                                                bracket=(0.4821, 2.0)))

@@ -69,8 +69,7 @@ class TestValidationAndFlagging:
         grid = np.linspace(0.1, 0.5, 5)
         ones = np.ones(5)
         curve = ScheduleCurve(grid=grid, i0=ones, s0n=ones, s1x=ones,
-                              residual=ones, y0=ones,
-                              mode="partial", r_ref=0.3)
+                              residual=ones, y0=ones, mode="partial")
         report = slope_check(curve)
         assert np.all(report.saving_sum_slope == 0)
         assert np.all(report.i0_slope == 0)
@@ -95,7 +94,7 @@ class TestValidationAndFlagging:
                                                     delta=0.6))
         grid = np.linspace(-0.7, 0.5, 13)  # first points give delta + r <= 0
         curve = compute_schedules(soft, grid)
-        assert curve.flagged
+        assert curve.errors
         bad = [j for j, _ in curve.errors]
         assert bad and np.all(np.isnan(curve.i0[bad]))
         good = [j for j in range(grid.size) if j not in bad]
