@@ -12,6 +12,9 @@ edits included; `git rev-parse <commit>:src` gives the same id for the
 commit that holds that source.  perfbench
 is read only through its last two stdout lines (the info line and the
 result line), so a checkout older than this script can be measured too.
+`env.dont_write_bytecode` records whether PYTHONDONTWRITEBYTECODE is set
+for perfbench's children, which inherit this process's environment: if it
+is, every cold CLI process compiles openecon from source.
 Standard library only.  Runs one process at a time: perfbench pins itself
 and its children to one CPU.
 """
@@ -108,6 +111,8 @@ def main(argv=None) -> int:
         # The traced counts come from perfbench's probe, the same for every
         # workload.
         record["env"], record["counts"] = info["env"], info["counts"]
+        record["env"]["dont_write_bytecode"] = bool(
+            os.environ.get("PYTHONDONTWRITEBYTECODE"))
         record["workloads"][workload] = {
             "correct": plain["correct"] and traced["correct"],
             "attempted": plain["attempted"] + traced["attempted"],

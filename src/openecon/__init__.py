@@ -2,10 +2,8 @@
 
 from .model import (Demography, DomainError, Equilibrium, Fiscal,
                     InfeasibleError, ModelInstance, Preferences, Technology,
-                    annualize_rate, capital_demand, dividends, euler_growth,
-                    future_wage, government_t1, labor_supply_present,
-                    lifetime_utility, output, q_factor, solve_at_rate,
-                    solve_rates, wage_mpl)
+                    annualize_rate, capital_demand, lifetime_utility,
+                    solve_at_rate, solve_rates)
 from .closure import (BracketError, ClosureDiagnostics, ClosureSpec,
                       ConvergenceError, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
@@ -17,10 +15,8 @@ from .reference import baseline_instance
 __all__ = [
     "Demography", "DomainError", "Equilibrium", "Fiscal", "InfeasibleError",
     "ModelInstance", "Preferences", "Technology",
-    "annualize_rate", "capital_demand", "dividends", "euler_growth",
-    "future_wage", "government_t1", "labor_supply_present",
-    "lifetime_utility", "output", "q_factor", "solve_at_rate",
-    "solve_rates", "wage_mpl",
+    "annualize_rate", "capital_demand", "lifetime_utility", "solve_at_rate",
+    "solve_rates",
     "BracketError", "ClosureDiagnostics", "ClosureSpec", "ConvergenceError",
     "calibrated_labor_weight", "resolve_rate", "welfare_stationarity_check",
     "ReferenceRow", "Scenario", "apply_scenario", "paper_suite",

@@ -17,8 +17,7 @@ from .closure import (ClosureSpec, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
 from .model import (Demography, Fiscal, ModelInstance, Preferences,
                     Technology, _euler_factor, annualize_rate, capital_demand,
-                    future_wage, labor_supply_present, lifetime_utility,
-                    output, solve_at_rate, solve_rates, wage_mpl)
+                    lifetime_utility, solve_at_rate, solve_rates)
 from .reference import baseline_instance
 from .scenarios import paper_suite, run_suite
 
@@ -181,17 +180,18 @@ def _criterion_5() -> CriterionResult:
     worst_w1 = 0.0
     for instance in instances:
         t = instance.technology
+        a = t.alpha
         r = rng.uniform(0.1, 1.0)
-        w1 = future_wage(t, r)
-        closed, binding = labor_supply_present(instance, r, w1)
-        if not binding:
-            iterated = iterate_labor_supply(instance, r, w1)
-            worst_l0 = max(worst_l0, abs(closed / iterated - 1.0))
+        eq = solve_at_rate(instance, r)
+        if not eq.l0_binding:
+            iterated = iterate_labor_supply(instance, r, eq.w1)
+            worst_l0 = max(worst_l0, abs(eq.l0 / iterated - 1.0))
         for _ in range(10):
+            # the firm's capital choice for hours L1, then the wage (1-a)*Y/L1
             L1 = rng.uniform(100.0, 1e6)
             k1 = capital_demand(t, L1, r)
-            composed = wage_mpl(output(k1, t.a1, L1, t.alpha), L1, t.alpha)
-            worst_w1 = max(worst_w1, abs(w1 / composed - 1.0))
+            composed = (1.0 - a) * (k1 ** a * (t.a1 * L1) ** (1.0 - a)) / L1
+            worst_w1 = max(worst_w1, abs(eq.w1 / composed - 1.0))
     passed = worst_l0 <= 1e-10 and worst_w1 <= 1e-12
     return CriterionResult(
         5, "closed forms match their iterative/composed oracles", passed,

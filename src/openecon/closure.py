@@ -162,6 +162,10 @@ def resolve_rate(instance: ModelInstance,
 
     # welfare_sweep: argmax over the grid, ties break to the lowest rate; the
     # first bad point raises as its scalar solve does, so welfare is finite.
+    # The argmax is a grid end, not an interior optimum: with phi calibrated
+    # at the balanced-trade rate r*, utility has a minimum at r* (the economy
+    # gains from trade on either side), and under the baseline's phi it
+    # falls with r throughout.
     rates = sorted(spec.grid)
     columns, errors = solve_rates(instance, rates)
     if errors:

@@ -54,8 +54,11 @@ class Preferences:
     gamma : inverse intertemporal elasticity of substitution (> 0)
     theta : inverse Frisch elasticity of labor supply (> 0)
     rho   : subjective discount rate per period (> 0)
-    phi   : labor-disutility weight (> 0); affects welfare levels only,
-            never equilibrium quantities
+    phi   : labor-disutility weight (> 0); never affects equilibrium
+            quantities, but sets the shape of welfare in r.  Calibrated at
+            the balanced-trade rate r* (closure.calibrated_labor_weight),
+            lifetime utility has a *minimum* at r*, so a welfare argmax over
+            a rate grid lands on one of the grid's ends.
     """
 
     gamma: float
@@ -275,49 +278,11 @@ def capital_demand(tech: Technology, L1: float, r: float) -> float:
     return _capital_demand(tech, L1, r, operator.pow)
 
 
-def output(K: float, A: float, L: float, alpha: float) -> float:
-    """Cobb-Douglas output K^alpha * (A*L)^(1-alpha)."""
-    if K <= 0 or A <= 0 or L <= 0:
-        raise DomainError(_OUTPUT_INPUTS)
-    return K ** alpha * (A * L) ** (1.0 - alpha)
-
-
-def wage_mpl(Y: float, L: float, alpha: float) -> float:
-    """Competitive hourly wage (1-alpha) * Y / L (marginal product of labor)."""
-    if L <= 0:
-        raise DomainError("aggregate hours must be positive")
-    return (1.0 - alpha) * Y / L
-
-
-def future_wage(tech: Technology, r: float) -> float:
-    """Future wage implied by the firm's capital choice.
-
-    Substituting capital demand into the marginal-product condition makes
-    future hours cancel: w1 = (1-alpha) * A1 * (alpha/(delta+r))^(alpha/(1-alpha)).
-    """
-    check_rate(tech, r)
-    a = tech.alpha
-    return (1.0 - a) * tech.a1 * (a / (tech.delta + r)) ** (a / (1.0 - a))
-
-
-def labor_supply_present(instance: ModelInstance, r: float, w1: float) -> tuple[float, bool]:
-    """Present hours per household, with a flag for a binding time endowment.
-
-    Solves the fixed point l0 = [beta * w0(l0) * (1+r) / w1]^(1/theta) * l1
-    where w0 adjusts through the marginal product as hours change.  The
-    closed form has exponent 1/(theta+alpha); the result is clamped to
-    l0_max and the flag reports whether the clamp applied.
-    """
-    if r <= -1.0:
-        raise DomainError("rate must exceed -1")
-    if w1 <= 0:
-        raise DomainError("future wage must be positive")
-    hours = _present_hours(instance, r, w1, operator.pow)
-    return _clamp(hours, instance.demography.l0_max)
-
-
 def _present_hours(instance: ModelInstance, r, w1, power):
-    """labor_supply_present's closed form, before the clamp."""
+    """Present hours per household before the clamp at l0_max: the closed
+    form, with exponent 1/(theta+alpha), of the fixed point
+    l0 = [beta * w0(l0) * (1+r) / w1]^(1/theta) * l1, where w0 moves with
+    hours through the marginal product."""
     p, t, d = instance.preferences, instance.technology, instance.demography
     a = t.alpha
     return power(p.beta * (1.0 + r) * (1.0 - a) * power(instance.k0, a)
@@ -326,39 +291,8 @@ def _present_hours(instance: ModelInstance, r, w1, power):
 
 
 def _euler_factor(prefs: Preferences, r, power):
+    """Consumption growth c1/c0 = [beta*(1+r)]^(1/gamma)."""
     return power(prefs.beta * (1.0 + r), 1.0 / prefs.gamma)
-
-
-def euler_growth(prefs: Preferences, r: float) -> float:
-    """Consumption growth factor c1/c0 = [beta*(1+r)]^(1/gamma)."""
-    if r <= -1.0:
-        raise DomainError("rate must exceed -1")
-    return _euler_factor(prefs, r, operator.pow)
-
-
-def q_factor(prefs: Preferences, r: float) -> float:
-    """Consumption-function denominator Q = 1 + [beta*(1+r)]^(1/gamma) / (1+r).
-
-    Always exceeds 1; Q * c0 equals per-household present-value income.
-    """
-    return 1.0 + euler_growth(prefs, r) / (1.0 + r)
-
-
-def government_t1(fiscal: Fiscal, r: float) -> float:
-    """Future tax revenue balancing the government's present-value budget.
-
-    T1 = (1+r)*G0 + G1 - T0*(1+r), so T0 + T1/(1+r) = G0 + G1/(1+r) exactly.
-    """
-    if r <= -1.0:
-        raise DomainError("rate must exceed -1")
-    return (1.0 + r) * fiscal.g0 + fiscal.g1 - fiscal.t0 * (1.0 + r)
-
-
-def dividends(Y: float, w: float, L: float, I: float, N: float) -> float:
-    """Per-household dividend (Y - w*L - I) / N."""
-    if N <= 0:
-        raise DomainError("household count must be positive")
-    return (Y - w * L - I) / N
 
 
 def annualize_rate(per_period: float, years: float) -> float:
@@ -381,21 +315,18 @@ def _period_utility(c, l, prefs: Preferences, ops: _Ops):
     return uc - prefs.phi * ops.power(l, 1.0 + prefs.theta) / (1.0 + prefs.theta)
 
 
-def period_utility(c: float, l: float, prefs: Preferences) -> float:
-    """Separable period utility: power function of c minus power function of l.
+def lifetime_utility(c0: float, l0: float, c1: float, l1: float,
+                     prefs: Preferences) -> float:
+    """U = u(c0, l0) + beta * u(c1, l1), with separable period utility u: a
+    power function of c minus phi * l^(1+theta)/(1+theta).
 
     At gamma = 1 the consumption term is log(c).  Away from 1 the term is
     c^(1-gamma)/(1-gamma), which differs from the normalized CRRA form by
     the constant 1/(1-gamma); utility *differences* are therefore continuous
     in gamma at 1, while levels diverge with the constant.
     """
-    return _period_utility(c, l, prefs, _FLOATS)
-
-
-def lifetime_utility(c0: float, l0: float, c1: float, l1: float,
-                     prefs: Preferences) -> float:
-    """U = u(c0, l0) + beta * u(c1, l1)."""
-    return period_utility(c0, l0, prefs) + prefs.beta * period_utility(c1, l1, prefs)
+    return (_period_utility(c0, l0, prefs, _FLOATS)
+            + prefs.beta * _period_utility(c1, l1, prefs, _FLOATS))
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +389,12 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
     welfare = (_period_utility(c0, l0, p, ops)
                + p.beta * _period_utility(c1, l1, p, ops))
     # The one overflow rule: a product such as a0 * L0 overflows to inf
-    # without raising.  Every earlier field reaches c0 through income, so
-    # any NaN or inf (or a sum past the double range) makes total NaN.
-    total = c0 + c1 + C1 + tb0 + s0n + s1x + welfare
-    reject(total - total != 0, DomainError, "numerical overflow at r={}", r)
+    # without raising.  Every earlier field reaches c0 through income, and
+    # 0 * x is NaN when x is NaN or inf and +-0 otherwise, so total is not 0
+    # exactly when some field is not finite, however large the fields are.
+    total = (0.0 * c0 + 0.0 * c1 + 0.0 * C1 + 0.0 * tb0 + 0.0 * s0n
+             + 0.0 * s1x + 0.0 * welfare)
+    reject(total != 0, DomainError, "numerical overflow at r={}", r)
 
     return _equilibrium(
         r, y0, y1, instance.k0, k1, L0, L1, l0, l1, w0, w1, c0, c1, C0, C1,

@@ -49,7 +49,6 @@ class ScheduleCurve:
     s0n: np.ndarray
     s1x: np.ndarray
     residual: np.ndarray           # s0n + s1x - i0
-    y0: np.ndarray                 # for scaling residual tolerances
     mode: str
     errors: list[tuple[int, str]] = field(default_factory=list)
 
@@ -94,7 +93,7 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
 
     if mode == "full_equilibrium":
         columns, errors = solve_rates(instance, grid)
-        i0, s0n, s1x, y0 = (columns[k] for k in ("i0", "s0n", "s1x", "y0"))
+        i0, s0n, s1x = (columns[k] for k in ("i0", "s0n", "s1x"))
     else:
         ref = solve_at_rate(instance, r_ref)
         d, t, f, p = (instance.demography, instance.technology,
@@ -119,13 +118,12 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
                 errors.append((int(j), str(exc)))
             else:
                 errors.append((int(j), f"numerical overflow at r={grid[j]}"))
-        i0, s0n, s1x, y0 = (np.where(ok, v, np.nan)
-                            for v in (i0, s0n, s1x, ref.y0))
+        i0, s0n, s1x = (np.where(ok, v, np.nan) for v in (i0, s0n, s1x))
 
     with np.errstate(all="ignore"):
         residual = s0n + s1x - i0
     return ScheduleCurve(grid=grid, i0=i0, s0n=s0n, s1x=s1x, residual=residual,
-                         y0=y0, mode=mode, errors=errors)
+                         mode=mode, errors=errors)
 
 
 def slope_check(curve: ScheduleCurve) -> SlopeReport:

@@ -22,9 +22,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from openecon import InfeasibleError, baseline_instance, solve_at_rate
+from openecon import (ClosureSpec, InfeasibleError, baseline_instance,
+                      lifetime_utility, resolve_rate, solve_at_rate)
 from openecon.acceptance import (CHECK_RATES, CRITERIA, _worst_residuals,
                                  sample_feasible_instances, sample_instance)
+from openecon.closure import calibrated_labor_weight
 from openecon.model import capital_demand
 
 # Criterion 8 as stated: 41 capital shares on [0.3, 0.7] at the baseline rate.
@@ -88,6 +90,27 @@ def test_criterion(number, criterion, capsys):
         check_criterion_8_red(result)
     else:
         assert result.passed, result.detail
+
+
+def test_calibrated_welfare_has_a_minimum_at_balanced_trade():
+    """Criterion 9 finds dU/dr = 0 at the balanced-trade rate r*; that point
+    is a minimum of utility under the labor weight calibrated there, so a
+    welfare argmax over a grid is one of its ends.  The second difference
+    is positive and scales as h^2 (about 0.0438 h^2)."""
+    base = baseline_instance()
+    spec = ClosureSpec(kind="balanced_trade", bracket=(0.4821, 2.0),
+                       tolerance=1e-10)
+    r_star, _ = resolve_rate(base, spec)
+    prefs = replace(base.preferences, phi=calibrated_labor_weight(base, r_star))
+
+    def u(r):
+        eq = solve_at_rate(base, r)
+        return lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1, prefs)
+
+    curvatures = [(u(r_star + h) - 2.0 * u(r_star) + u(r_star - h)) / h ** 2
+                  for h in (1e-2, 1e-3, 1e-4)]
+    assert all(c > 0 for c in curvatures)
+    assert curvatures == pytest.approx([curvatures[0]] * 3, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

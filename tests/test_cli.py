@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import openecon
 from openecon.cli import main
@@ -445,3 +448,85 @@ print(json.dumps([loaded, numpy_at_import, curve.i0.tolist()]))
         loaded, numpy_at_import, i0 = result
         assert loaded and not numpy_at_import
         assert len(i0) == 3 and all(math.isfinite(v) for v in i0)
+
+
+# The fuzzer's vocabulary: every subcommand with its options, and values at
+# the edges of each option's parser: non-finite and subnormal floats,
+# malformed LO,HI and START,STOP,POINTS, grids of at most 11 points or past
+# the cap, and missing and bad files.
+FLOATS = ["nan", "inf", "-inf", "5e-324", "-5e-324", "0", "-0.0", "-1",
+          "-2.0", "0.4821", "0.75", "1e308", "1e-12", "10", "x", ""]
+FILES = ["/nonexistent/instance.txt"]   # the fuzz_files fixture adds more
+FUZZ_VALUES = {
+    "--rate": FLOATS, "--target": FLOATS, "--tol": FLOATS,
+    "--closure": ["fixed", "balanced_trade", "trade_share_target",
+                  "welfare_sweep"],
+    "--bracket": ["0.4821,2.0", "0.01,0.02", "2.0,0.01", "nan,1", "0.5",
+                  "a,b", "0.1,0.2,0.3", "0.01,inf", "-1.5,5e-324", ","],
+    "--grid": ["0.3,0.6,4", "-1.5,1,6", "0.3,1.2,11", "0.1,1,5.5", "0.1,1",
+               "0,1,1", "nan,1,3", "0.3,0.6,0", "1,0,3", "0,1,1000001",
+               "-inf,1,3", "5e-324,1e-300,3"],
+    "--format": ["csv", "json"], "--mode": ["full", "partial"],
+    "--instance-file": FILES, "--scenario-file": FILES,
+}
+COMMON_OPTIONS = ["--instance-file", "--format"]
+RATE_OPTIONS = ["--rate", "--closure", "--bracket", "--target", "--tol"]
+FUZZ_OPTIONS = {
+    "solve": COMMON_OPTIONS + RATE_OPTIONS,
+    "table": COMMON_OPTIONS + ["--scenario-file", "--tol"],
+    "sweep": COMMON_OPTIONS + RATE_OPTIONS + ["--grid"],
+    "schedules": COMMON_OPTIONS + ["--rate", "--grid", "--mode"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Instance and scenario files, good and bad, for the fuzzer to name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {"steep.txt": "alpha = 0.99\ndelta = 0.1\n",
+             "huge.txt": "N0 = 1e306\n",
+             "bad.txt": "K0 = inf\n",
+             "scenarios.txt": "[b]\nclosure = balanced_trade\n"
+                              "bracket = 0.4821, 2.0\n[r]\nrate = 0.5\n",
+             "bad_scenarios.txt": "[x]\nrate = nan\n"}
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in texts]
+
+
+@st.composite
+def argvs(draw, files):
+    """A subcommand and option/value pairs, as `--opt=value` or, for a
+    value that does not start with "-", `--opt value`; one draw in ten
+    takes a random text instead, or inserts a random token or help flag."""
+    def rarely(strategy, other):
+        return draw(other if draw(st.integers(0, 9)) == 0 else strategy)
+
+    command = rarely(st.sampled_from(list(FUZZ_OPTIONS)), st.text(max_size=6))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        option = draw(st.sampled_from(FUZZ_OPTIONS.get(command, ["--rate"])))
+        pool = FUZZ_VALUES[option] + (files if option.endswith("file") else [])
+        value = rarely(st.sampled_from(pool), st.text(max_size=6))
+        argv += ([option, value] if draw(st.booleans())
+                 and not value.startswith("-") else [f"{option}={value}"])
+    token = rarely(st.none(), st.sampled_from(["-h", "--help", "check"])
+                   | st.text(max_size=6))
+    if token is not None:
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_exits_0_1_or_2(fuzz_files, data):
+    """Any argument vector ends with exit 0, 1 or 2, or with argparse's
+    SystemExit (0 for help, 2 for a usage error), never another exception."""
+    argv = data.draw(argvs(fuzz_files))
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            code = main(argv, out=StringIO(), err=StringIO())
+        except SystemExit as exc:
+            assert exc.code in (0, 2), argv
+            return
+    assert code in (0, 1, 2), argv

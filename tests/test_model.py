@@ -1,4 +1,9 @@
-"""Unit tests for the core model operations against frozen expected values."""
+"""Unit tests for the core model operations against frozen expected values.
+
+The classes for output, wages, hours, the Euler factor, Q, future taxes and
+dividends pin the test oracle in reference_model; TestSolveAtRate pins the
+same values on the kernel's Equilibrium fields.
+"""
 
 import math
 from dataclasses import replace
@@ -8,10 +13,11 @@ import pytest
 
 from openecon import (Demography, DomainError, Fiscal, ModelInstance,
                       Preferences, Technology, annualize_rate, capital_demand,
-                      dividends, euler_growth, future_wage, government_t1,
-                      labor_supply_present, lifetime_utility, output,
-                      q_factor, solve_at_rate, wage_mpl)
+                      lifetime_utility, solve_at_rate)
 from openecon.closure import ClosureSpec, resolve_rate
+from reference_model import (dividends, euler_growth, future_wage,
+                             government_t1, labor_supply_present, output,
+                             q_factor, wage_mpl)
 
 BASE_TECH = Technology(alpha=0.5, delta=1.0, a0=1.0, a1=1.0)
 BASE_PREFS = Preferences(gamma=1.2, theta=9.0, rho=0.5)
@@ -257,6 +263,20 @@ class TestSolveAtRate:
 
     def test_deterministic(self, baseline):
         assert solve_at_rate(baseline, 0.4821) == solve_at_rate(baseline, 0.4821)
+
+    def test_baseline_closed_forms(self, baseline_eq):
+        # the values the oracle classes above pin, read off the kernel
+        eq = baseline_eq
+        assert eq.q == pytest.approx(1.66799, abs=1e-4)
+        assert eq.c1 / eq.c0 == pytest.approx(0.99005, abs=1e-4)
+        assert eq.x0 == pytest.approx(1474.1, rel=5e-3)
+        assert eq.x1 == pytest.approx(4965.85, rel=5e-3)
+        assert eq.w1 == pytest.approx(0.168680, abs=1e-4)
+        assert eq.T1 == 0.0
+
+    def test_deferred_spending(self, baseline):
+        eq = solve_at_rate(replace(baseline, fiscal=Fiscal(g1=5.0)), 0.5)
+        assert eq.T1 == 5.0
 
     def test_inadmissible_rate(self, baseline):
         with pytest.raises(DomainError):

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from openecon import (Demography, Fiscal, InfeasibleError, ModelInstance,
-                      Preferences, Technology, capital_demand, future_wage,
-                      labor_supply_present, output, solve_at_rate, wage_mpl)
+                      Preferences, Technology, capital_demand, solve_at_rate)
 from openecon.acceptance import iterate_labor_supply
+from reference_model import output, wage_mpl
 
 RATE_GRID = np.linspace(0.1, 1.0, 10)
 
@@ -122,7 +122,7 @@ def test_capital_demand_locally_decreasing_in_share(baseline):
 @settings(max_examples=60, deadline=None)
 def test_future_wage_matches_pipeline(instance, r, data):
     t = instance.technology
-    w1 = future_wage(t, r)
+    w1 = solve_or_assume(instance, r).w1
     for _ in range(10):
         L1 = data.draw(st.floats(10.0, 1e6))
         k1 = capital_demand(t, L1, r)
@@ -133,8 +133,7 @@ def test_future_wage_matches_pipeline(instance, r, data):
 @given(instance=instances(), r=st.floats(0.1, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_hours_closed_form_matches_iteration(instance, r):
-    w1 = future_wage(instance.technology, r)
-    closed, binding = labor_supply_present(instance, r, w1)
-    assume(not binding)
-    iterated = iterate_labor_supply(instance, r, w1)
-    assert closed == pytest.approx(iterated, rel=1e-10)
+    eq = solve_or_assume(instance, r)
+    assume(not eq.l0_binding)
+    iterated = iterate_labor_supply(instance, r, eq.w1)
+    assert eq.l0 == pytest.approx(iterated, rel=1e-10)

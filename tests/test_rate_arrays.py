@@ -1,11 +1,12 @@
 """The rate-array paths and the equation kernel against the code they replaced.
 
 Each reference below is the code a new path replaced, kept verbatim apart
-from its name: the full-equilibrium and partial schedule loops, the welfare
+from its name and the schedule loops' y0 column: the full-equilibrium and partial schedule loops, the welfare
 sweep, the recursive JSON walk, the cell-by-cell CSV loop, and solve_at_rate
 as it was written before the float and array paths shared one statement of
 the equation system.  The new paths must reproduce them exactly, bit for bit
-and message for message.
+and message for message.  The model references call the equations of
+reference_model, which share no code with the kernel.
 """
 
 import copy
@@ -21,15 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openecon import (ClosureSpec, DomainError, Equilibrium, InfeasibleError,
-                      ModelInstance, baseline_instance, capital_demand,
-                      compute_schedules, dividends, euler_growth, future_wage,
-                      government_t1, labor_supply_present, lifetime_utility,
-                      output, resolve_rate, solve_at_rate, wage_mpl)
+                      ModelInstance, baseline_instance, compute_schedules,
+                      resolve_rate, solve_at_rate)
 from openecon import model
 from openecon.acceptance import sample_instance
 from openecon.configio import Records, csv_number, json_number, to_csv, to_json
-from openecon.model import check_rate, q_factor, solve_rates
+from openecon.model import solve_rates
 from openecon.scenarios import with_parameters
+from reference_model import (capital_demand, check_rate, dividends,
+                             euler_growth, future_wage, government_t1,
+                             labor_supply_present, lifetime_utility, output,
+                             q_factor, wage_mpl)
 
 FIELDS = list(Equilibrium.__dataclass_fields__)
 
@@ -106,7 +109,7 @@ def reference_solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
 
 def reference_full(instance, grid):
     n = grid.size
-    i0, s0n, s1x, y0 = (np.full(n, np.nan) for _ in range(4))
+    i0, s0n, s1x = (np.full(n, np.nan) for _ in range(3))
     errors = []
     for j, r in enumerate(grid):
         try:
@@ -114,13 +117,13 @@ def reference_full(instance, grid):
         except (DomainError, InfeasibleError) as exc:
             errors.append((j, str(exc)))
             continue
-        i0[j], s0n[j], s1x[j], y0[j] = eq.i0, eq.s0n, eq.s1x, eq.y0
-    return i0, s0n, s1x, y0, errors
+        i0[j], s0n[j], s1x[j] = eq.i0, eq.s0n, eq.s1x
+    return i0, s0n, s1x, errors
 
 
 def reference_partial(instance, grid, r_ref):
     n = grid.size
-    i0, s0n, s1x, y0 = (np.full(n, np.nan) for _ in range(4))
+    i0, s0n, s1x = (np.full(n, np.nan) for _ in range(3))
     errors = []
     ref = solve_at_rate(instance, r_ref)
     d, t, f, p = (instance.demography, instance.technology,
@@ -138,8 +141,7 @@ def reference_partial(instance, grid, r_ref):
         i0[j] = k1 - (1.0 - t.delta) * instance.k0
         s0n[j] = ref.y0 - d.n0 * c0 - f.g0
         s1x[j] = ref.tb1 / (1.0 + r)
-        y0[j] = ref.y0
-    return i0, s0n, s1x, y0, errors
+    return i0, s0n, s1x, errors
 
 
 def reference_sweep(instance, grid):
@@ -247,7 +249,7 @@ def test_schedules_match_per_point_loops(data, instance):
     grid = np.unique(data.draw(rate_grids(instance.technology.delta)))
     curve = compute_schedules(instance, grid)
     *want, want_errors = reference_full(instance, grid)
-    for got, expected in zip((curve.i0, curve.s0n, curve.s1x, curve.y0), want):
+    for got, expected in zip((curve.i0, curve.s0n, curve.s1x), want, strict=True):
         assert np.array_equal(got, expected, equal_nan=True)
     assert curve.errors == want_errors
 
@@ -259,7 +261,7 @@ def test_schedules_match_per_point_loops(data, instance):
         return
     curve = compute_schedules(instance, grid, mode="partial", r_ref=r_ref)
     *want, want_errors = reference_partial(instance, grid, r_ref)
-    for got, expected in zip((curve.i0, curve.s0n, curve.s1x, curve.y0), want):
+    for got, expected in zip((curve.i0, curve.s0n, curve.s1x), want, strict=True):
         assert np.array_equal(got, expected, equal_nan=True)
     assert curve.errors == want_errors
 
@@ -317,9 +319,11 @@ def assert_kernel_matches_reference(instance, rates):
 def edge_economies(b):
     """Overflow (of the firm's powers, of hours before the clamp, of the
     hours term in utility), log utility, L1 underflow, a tiny initial
-    capital, present or future output so large that income is NaN, and
+    capital, present or future output so large that income is NaN,
     present hours so many that aggregate consumption is inf while c0 is
-    finite (which the replaced code let through and solve_at_rate rejects)."""
+    finite (which the replaced code let through and solve_at_rate rejects),
+    and fields that are all finite while tb0 + s0n leaves the double range
+    (at r = 2.0 both are -1.108e308; the overflow rule must accept them)."""
     t = b.technology
     return {
         "steep": replace(b, technology=replace(t, alpha=0.99, delta=0.1)),
@@ -340,6 +344,9 @@ def edge_economies(b):
                                      demography=replace(b.demography, n1=1e10)),
         "inf_aggregate_consumption": replace(
             b, demography=replace(b.demography, n0=1e306)),
+        "finite_sum_overflow": replace(
+            b, technology=replace(t, a0=4.685e-43, a1=3.946e37),
+            demography=replace(b.demography, n0=2.736e267)),
     }
 
 
