@@ -2,8 +2,8 @@
 
 from .model import (Demography, DomainError, Equilibrium, Fiscal,
                     InfeasibleError, ModelInstance, Preferences, Technology,
-                    annualize_rate, capital_demand, lifetime_utility,
-                    solve_at_rate, solve_rates)
+                    annualize_rate, capital_demand, solve_at_rate,
+                    solve_rates)
 from .closure import (BracketError, ClosureDiagnostics, ClosureSpec,
                       ConvergenceError, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
@@ -15,8 +15,7 @@ from .reference import baseline_instance
 __all__ = [
     "Demography", "DomainError", "Equilibrium", "Fiscal", "InfeasibleError",
     "ModelInstance", "Preferences", "Technology",
-    "annualize_rate", "capital_demand", "lifetime_utility", "solve_at_rate",
-    "solve_rates",
+    "annualize_rate", "capital_demand", "solve_at_rate", "solve_rates",
     "BracketError", "ClosureDiagnostics", "ClosureSpec", "ConvergenceError",
     "calibrated_labor_weight", "resolve_rate", "welfare_stationarity_check",
     "ReferenceRow", "Scenario", "apply_scenario", "paper_suite",

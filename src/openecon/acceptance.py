@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
@@ -17,11 +17,15 @@ from .closure import (ClosureSpec, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
 from .model import (Demography, Fiscal, ModelInstance, Preferences,
                     Technology, _euler_factor, annualize_rate, capital_demand,
-                    lifetime_utility, solve_at_rate, solve_rates)
+                    solve_at_rate, solve_rates)
 from .reference import baseline_instance
-from .scenarios import paper_suite, run_suite
+from .scenarios import paper_suite, run_suite, with_parameters
 
 CHECK_RATES = np.linspace(0.1, 1.0, 20)
+
+# What the criteria share, evaluated once per run_all: the paper suite's report
+# and run time, 100 sampled (instance, columns) pairs and their worst residuals.
+Shared = namedtuple("Shared", "report seconds sample residuals")
 
 
 @dataclass
@@ -61,26 +65,33 @@ def sample_instance(rng: np.random.Generator) -> ModelInstance:
     )
 
 
-def sample_feasible_instances(count: int, rates) -> list[ModelInstance]:
+def sample_feasible_instances(count: int, rates) -> list[tuple]:
     """The first `count` instances of a fixed draw that solve at every rate
-    in `rates`, among at most 10000 draws."""
+    in `rates`, among at most 10000 draws, each with its solve_rates columns."""
     rng = np.random.default_rng(20260824)
-    out: list[ModelInstance] = []
+    out: list[tuple] = []
     for _ in range(10000):
         if len(out) >= count:
             break
         instance = sample_instance(rng)
-        if not solve_rates(instance, rates)[1]:
-            out.append(instance)
+        columns, errors = solve_rates(instance, rates)
+        if not errors:
+            out.append((instance, columns))
     if len(out) < count:
         raise RuntimeError(f"only {len(out)} feasible instances in 10000 draws")
     return out
 
 
-def _criterion_1() -> CriterionResult:
+def _shared() -> Shared:
     start = time.perf_counter()
     report = run_suite(baseline_instance(), paper_suite())
-    elapsed = time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    sample = sample_feasible_instances(100, CHECK_RATES)
+    return Shared(report, seconds, sample, _worst_residuals(sample, CHECK_RATES))
+
+
+def _criterion_1(shared: Shared) -> CriterionResult:
+    report, elapsed = shared.report, shared.seconds
     cells = sum(len(r.deviations) for r in report.results)
     failed = [f"{r.name}:{key}" for r in report.results for key in r.failed_rows]
     base = next(r for r in report.results if r.name == "baseline").rows
@@ -98,8 +109,8 @@ def _criterion_1() -> CriterionResult:
         f"{cells} cells, {len(failed)} failures, {elapsed*1e3:.0f} ms")
 
 
-def _criterion_2() -> CriterionResult:
-    report = run_suite(baseline_instance(), paper_suite())
+def _criterion_2(shared: Shared) -> CriterionResult:
+    report = shared.report
     base = next(r for r in report.results if r.name == "baseline").rows
     gamma = next(r for r in report.results if r.name == "higher_gamma").rows
     production = ("y0", "y1", "l0", "i0", "w0", "w1", "r_year")
@@ -111,42 +122,40 @@ def _criterion_2() -> CriterionResult:
         f"production rows equal: {equal}, consumption rows differ: {differ}")
 
 
-@cache
-def _worst_residuals() -> tuple[float, float, float, float, float]:
-    """Worst Walras, saving-gap, Euler, labor and profit residuals over
-    100 random economies x CHECK_RATES; the labor FOC counts only where
-    the hours clamp does not bind."""
+def _worst_residuals(sample, rates) -> tuple[float, float, float, float, float]:
+    """Worst Walras, saving-gap, Euler, labor and profit residuals over the
+    (instance, columns) pairs of `sample`, solved at `rates`; the labor FOC
+    counts only where the hours clamp does not bind."""
     worst = [0.0] * 5
-    R = 1.0 + CHECK_RATES
-    for instance in sample_feasible_instances(100, CHECK_RATES):
+    R = 1.0 + rates
+    for instance, c in sample:
         p, t = instance.preferences, instance.technology
-        c, _ = solve_rates(instance, CHECK_RATES)
         free = ~c["l0_binding"]
         labor_lhs = np.float_power(c["l0"], p.theta) * c["w1"]
         labor_rhs = p.beta * R * c["w0"] * np.float_power(c["l1"], p.theta)
         gaps = (
             np.abs(c["tb0"] + c["tb1"] / R) * (1.0 / c["y0"]),
             np.abs(c["s0n"] + c["s1x"] - c["i0"]) * (1.0 / c["y0"]),
-            np.abs(c["c1"] / c["c0"] / _euler_factor(p, CHECK_RATES, np.float_power)
+            np.abs(c["c1"] / c["c0"] / _euler_factor(p, rates, np.float_power)
                    - 1.0),
             np.abs(labor_lhs[free] / labor_rhs[free] - 1.0),
-            np.abs(c["y1"] - c["w1"] * c["L1"] - (t.delta + CHECK_RATES) * c["k1"])
+            np.abs(c["y1"] - c["w1"] * c["L1"] - (t.delta + rates) * c["k1"])
             / c["y1"],
         )
         worst = [max(w, float(g.max(initial=0.0))) for w, g in zip(worst, gaps)]
     return tuple(worst)
 
 
-def _criterion_3() -> CriterionResult:
-    worst_walras, worst_saving = _worst_residuals()[:2]
+def _criterion_3(shared: Shared) -> CriterionResult:
+    worst_walras, worst_saving = shared.residuals[:2]
     passed = worst_walras <= 1e-9 and worst_saving <= 1e-9
     return CriterionResult(
         3, "budget identities on 100 random economies x 20 rates", passed,
         f"max |walras|/y0 = {worst_walras:.2e}, max |saving gap|/y0 = {worst_saving:.2e}")
 
 
-def _criterion_4() -> CriterionResult:
-    worst_euler, worst_labor, worst_profit = _worst_residuals()[2:]
+def _criterion_4(shared: Shared) -> CriterionResult:
+    worst_euler, worst_labor, worst_profit = shared.residuals[2:]
     passed = worst_euler <= 1e-12 and worst_labor <= 1e-10 and worst_profit <= 1e-10
     return CriterionResult(
         4, "first-order-condition residuals", passed,
@@ -173,12 +182,11 @@ def iterate_labor_supply(instance: ModelInstance, r: float, w1: float) -> float:
     return l0
 
 
-def _criterion_5() -> CriterionResult:
-    instances = sample_feasible_instances(100, [0.2, 0.8])
+def _criterion_5(shared: Shared) -> CriterionResult:
     rng = np.random.default_rng(7)
     worst_l0 = 0.0
     worst_w1 = 0.0
-    for instance in instances:
+    for instance, _ in shared.sample:
         t = instance.technology
         a = t.alpha
         r = rng.uniform(0.1, 1.0)
@@ -198,15 +206,14 @@ def _criterion_5() -> CriterionResult:
         f"hours {worst_l0:.2e}, future wage {worst_w1:.2e}")
 
 
-def _criterion_6() -> CriterionResult:
-    report = run_suite(baseline_instance(), paper_suite())
-    failed = [c.name for c in report.sign_checks if not c.passed]
+def _criterion_6(shared: Shared) -> CriterionResult:
+    failed = [c.name for c in shared.report.sign_checks if not c.passed]
     return CriterionResult(
         6, "directional comparative-statics checks", not failed,
-        f"{len(report.sign_checks)} checks, failures: {failed or 'none'}")
+        f"{len(shared.report.sign_checks)} checks, failures: {failed or 'none'}")
 
 
-def _criterion_7() -> CriterionResult:
+def _criterion_7(shared: Shared) -> CriterionResult:
     r16 = annualize_rate(0.4821, 16)
     rho16 = annualize_rate(0.5, 16)
     passed = round(r16, 4) == 0.0249 and round(rho16, 3) == 0.026
@@ -215,7 +222,7 @@ def _criterion_7() -> CriterionResult:
         f"(0.4821, 16y) -> {r16:.5f}; (0.5, 16y) -> {rho16:.5f}")
 
 
-def _criterion_8() -> CriterionResult:
+def _criterion_8(shared: Shared) -> CriterionResult:
     # Known-red: (alpha/(delta+r))^(1/(1-alpha)) is hump-shaped in alpha with
     # a peak near 0.4615 at delta+r = 1.4821, so strict decrease over the
     # whole [0.3, 0.7] range cannot hold.  Kept as stated; see README.
@@ -235,7 +242,7 @@ def _criterion_8() -> CriterionResult:
            else f"rises on {len(rising)} segments (first at share {rising[0]:.2f})"))
 
 
-def _criterion_9() -> CriterionResult:
+def _criterion_9(shared: Shared) -> CriterionResult:
     base = baseline_instance()
     spec = ClosureSpec(kind="balanced_trade", bracket=(0.4821, 2.0),
                        tolerance=1e-10)
@@ -247,8 +254,7 @@ def _criterion_9() -> CriterionResult:
     res_base = welfare_stationarity_check(base, 0.4821)
     # scale against utility under the calibrated labor weight
     phi = calibrated_labor_weight(base, r_star)
-    prefs = replace(base.preferences, phi=phi)
-    u_cal = abs(lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1, prefs))
+    u_cal = abs(solve_at_rate(with_parameters(base, {"phi": phi}), r_star).welfare)
     stationary_ok = abs(res_star) <= 1e-3 * u_cal
     borrowing_ok = res_base < 0.0
     passed = balances_ok and stationary_ok and borrowing_ok
@@ -258,13 +264,13 @@ def _criterion_9() -> CriterionResult:
         f"dU/dr at r* = {res_star:.2e}, at 0.4821 = {res_base:.2e}")
 
 
-def _criterion_10() -> CriterionResult:
+def _criterion_10(shared: Shared) -> CriterionResult:
     # The rate is a free input: distinct rates all yield internally
     # consistent equilibria; no selection rule is built into the core.
     rates = np.array([0.2, 0.4821, 0.75, 1.1, 1.8])
-    c, errors = solve_rates(baseline_instance(), rates)
-    ok = not errors and bool(np.all(
-        np.abs(c["tb0"] + c["tb1"] / (1.0 + rates)) <= 1e-9 * c["y0"]))
+    base = baseline_instance()
+    c, errors = solve_rates(base, rates)
+    ok = not errors and _worst_residuals([(base, c)], rates)[0] <= 1e-9
     return CriterionResult(
         10, "rate selection stays a free input (documented degree of freedom)",
         ok, "5 distinct rates all internally consistent")
@@ -277,9 +283,10 @@ CRITERIA = [_criterion_1, _criterion_2, _criterion_3, _criterion_4,
 
 def run_all(emit=print) -> list[CriterionResult]:
     """Run every criterion, emit one line each, return the results."""
+    shared = _shared()
     results = []
     for fn in CRITERIA:
-        result = fn()
+        result = fn(shared)
         results.append(result)
         emit(result.line())
     return results

@@ -207,21 +207,17 @@ def cmd_table(args, out, err) -> int:
                 for key in ROW_KEYS]
         out.write(configio.to_csv([header] + body))
 
-    failed = False
     for result in report.results:
         if result.error:
             err.write(f"{result.name}: error: {result.error}\n")
-            failed = True
         for key in result.failed_rows:
             err.write(f"{result.name}: row {ROW_LABELS[key]} deviates by "
                       f"{result.deviations[key]:.3g} "
                       f"(tolerance {result.reference.tolerance:g})\n")
-            failed = True
     for check in report.sign_checks:
         if not check.passed:
             err.write(f"sign check failed: {check.name}: {check.detail}\n")
-            failed = True
-    return 1 if failed else 0
+    return 0 if report.passed else 1
 
 
 def cmd_sweep(args, out, err) -> int:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .model import (DomainError, ModelInstance, lifetime_utility,
-                    solve_at_rate, solve_rates)
+from .model import DomainError, ModelInstance, solve_at_rate, solve_rates
 
 DEFAULT_BRACKET = (0.01, 2.0)
 
@@ -204,10 +203,6 @@ def welfare_stationarity_check(instance: ModelInstance, r_star: float,
     if h <= 0 or h >= r_star + 1.0:
         raise DomainError("step h must be positive and small relative to r_star")
     phi = calibrated_labor_weight(instance, r_star)
-    prefs_cal = replace(instance.preferences, phi=phi)
-
-    def u_at(r):
-        eq = solve_at_rate(instance, r)
-        return lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1, prefs_cal)
-
-    return (u_at(r_star + h) - u_at(r_star - h)) / (2.0 * h)
+    calibrated = replace(instance, preferences=replace(instance.preferences, phi=phi))
+    return (solve_at_rate(calibrated, r_star + h).welfare
+            - solve_at_rate(calibrated, r_star - h).welfare) / (2.0 * h)

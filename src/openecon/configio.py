@@ -5,7 +5,8 @@ scenarios.PARAMETERS, written with its calibration-table spelling and read
 with any spelling canonical_parameter accepts.  Scenario files group lines
 under `[name]` headers; inside a section, `set.<param> = v` overrides a
 parameter, `perturb.<param> = f` scales it, and either `rate = r` or a
-`closure = kind` block selects the rate.
+`closure = kind` block selects the rate.  A parameter, key or section
+given twice is an error naming both lines.
 
 Numeric output is deterministic: JSON carries 15 significant digits, CSV
 carries 6.  Float columns such as schedule points reach to_json as a Records
@@ -20,7 +21,7 @@ import math
 from itertools import chain
 
 from .closure import ClosureSpec
-from .model import ModelInstance
+from .model import DomainError, ModelInstance
 from .scenarios import (PARAMETERS, Scenario, canonical_parameter,
                         parameter_value, with_parameters)
 from .reference import baseline_instance
@@ -64,20 +65,37 @@ def _as_int(lineno: int, key: str, value: str) -> int:
         raise ParseError(f"line {lineno}: {key} = {value!r} is not an integer") from None
 
 
-def parse_instance(text: str) -> ModelInstance:
-    """Build an instance from flat key-value text; unknown keys are errors.
+def _once(seen: dict[str, int], name: str, lineno: int, what: str) -> None:
+    """Record `name` as given on `lineno`; a second time names both lines."""
+    if name in seen:
+        raise ParseError(f"line {lineno}: {what} {name!r} repeats line {seen[name]}")
+    seen[name] = lineno
 
-    Keys omitted from the file keep their embedded-baseline values.
-    """
+
+def parse_instance(text: str) -> ModelInstance:
+    """Build an instance from flat key-value text; unknown or repeated keys
+    are errors, and a rejected value names its line.  Keys omitted from the
+    file keep their embedded-baseline values."""
     values: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for lineno, line in _parse_lines(text):
         key, value = _split_kv(lineno, line)
         try:
             path = canonical_parameter(key)
         except KeyError:
             raise ParseError(f"line {lineno}: unknown parameter {key!r}") from None
+        _once(lines, path, lineno, "parameter")
         values[path] = _as_float(lineno, key, value)
-    return with_parameters(baseline_instance(), values)
+    try:
+        return with_parameters(baseline_instance(), values)
+    except DomainError:
+        # Every range check reads one field: the first line at fault fails alone.
+        for path, value in values.items():
+            try:
+                with_parameters(baseline_instance(), {path: value})
+            except DomainError as exc:
+                raise DomainError(f"line {lines[path]}: {exc}") from None
+        raise
 
 
 def format_instance(instance: ModelInstance) -> str:
@@ -134,20 +152,25 @@ def parse_scenarios(text: str) -> list[Scenario]:
     """Parse a scenario file into Scenario objects, preserving order."""
     sections: list[tuple[int, str, dict[str, tuple[int, str, str]]]] = []
     current: dict[str, tuple[int, str, str]] | None = None
+    names: dict[str, int] = {}
     for lineno, line in _parse_lines(text):
         if line.startswith("[") and line.endswith("]"):
-            current = {}
-            sections.append((lineno, line[1:-1].strip(), current))
+            name = line[1:-1].strip()
+            _once(names, name, lineno, "section")
+            current, keys = {}, {}
+            sections.append((lineno, name, current))
             continue
         key, value = _split_kv(lineno, line)
         if current is None:
             raise ParseError(f"line {lineno}: scenario entry before any [name] header")
+        _once(keys, key, lineno, "key")
         current[key] = lineno, key, value
 
     scenarios = []
     for header, name, entries in sections:
         overrides: dict[str, float] = {}
         perturbations: dict[str, float] = {}
+        params: dict[str, int] = {}
         rate = None
         closure = None
         for key, (lineno, _, value) in entries.items():
@@ -155,11 +178,11 @@ def parse_scenarios(text: str) -> list[Scenario]:
                 rate = _as_float(lineno, key, value)
                 if not math.isfinite(rate):
                     raise ParseError(f"line {lineno}: rate must be finite")
-            elif key.startswith("set."):
-                overrides[_scenario_param(lineno, key[4:])] = \
-                    _as_float(lineno, key, value)
-            elif key.startswith("perturb."):
-                perturbations[_scenario_param(lineno, key[8:])] = \
+            elif key.startswith(("set.", "perturb.")):
+                prefix, param = key.split(".", 1)
+                path = _scenario_param(lineno, param)
+                _once(params, f"{prefix}.{path}", lineno, "key")
+                (overrides if prefix == "set" else perturbations)[path] = \
                     _as_float(lineno, key, value)
             elif key not in _CLOSURE_KEYS:
                 raise ParseError(f"line {lineno}: unknown scenario key {key!r}")

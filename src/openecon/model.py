@@ -309,24 +309,14 @@ def annualize_rate(per_period: float, years: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _period_utility(c, l, prefs: Preferences, ops: _Ops):
+    """u(c, l) = c^(1-gamma)/(1-gamma) - phi * l^(1+theta)/(1+theta), with
+    log(c) at gamma = 1.  The power term differs from the normalized CRRA form
+    by the constant 1/(1-gamma), so utility *differences* are continuous in
+    gamma at 1, while levels diverge with the constant."""
     ops.reject(c <= 0, DomainError, "consumption must be positive")
     uc = (ops.log(c) if prefs.gamma == 1.0
           else ops.power(c, 1.0 - prefs.gamma) / (1.0 - prefs.gamma))
     return uc - prefs.phi * ops.power(l, 1.0 + prefs.theta) / (1.0 + prefs.theta)
-
-
-def lifetime_utility(c0: float, l0: float, c1: float, l1: float,
-                     prefs: Preferences) -> float:
-    """U = u(c0, l0) + beta * u(c1, l1), with separable period utility u: a
-    power function of c minus phi * l^(1+theta)/(1+theta).
-
-    At gamma = 1 the consumption term is log(c).  Away from 1 the term is
-    c^(1-gamma)/(1-gamma), which differs from the normalized CRRA form by
-    the constant 1/(1-gamma); utility *differences* are therefore continuous
-    in gamma at 1, while levels diverge with the constant.
-    """
-    return (_period_utility(c0, l0, prefs, _FLOATS)
-            + prefs.beta * _period_utility(c1, l1, prefs, _FLOATS))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ above it.  The criterion_8 case therefore asserts the red verdict, that
 the reported rising segments are exactly those the analysis predicts, and
 that capital demand rises below alpha* and falls above it; see README.
 
-Criteria 3 and 4 read one cached evaluation of the sampled economies over
-CHECK_RATES.  The per-point loops it replaced are kept below as references,
-and the cached values must equal theirs exactly.
+run_all evaluates what the criteria share once per call, with no cache:
+one paper-suite report, one sample of economies with their columns over
+CHECK_RATES, and the five worst residuals over that sample.  The per-point
+loops this replaced are kept below as references, and the shared values
+must equal theirs exactly.
 """
 
 import math
@@ -23,11 +25,14 @@ import numpy as np
 import pytest
 
 from openecon import (ClosureSpec, InfeasibleError, baseline_instance,
-                      lifetime_utility, resolve_rate, solve_at_rate)
-from openecon.acceptance import (CHECK_RATES, CRITERIA, _worst_residuals,
+                      resolve_rate, solve_at_rate)
+from openecon import acceptance
+from openecon.acceptance import (CHECK_RATES, CRITERIA, _shared,
+                                 _worst_residuals, run_all,
                                  sample_feasible_instances, sample_instance)
 from openecon.closure import calibrated_labor_weight
 from openecon.model import capital_demand
+from reference_model import lifetime_utility
 
 # Criterion 8 as stated: 41 capital shares on [0.3, 0.7] at the baseline rate.
 SHARE_GRID = np.linspace(0.3, 0.7, 41)
@@ -79,11 +84,16 @@ def check_criterion_8_red(result):
     assert all(k1(b) < k1(a) for a, b in above)
 
 
+@pytest.fixture(scope="module")
+def shared():
+    return _shared()
+
+
 @pytest.mark.parametrize("number, criterion", enumerate(CRITERIA, 1),
                          ids=[f"criterion_{i}" for i in
                               range(1, len(CRITERIA) + 1)])
-def test_criterion(number, criterion, capsys):
-    result = criterion()
+def test_criterion(number, criterion, shared, capsys):
+    result = criterion(shared)
     with capsys.disabled():
         print(result.line())
     if number == 8:
@@ -160,15 +170,43 @@ def reference_worst_residuals():
     return worst_walras, worst_saving, worst_euler, worst_labor, worst_profit
 
 
-def test_worst_residuals_match_per_point_loops():
-    assert _worst_residuals() == reference_worst_residuals()
+def test_worst_residuals_match_per_point_loops(shared):
+    want = reference_worst_residuals()
+    assert _worst_residuals(shared.sample, CHECK_RATES) == want
+    assert shared.residuals == want
 
 
 @pytest.mark.parametrize("count, rates, rejected", [
     (100, CHECK_RATES, False),
+    (100, [0.2, 0.8], False),    # criterion 5's former sample: the same draws
     (30, [-0.45, 0.5], True),    # income turns negative for some draws
-], ids=["check_rates", "rejecting_rates"])
+], ids=["check_rates", "two_rates", "rejecting_rates"])
 def test_sample_matches_per_point_loop(count, rates, rejected):
     want, draws = reference_sample(count, rates)
     assert (draws > count) is rejected
-    assert sample_feasible_instances(count, rates) == want
+    assert [instance for instance, _ in
+            sample_feasible_instances(count, rates)] == want
+
+
+def test_run_all_evaluates_shared_work_once_per_call(monkeypatch):
+    """Each run_all, the first in a process or a repeat, runs the paper
+    suite once, samples the economies once and makes one solve_rates call
+    per sampled economy, plus criterion 10's."""
+    names = ("run_suite", "sample_feasible_instances", "solve_rates")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(acceptance, name,
+                            counted(name, getattr(acceptance, name)))
+    for _ in range(2):
+        calls.update(dict.fromkeys(names, 0))
+        results = run_all(emit=lambda line: None)
+        assert [r.number for r in results if not r.passed] == [8]
+        assert calls == {"run_suite": 1, "sample_feasible_instances": 1,
+                         "solve_rates": 101}

@@ -95,6 +95,21 @@ class TestSolve:
             assert (code, out) == (2, ""), value
             assert err.startswith("error:")
 
+    def test_rejected_value_names_its_line(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text("A1 = 1.1\nK0 = inf\n")
+        code, out, err = run(["solve", "--rate", "0.5",
+                              "--instance-file", str(path)])
+        assert (code, out, err) == (2, "", "error: line 2: k0 must be finite\n")
+
+    def test_parameter_given_twice_exits_2(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text("A1 = 1.1\na1 = 1.2\n")
+        code, out, err = run(["solve", "--rate", "0.5",
+                              "--instance-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: parameter 'a1' repeats line 1\n"
+
     @pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"],
                                         ["--bracket", "0.01,inf"]])
     def test_non_finite_closure_input_exits_2(self, option):
@@ -154,6 +169,12 @@ class TestTable:
         code, out, _ = run(["table", "--scenario-file", str(path)])
         assert code == 0
         assert out.splitlines()[0] == "row,only"
+
+    def test_section_given_twice_exits_2(self, tmp_path):
+        path = tmp_path / "scen.txt"
+        path.write_text("[a]\nrate = 0.4821\n[a]\nrate = 0.5\n")
+        code, out, err = run(["table", "--scenario-file", str(path)])
+        assert (code, out, err) == (2, "", "error: line 3: section 'a' repeats line 1\n")
 
     def test_failed_scenario_json_is_strict(self, tmp_path):
         """A scenario that fails has no rate: null, not json's NaN."""

@@ -75,6 +75,29 @@ class TestInstanceRoundTrip:
         with pytest.raises(ParseError):
             parse_instance("gamma = lots\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("A1 = 1.2\nalpha = 0.5\na1 = 1.3\n",
+         "line 3: parameter 'a1' repeats line 1"),
+        ("K0 = 1\n# again\nK0 = 1\n", "line 3: parameter 'k0' repeats line 1"),
+        ("tax0 = 1\n t0 = 2\n", "line 2: parameter 't0' repeats line 1"),
+    ])
+    def test_parameter_given_twice_errors(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("A1 = 1.2\nK0 = inf\n", "line 2: k0 must be finite"),
+        ("A1 = 1.2\nK0 = inf\nalpha = 2\n", "line 2: k0 must be finite"),
+        ("alpha = 2\nK0 = -1\n", "line 1: alpha must lie in (0, 1)"),
+        ("# calibration\nN0 = 1\n\nl1_max = 0\n",
+         "line 4: household counts and time endowments must be positive"),
+    ])
+    def test_rejected_value_names_first_line_at_fault(self, text, message):
+        with pytest.raises(DomainError) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+
 
 class TestScenarioFiles:
     def test_basic_sections(self):
@@ -123,6 +146,27 @@ class TestScenarioFiles:
     def test_section_missing_rate_and_closure(self):
         with pytest.raises(ParseError):
             parse_scenarios("[x]\nperturb.gamma = 1.1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[x]\nrate = 0.5\nrate = 0.6\n", "line 3: key 'rate' repeats line 2"),
+        ("[x]\nclosure = balanced_trade\nbracket = 0.1, 1\nbracket = 0.2, 1\n",
+         "line 4: key 'bracket' repeats line 3"),
+        ("[x]\nrate = 0.5\nset.A1 = 2\nset.a1 = 3\n",
+         "line 4: key 'set.a1' repeats line 3"),
+        ("[x]\nrate = 0.5\nperturb.tax0 = 2\nperturb. T0 = 3\n",
+         "line 4: key 'perturb.t0' repeats line 3"),
+        ("[x]\nrate = 0.5\n[y]\nrate = 0.4\n[ x ]\nrate = 0.3\n",
+         "line 5: section 'x' repeats line 1"),
+    ])
+    def test_name_given_twice_errors(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_scenarios(text)
+        assert str(info.value) == message
+
+    def test_same_key_in_two_sections(self):
+        scenarios = parse_scenarios("[x]\nrate = 0.5\nset.A1 = 2\n"
+                                    "[y]\nrate = 0.5\nset.A1 = 3\n")
+        assert [s.overrides for s in scenarios] == [{"a1": 2.0}, {"a1": 3.0}]
 
 
 class TestNumericEmission:

@@ -1,7 +1,7 @@
 """Unit tests for the core model operations against frozen expected values.
 
-The classes for output, wages, hours, the Euler factor, Q, future taxes and
-dividends pin the test oracle in reference_model; TestSolveAtRate pins the
+The classes for output, wages, hours, the Euler factor, Q, future taxes,
+dividends and welfare pin the test oracle in reference_model; TestSolveAtRate pins the
 same values on the kernel's Equilibrium fields.
 """
 
@@ -13,11 +13,11 @@ import pytest
 
 from openecon import (Demography, DomainError, Fiscal, ModelInstance,
                       Preferences, Technology, annualize_rate, capital_demand,
-                      lifetime_utility, solve_at_rate)
+                      solve_at_rate)
 from openecon.closure import ClosureSpec, resolve_rate
 from reference_model import (dividends, euler_growth, future_wage,
-                             government_t1, labor_supply_present, output,
-                             q_factor, wage_mpl)
+                             government_t1, labor_supply_present,
+                             lifetime_utility, output, q_factor, wage_mpl)
 
 BASE_TECH = Technology(alpha=0.5, delta=1.0, a0=1.0, a1=1.0)
 BASE_PREFS = Preferences(gamma=1.2, theta=9.0, rho=0.5)
