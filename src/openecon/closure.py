@@ -6,7 +6,8 @@ diagnostics.  `fixed` passes a rate through untouched; `balanced_trade` and
 `trade_share_target` find a root of the present trade balance by ITP
 (interpolate, truncate, project), one scalar solve per step; `welfare_sweep`
 evaluates its whole grid in one model.solve_rates call and picks the highest
-lifetime utility.  Only that branch loads numpy.
+lifetime utility.  Only that branch loads numpy.  The scalar solves here
+read the kernel's values by field index and build no Equilibrium record.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .model import DomainError, ModelInstance, solve_at_rate, solve_rates
+from .model import (_FIELDS, DomainError, ModelInstance, _values_at_rate,
+                    solve_rates)
 
 DEFAULT_BRACKET = (0.01, 2.0)
+_Y0, _L0, _W0, _C0, _TB0, _WELFARE = map(
+    _FIELDS.index, ("y0", "l0", "w0", "c0", "tb0", "welfare"))
 
 
 class BracketError(ValueError):
@@ -144,16 +148,16 @@ def resolve_rate(instance: ModelInstance,
 
     if spec.kind == "balanced_trade":
         def objective(r):
-            eq = solve_at_rate(instance, r)
-            return eq.tb0, abs(eq.tb0) <= spec.tolerance * eq.y0
+            values = _values_at_rate(instance, r)
+            return values[_TB0], abs(values[_TB0]) <= spec.tolerance * values[_Y0]
 
         r_star = _find_root(objective, lo, hi, spec.max_iterations, diag)
         return r_star, diag
 
     if spec.kind == "trade_share_target":
         def objective(r):
-            eq = solve_at_rate(instance, r)
-            f = eq.tb0 / eq.y0 - spec.target_share
+            values = _values_at_rate(instance, r)
+            f = values[_TB0] / values[_Y0] - spec.target_share
             return f, abs(f) <= spec.tolerance
 
         r_star = _find_root(objective, lo, hi, spec.max_iterations, diag)
@@ -168,7 +172,7 @@ def resolve_rate(instance: ModelInstance,
     rates = sorted(spec.grid)
     columns, errors = solve_rates(instance, rates)
     if errors:
-        solve_at_rate(instance, rates[errors[0][0]])
+        _values_at_rate(instance, rates[errors[0][0]])
     welfare = columns["welfare"]
     best = int(welfare.argmax())           # the first of equal maxima
     diag.evaluations = len(rates)
@@ -186,8 +190,8 @@ def calibrated_labor_weight(instance: ModelInstance, r: float) -> float:
     phi * l0^theta = c0^(-gamma) * w0 holds at the equilibrium for r.
     """
     p = instance.preferences
-    eq = solve_at_rate(instance, r)
-    return eq.c0 ** (-p.gamma) * eq.w0 / eq.l0 ** p.theta
+    values = _values_at_rate(instance, r)
+    return values[_C0] ** (-p.gamma) * values[_W0] / values[_L0] ** p.theta
 
 
 def welfare_stationarity_check(instance: ModelInstance, r_star: float,
@@ -204,5 +208,5 @@ def welfare_stationarity_check(instance: ModelInstance, r_star: float,
         raise DomainError("step h must be positive and small relative to r_star")
     phi = calibrated_labor_weight(instance, r_star)
     calibrated = replace(instance, preferences=replace(instance.preferences, phi=phi))
-    return (solve_at_rate(calibrated, r_star + h).welfare
-            - solve_at_rate(calibrated, r_star - h).welfare) / (2.0 * h)
+    return (_values_at_rate(calibrated, r_star + h)[_WELFARE]
+            - _values_at_rate(calibrated, r_star - h)[_WELFARE]) / (2.0 * h)

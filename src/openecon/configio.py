@@ -91,11 +91,16 @@ def parse_instance(text: str) -> ModelInstance:
     except DomainError:
         # Every range check reads one field: the first line at fault fails alone.
         for path, value in values.items():
-            try:
-                with_parameters(baseline_instance(), {path: value})
-            except DomainError as exc:
-                raise DomainError(f"line {lines[path]}: {exc}") from None
+            _check_alone(lines[path], path, value)
         raise
+
+
+def _check_alone(lineno: int, path: str, value: float) -> None:
+    """Apply one value alone to the baseline; a rejection names its line."""
+    try:
+        with_parameters(baseline_instance(), {path: value})
+    except DomainError as exc:
+        raise DomainError(f"line {lineno}: {exc}") from None
 
 
 def format_instance(instance: ModelInstance) -> str:
@@ -149,7 +154,9 @@ def _build_closure(entries: dict[str, tuple[int, str, str]],
 
 
 def parse_scenarios(text: str) -> list[Scenario]:
-    """Parse a scenario file into Scenario objects, preserving order."""
+    """Parse a scenario file into Scenario objects, preserving order.  A
+    `set.` value the baseline rejects alone raises DomainError naming its
+    line; a `perturb.` factor depends on its base, so run_suite checks it."""
     sections: list[tuple[int, str, dict[str, tuple[int, str, str]]]] = []
     current: dict[str, tuple[int, str, str]] | None = None
     names: dict[str, int] = {}
@@ -182,8 +189,10 @@ def parse_scenarios(text: str) -> list[Scenario]:
                 prefix, param = key.split(".", 1)
                 path = _scenario_param(lineno, param)
                 _once(params, f"{prefix}.{path}", lineno, "key")
-                (overrides if prefix == "set" else perturbations)[path] = \
-                    _as_float(lineno, key, value)
+                number = _as_float(lineno, key, value)
+                if prefix == "set":
+                    _check_alone(lineno, path, number)
+                (overrides if prefix == "set" else perturbations)[path] = number
             elif key not in _CLOSURE_KEYS:
                 raise ParseError(f"line {lineno}: unknown scenario key {key!r}")
         if "closure" in entries:

@@ -21,8 +21,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:          # annotations only; array code imports numpy itself
     import numpy as np
 
-# Admissibility floor for the gross return delta + r.
+# Admissibility floor for the gross return delta + r, and the rule's message.
 MIN_GROSS_RETURN = 1e-9
+_RATE_RULE = "inadmissible rate r={} (need r > -1 and delta + r > 0)"
 
 _OUTPUT_INPUTS = "output requires positive capital, efficiency and hours"
 
@@ -191,7 +192,7 @@ class Equilibrium:
 _FIELDS = tuple(Equilibrium.__dataclass_fields__)
 
 
-def _equilibrium(*values) -> Equilibrium:
+def _equilibrium(values: tuple) -> Equilibrium:
     """An Equilibrium of `values` in field order, built without the frozen
     __init__, which sets the 29 fields one object.__setattr__ at a time."""
     eq = object.__new__(Equilibrium)
@@ -208,7 +209,8 @@ def _equilibrium(*values) -> Equilibrium:
 # **; numpy's own ** on arrays is off by an ulp on some values).  log:
 # math.log, or a ufunc calling it.  clamp: (hours, cap) -> (capped hours,
 # whether the cap binds).  reject(failed, error, message, *args): raise, or
-# take the failed points out of the array's mask of vouched points.
+# take the failed points out of the array's mask of vouched points.  The
+# kernel skips the call where `failed` is the plain False: a passing float.
 _Ops = namedtuple("_Ops", "power log clamp reject")
 
 
@@ -224,11 +226,11 @@ def _reject(failed, error: type, message: str, *args) -> None:
 _FLOATS = _Ops(operator.pow, math.log, _clamp, _reject)
 
 
-def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray]:
-    """Ops over rate arrays of `shape`, and their mask of vouched points.
-    Callers replay the points that are not vouched."""
+def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray, list]:
+    """Ops over rate arrays of `shape`, their mask of vouched points, and
+    each check's failed points in the kernel's order (the rate check first)."""
     import numpy as np
-    vouched = np.ones(shape, dtype=bool)
+    vouched, failures = np.ones(shape, dtype=bool), []
 
     def log(c):
         libm_log = np.frompyfunc(math.log, 1, 1)
@@ -241,8 +243,9 @@ def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray]:
 
     def reject(failed, error, message, *args):
         vouched[failed] = False
+        failures.append(failed)
 
-    return _Ops(np.float_power, log, clamp, reject), vouched
+    return _Ops(np.float_power, log, clamp, reject), vouched, failures
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +254,9 @@ def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray]:
 
 def _check_rate(tech: Technology, r, reject) -> None:
     """check_rate's test on a float or a rate array, through `reject`."""
-    reject((r <= -1.0) | (tech.delta + r <= MIN_GROSS_RETURN) | (r != r),
-           DomainError, "inadmissible rate r={} (need r > -1 and delta + r > 0)", r)
+    bad = (r <= -1.0) | (tech.delta + r <= MIN_GROSS_RETURN) | (r != r)
+    if bad is not False:
+        reject(bad, DomainError, _RATE_RULE, r)
 
 
 def check_rate(tech: Technology, r: float) -> None:
@@ -313,7 +317,8 @@ def _period_utility(c, l, prefs: Preferences, ops: _Ops):
     log(c) at gamma = 1.  The power term differs from the normalized CRRA form
     by the constant 1/(1-gamma), so utility *differences* are continuous in
     gamma at 1, while levels diverge with the constant."""
-    ops.reject(c <= 0, DomainError, "consumption must be positive")
+    if (bad := c <= 0) is not False:
+        ops.reject(bad, DomainError, "consumption must be positive")
     uc = (ops.log(c) if prefs.gamma == 1.0
           else ops.power(c, 1.0 - prefs.gamma) / (1.0 - prefs.gamma))
     return uc - prefs.phi * ops.power(l, 1.0 + prefs.theta) / (1.0 + prefs.theta)
@@ -323,7 +328,7 @@ def _period_utility(c, l, prefs: Preferences, ops: _Ops):
 # Full solve
 # ---------------------------------------------------------------------------
 
-def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
+def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     """The complete equation system at r, a float or an array of rates.
 
     The future labor market is exogenous (l1 = l1_max), the firm picks
@@ -331,8 +336,8 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
     income across the two periods, and the trade balances absorb the rest.
     Each check runs before the operation it guards, in the float path's
     order.  Over an array, fields that do not vary with r stay floats.
-    The record is built by _equilibrium; public construction keeps the
-    dataclass's generated __init__.
+    Returns the 29 values in Equilibrium field order; only solve_at_rate
+    builds the record, through _equilibrium.
     """
     p, t, d, f = (instance.preferences, instance.technology,
                   instance.demography, instance.fiscal)
@@ -344,15 +349,19 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
     l1 = d.l1_max
     L1 = d.n1 * l1
     w1 = (1.0 - a) * t.a1 * power(a / (t.delta + r), a / (1.0 - a))
-    reject(L1 <= 0, DomainError, "aggregate future hours L1 must be positive")
+    if (bad := L1 <= 0) is not False:
+        reject(bad, DomainError, "aggregate future hours L1 must be positive")
     k1 = _capital_demand(t, L1, r, power)
-    reject(k1 <= 0, DomainError, _OUTPUT_INPUTS)
+    if (bad := k1 <= 0) is not False:
+        reject(bad, DomainError, _OUTPUT_INPUTS)
     y1 = power(k1, a) * power(t.a1 * L1, 1.0 - a)
 
-    reject(w1 <= 0, DomainError, "future wage must be positive")
+    if (bad := w1 <= 0) is not False:
+        reject(bad, DomainError, "future wage must be positive")
     l0, binding = ops.clamp(_present_hours(instance, r, w1, power), d.l0_max)
     L0 = d.n0 * l0
-    reject(L0 <= 0, DomainError, _OUTPUT_INPUTS)
+    if (bad := L0 <= 0) is not False:
+        reject(bad, DomainError, _OUTPUT_INPUTS)
     y0 = power(instance.k0, a) * power(t.a0 * L0, 1.0 - a)
     w0 = (1.0 - a) * y0 / L0
 
@@ -364,8 +373,9 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
     tax1 = T1 / d.n1
 
     income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
-    reject(income <= 0, InfeasibleError,
-           "present-value income per household is {} at r={}", income, r)
+    if (bad := income <= 0) is not False:
+        reject(bad, InfeasibleError,
+               "present-value income per household is {} at r={}", income, r)
     growth = _euler_factor(p, r, power)
     q = 1.0 + growth / R
     c0 = income / q
@@ -384,27 +394,31 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> Equilibrium:
     # exactly when some field is not finite, however large the fields are.
     total = (0.0 * c0 + 0.0 * c1 + 0.0 * C1 + 0.0 * tb0 + 0.0 * s0n
              + 0.0 * s1x + 0.0 * welfare)
-    reject(total != 0, DomainError, "numerical overflow at r={}", r)
+    if (bad := total != 0) is not False:
+        reject(bad, DomainError, "numerical overflow at r={}", r)
 
-    return _equilibrium(
-        r, y0, y1, instance.k0, k1, L0, L1, l0, l1, w0, w1, c0, c1, C0, C1,
-        x0, x1, tax0, tax1, f.t0, T1, tb0, tb1, i0, q, s0n, s1x, welfare,
-        binding)
+    return (r, y0, y1, instance.k0, k1, L0, L1, l0, l1, w0, w1, c0, c1, C0,
+            C1, x0, x1, tax0, tax1, f.t0, T1, tb0, tb1, i0, q, s0n, s1x,
+            welfare, binding)
+
+
+def _values_at_rate(instance: ModelInstance, r: float) -> tuple:
+    """solve_at_rate's values, without the record.  r becomes a Python float
+    first: its ** raises on overflow, where a numpy scalar's returns inf."""
+    r = float(r)
+    try:
+        return _system(instance, r, _FLOATS)
+    except OverflowError:      # where Python's float ** exceeds the double range
+        raise DomainError(f"numerical overflow at r={r}") from None
 
 
 def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
     """Evaluate the complete equation system at the rate r.
 
     Raises DomainError for an inadmissible rate or a value out of floating
-    range, InfeasibleError for non-positive present-value income.  r is
-    converted to a Python float first: its ** raises on overflow, where a
-    numpy scalar's returns inf.
+    range, InfeasibleError for non-positive present-value income.
     """
-    r = float(r)
-    try:
-        return _system(instance, r, _FLOATS)
-    except OverflowError:      # where Python's float ** exceeds the double range
-        raise DomainError(f"numerical overflow at r={r}") from None
+    return _equilibrium(_values_at_rate(instance, r))
 
 
 def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
@@ -414,26 +428,30 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
     columns maps each Equilibrium field to an array over the rates, with
     values bit-identical to solve_at_rate(instance, rates[j]).  errors lists
     (j, message) for each rate where that call raises DomainError or
-    InfeasibleError; those points are NaN (False in l0_binding).  Points the
-    array pass cannot vouch for are replayed through solve_at_rate.
+    InfeasibleError; those points are NaN (False in l0_binding).  Rates the
+    rate check rejects take its message here; other points the array pass
+    cannot vouch for are replayed through the float path.
     """
     import numpy as np
     r = np.array(rates, dtype=float)
-    ops, vouched = _array_ops(r.shape)
+    ops, vouched, failures = _array_ops(r.shape)
     with np.errstate(all="ignore"):
-        eq = _system(instance, r, ops)
+        values = _system(instance, r, ops)
         columns = {k: v if isinstance(v, np.ndarray) else np.full_like(r, v)
-                   for k, v in vars(eq).items()}
+                   for k, v in zip(_FIELDS, values)}
         flagged = np.flatnonzero(~vouched)
         for column in columns.values():
             column[flagged] = False if column.dtype == bool else np.nan
-        errors = []
+        errors, inadmissible = [], failures[0]
         for j in flagged:
+            if inadmissible[j]:
+                errors.append((int(j), _RATE_RULE.format(float(rates[j]))))
+                continue
             try:
-                eq = solve_at_rate(instance, rates[j])
+                values = _values_at_rate(instance, rates[j])
             except (DomainError, InfeasibleError) as exc:
                 errors.append((int(j), str(exc)))
                 continue
-            for name, column in columns.items():
-                column[j] = getattr(eq, name)
+            for column, value in zip(columns.values(), values):
+                column[j] = value
     return columns, errors

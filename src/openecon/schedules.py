@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .model import (DomainError, ModelInstance, _array_ops, _capital_demand,
-                    _check_rate, _euler_factor, check_rate, solve_at_rate,
-                    solve_rates)
+from .model import (_RATE_RULE, ModelInstance, _array_ops, _capital_demand,
+                    _check_rate, _euler_factor, solve_at_rate, solve_rates)
 
 if TYPE_CHECKING:          # annotations only
     import numpy as np
@@ -100,7 +99,7 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
                       instance.fiscal, instance.preferences)
         inc0 = ref.w0 * ref.l0 + ref.x0 - ref.tax0
         inc1 = ref.w1 * ref.l1 + ref.x1 - ref.tax1
-        ops, ok = _array_ops(grid.shape)
+        ops, ok, failures = _array_ops(grid.shape)
         with np.errstate(all="ignore"):
             _check_rate(t, grid, ops.reject)
             R = 1.0 + grid
@@ -110,14 +109,9 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
             s0n = ref.y0 - d.n0 * c0 - f.g0
             s1x = ref.tb1 / R
         ok &= np.isfinite(i0) & np.isfinite(s0n) & np.isfinite(s1x)
-        errors = []
-        for j in np.flatnonzero(~ok):
-            try:
-                check_rate(t, grid[j])
-            except DomainError as exc:
-                errors.append((int(j), str(exc)))
-            else:
-                errors.append((int(j), f"numerical overflow at r={grid[j]}"))
+        errors = [(int(j), (_RATE_RULE if failures[0][j] else
+                            "numerical overflow at r={}").format(grid[j]))
+                  for j in np.flatnonzero(~ok)]
         i0, s0n, s1x = (np.where(ok, v, np.nan) for v in (i0, s0n, s1x))
 
     with np.errstate(all="ignore"):

@@ -176,6 +176,17 @@ class TestTable:
         code, out, err = run(["table", "--scenario-file", str(path)])
         assert (code, out, err) == (2, "", "error: line 3: section 'a' repeats line 1\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejected_set_value_exits_2(self, tmp_path, fmt):
+        """A `set.` value no instance accepts stops the run before any
+        solve, naming its line."""
+        path = tmp_path / "scen.txt"
+        path.write_text("[x]\nrate = 0.5\nset.K0 = -1\n")
+        code, out, err = run(["table", "--format", fmt,
+                              "--scenario-file", str(path)])
+        assert (code, out, err) == (
+            2, "", "error: line 3: initial capital k0 must be positive\n")
+
     def test_failed_scenario_json_is_strict(self, tmp_path):
         """A scenario that fails has no rate: null, not json's NaN."""
         path = tmp_path / "bad.txt"

@@ -12,6 +12,7 @@ from openecon import (BracketError, ClosureSpec, ConvergenceError, DomainError,
                       InfeasibleError, calibrated_labor_weight, resolve_rate,
                       solve_at_rate, welfare_stationarity_check)
 from openecon import closure as closure_mod
+from openecon import model
 from openecon.acceptance import sample_instance
 from reference_model import lifetime_utility
 
@@ -29,7 +30,7 @@ class TestFixed:
         def boom(*a, **k):
             raise AssertionError("fixed closure must not solve the model")
 
-        monkeypatch.setattr(closure_mod, "solve_at_rate", boom)
+        monkeypatch.setattr(closure_mod, "_values_at_rate", boom)
         r, _ = resolve_rate(baseline, ClosureSpec("fixed", fixed_rate=0.7))
         assert r == 0.7
 
@@ -149,6 +150,37 @@ class TestSpecValidation:
             ClosureSpec("welfare_sweep", grid=grid)
 
 
+class TestNoRecords:
+    """Root finding, the labor-weight calibration and the stationarity probe
+    read the kernel's values and build no Equilibrium record."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built, equilibrium = [], model._equilibrium
+
+        def spy(*values):
+            built.append(values)
+            return equilibrium(*values)
+
+        monkeypatch.setattr(model, "_equilibrium", spy)
+        return built
+
+    @pytest.mark.parametrize("spec", [
+        ClosureSpec("balanced_trade", bracket=(0.4821, 2.0)),
+        ClosureSpec("trade_share_target", target_share=-0.05)])
+    def test_resolve_rate(self, baseline, built, spec):
+        _, diag = resolve_rate(baseline, spec)
+        assert diag.evaluations > 2
+        assert built == []
+
+    def test_calibration_and_stationarity(self, baseline, built):
+        calibrated_labor_weight(baseline, 0.4821)
+        welfare_stationarity_check(baseline, 0.4821)
+        assert built == []
+        solve_at_rate(baseline, 0.4821)
+        assert len(built) == 1      # the spy sees the one record that is built
+
+
 class TestWelfareStationarity:
     def test_negative_at_published_rate(self, baseline):
         assert welfare_stationarity_check(baseline, 0.4821) < 0
@@ -260,10 +292,10 @@ class TestFindRoot:
 
         def recording_solve(inst, r):
             tried.append(r)
-            return solve_at_rate(inst, r)
+            return model._values_at_rate(inst, r)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(closure_mod, "solve_at_rate", recording_solve)
+            mp.setattr(closure_mod, "_values_at_rate", recording_solve)
             try:
                 r, diag = resolve_rate(instance, spec)
             except (DomainError, InfeasibleError):

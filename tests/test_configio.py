@@ -117,6 +117,25 @@ class TestScenarioFiles:
         assert scenarios[1].perturbations == {"gamma": 1.15}
         assert scenarios[2].overrides == {"a1": 1.2}
 
+    @pytest.mark.parametrize("text, message", [
+        ("[x]\nrate = 0.5\nset.K0 = -1\n",
+         "line 3: initial capital k0 must be positive"),
+        ("[a]\nrate = 0.5\n\n# shares\n[b]\nrate = 0.5\nset.A1 = 1.1\n"
+         "set.alpha = 2\n", "line 8: alpha must lie in (0, 1)"),
+        ("[x]\nset.n0 = inf\nclosure = balanced_trade\n",
+         "line 2: n0 must be finite"),
+    ])
+    def test_rejected_set_value_names_its_line(self, text, message):
+        with pytest.raises(DomainError) as info:
+            parse_scenarios(text)
+        assert str(info.value) == message
+
+    def test_perturbation_range_is_checked_on_its_base(self):
+        """A factor's result depends on the base it scales, so a factor no
+        base accepts still parses; run_suite fails that scenario alone."""
+        (s,) = parse_scenarios("[x]\nrate = 0.5\nperturb.K0 = -1\n")
+        assert s.perturbations == {"k0": -1.0}
+
     def test_closure_block(self):
         (s,) = parse_scenarios(
             "[bt]\n"

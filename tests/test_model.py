@@ -10,10 +10,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from openecon import (Demography, DomainError, Fiscal, ModelInstance,
-                      Preferences, Technology, annualize_rate, capital_demand,
-                      solve_at_rate)
+from openecon import (Demography, DomainError, Fiscal, InfeasibleError,
+                      ModelInstance, Preferences, Technology, annualize_rate,
+                      capital_demand, solve_at_rate)
+from openecon import model
+from openecon.acceptance import sample_instance
 from openecon.closure import ClosureSpec, resolve_rate
 from reference_model import (dividends, euler_growth, future_wage,
                              government_t1, labor_supply_present,
@@ -281,6 +285,53 @@ class TestSolveAtRate:
     def test_inadmissible_rate(self, baseline):
         with pytest.raises(DomainError):
             solve_at_rate(baseline, -1.5)
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+class TestValuePath:
+    """model._values_at_rate, which the closures call, gives solve_at_rate's
+    fields without the record, and checks that pass make no call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           r=st.floats(-1.2, 2.5, exclude_min=True, exclude_max=True))
+    def test_values_are_the_record_fields(self, seed, r):
+        instance = sample_instance(np.random.default_rng(seed))
+        assert outcome(model._values_at_rate, instance, r) == outcome(
+            lambda i, x: tuple(vars(solve_at_rate(i, x)).values()), instance, r)
+
+    @pytest.fixture
+    def rejects(self, monkeypatch):
+        calls, reject = [], model._reject
+
+        def spy(failed, error, message, *args):
+            calls.append(message)
+            reject(failed, error, message, *args)
+
+        monkeypatch.setattr(model, "_FLOATS", model._FLOATS._replace(reject=spy))
+        monkeypatch.setattr(model, "_reject", spy)
+        return calls
+
+    def test_passing_checks_make_no_call(self, baseline, rejects):
+        solve_at_rate(baseline, 0.4821)
+        model.check_rate(baseline.technology, 0.4821)
+        assert rejects == []
+        model._values_at_rate(baseline, 0.4821)
+        assert rejects == []
+
+    def test_failing_check_calls_reject(self, baseline, rejects):
+        with pytest.raises(DomainError, match="^inadmissible rate r=-1.5 "):
+            solve_at_rate(baseline, -1.5)
+        with pytest.raises(DomainError, match="^inadmissible rate r=nan "):
+            model.check_rate(baseline.technology, math.nan)
+        assert len(rejects) == 2
 
 
 class TestSavingDecomposition:

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from openecon import (ClosureSpec, DomainError, Equilibrium, InfeasibleError,
                       ModelInstance, baseline_instance, compute_schedules,
                       resolve_rate, solve_at_rate)
-from openecon import model
 from openecon.acceptance import sample_instance
 from openecon.configio import Records, csv_number, json_number, to_csv, to_json
 from openecon.model import solve_rates
@@ -443,21 +442,6 @@ def assert_same_record(eq, twin):
 def test_solve_at_rate_record_is_a_dataclass_record(baseline, r):
     assert_same_record(solve_at_rate(baseline, r),
                        reference_solve_at_rate(baseline, r))
-
-
-def test_solve_rates_record_is_a_dataclass_record(baseline, monkeypatch):
-    """The record solve_rates' array pass builds, over one rate."""
-    built, equilibrium = [], model._equilibrium
-
-    def spy(*values):
-        built.append(equilibrium(*values))
-        return built[-1]
-
-    monkeypatch.setattr(model, "_equilibrium", spy)
-    solve_rates(baseline, [0.4821])
-    (eq,) = built
-    assert isinstance(eq.y0, np.ndarray)
-    assert_same_record(eq, Equilibrium(**vars(eq)))
 
 
 def test_log_utility_matches_scalar_solve(baseline):

@@ -1,12 +1,15 @@
 """Saving/investment schedules in both construction modes."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from openecon import ScheduleCurve, compute_schedules, slope_check, solve_rates
+from openecon import model
 from openecon.schedules import default_grid
+from reference_model import check_rate
 
 GRID = np.linspace(0.30, 0.70, 41)
 R_REF = 0.4821
@@ -114,6 +117,55 @@ class TestValidationAndFlagging:
         assert curve.errors[2][1] == "numerical overflow at r=-0.09999999"
         for values in (curve.i0, curve.s0n, curve.s1x, curve.residual):
             assert np.all(np.isnan(values[:3])) and np.isfinite(values[3])
+
+    @pytest.mark.parametrize("mode", ["full_equilibrium", "partial"])
+    def test_inadmissible_rates_are_not_replayed(self, baseline, monkeypatch,
+                                                 mode):
+        """On the baseline, 1429 of these 10k rates are below -1.  Their
+        messages come from the array pass's rate check, byte for byte as the
+        per-point replay gave them; no such rate reaches a float solve or
+        check_rate; partial mode solves only its reference rate."""
+        replayed = []
+
+        def spy(name):
+            original = getattr(model, name)
+
+            def recording(*args):
+                replayed.append(args[1])
+                return original(*args)
+            monkeypatch.setattr(model, name, recording)
+
+        for name in ("_values_at_rate", "solve_at_rate", "_reject"):
+            spy(name)
+        curve = compute_schedules(baseline, np.linspace(-1.5, 2.0, 10_000),
+                                  mode, R_REF if mode == "partial" else None)
+        text = repr(curve.errors)
+        assert len(curve.errors) == 1429
+        assert curve.errors[-1] == (1428, "inadmissible rate "
+                                    "r=-1.0001500150015001 (need r > -1 and "
+                                    "delta + r > 0)")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "98f3b1250d7b22747325a18ee9241d70a13168832130df85cd778ba4b886269e")
+        assert replayed == ([R_REF] if mode == "partial" else [])
+
+    def test_later_failures_are_still_replayed(self, baseline, monkeypatch):
+        """A rate that passes the rate check but fails a later one is
+        replayed through the float path, which supplies its message."""
+        poor = replace(baseline, fiscal=replace(baseline.fiscal, g0=1e6))
+        replayed, values_at_rate = [], model._values_at_rate
+
+        def recording(instance, r):
+            replayed.append(r)
+            return values_at_rate(instance, r)
+
+        monkeypatch.setattr(model, "_values_at_rate", recording)
+        columns, errors = solve_rates(poor, [-1.5, 0.4821])
+        assert errors[0] == (0, "inadmissible rate r=-1.5 (need r > -1 and "
+                                "delta + r > 0)")
+        assert errors[1][1].startswith("present-value income per household")
+        assert replayed == [0.4821]
+        for r in replayed:
+            check_rate(poor.technology, r)
 
     def test_default_grid(self):
         grid = default_grid(0.4821)
