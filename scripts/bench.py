@@ -55,11 +55,11 @@ def src_tree(root: Path) -> str | None:
         return proc.stdout.strip()
 
 
-def perfbench(root: Path, workload: str, seconds: float,
-              trace: int) -> tuple[dict, dict]:
+def perfbench(root: Path, workload: str, seconds: float, trace: int,
+              seed: int = SEED) -> tuple[dict, dict]:
     """(info line, result line) of one perfbench run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(SEED), "--seconds", str(seconds),
+            "--seed", str(seed), "--seconds", str(seconds),
             "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()

@@ -3,10 +3,11 @@
 
     python3 scripts/pairs.py PARENT CHANGE --workload W --pairs N --seed S
 
-Pair i runs `perfbench/run.py --workload W --seed S+i --trace 0` once in
-each checkout, one process at a time; even pairs run PARENT first, odd
-pairs CHANGE first, so a drift in the machine's speed falls on both sides.
-Each run is read through the last line of its standard output.  For every
+Pair i runs `perfbench/run.py --workload W --seed S+i --trace 0` for
+PARENT's BENCHMARK.json run_seconds once in each checkout, one process at a
+time, through scripts/bench.py's perfbench(); even pairs run PARENT first,
+odd pairs CHANGE first, so a drift in the machine's speed falls on both
+sides.  Each run is read through its result line.  For every
 end-to-end metric of PARENT's BENCHMARK.json the script prints each side's
 median and quartiles, the ratio of the medians (CHANGE / PARENT), how many
 pairs CHANGE won, and whether the median moved by more than the distance
@@ -19,23 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-
-def run(root: Path, workload: str, seed: int, seconds: float | None) -> dict:
-    """The result line of one untraced perfbench run in `root`."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{root}: {' '.join(argv[1:])} exited "
-                           f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+from bench import perfbench
 
 
 def spread(values: list[float]) -> tuple[float, float, float]:
@@ -53,8 +41,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float,
-                        help="seconds per run (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text("utf-8"))
 
@@ -63,7 +49,8 @@ def main(argv=None) -> int:
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run(getattr(args, side), args.workload, seed, args.seconds)
+            _, result = perfbench(getattr(args, side), args.workload,
+                                  spec["run_seconds"], 0, seed)
             results[side].append(result)
             print(f"pair {i} seed {seed} {side}: correct={result['correct']} "
                   f"failed={result['failed']}", file=sys.stderr)

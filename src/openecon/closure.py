@@ -4,10 +4,9 @@ The model never pins down r on its own (one equation of the system is
 redundant), so these are selection strategies, each returning a rate plus
 diagnostics.  `fixed` passes a rate through untouched; `balanced_trade` and
 `trade_share_target` find a root of the present trade balance by ITP
-(interpolate, truncate, project), one scalar solve per step; `welfare_sweep`
-evaluates its whole grid in one model.solve_rates call and picks the highest
-lifetime utility.  Only that branch loads numpy.  The scalar solves here
-read the kernel's values by field index and build no Equilibrium record.
+(interpolate, truncate, project), one scalar solve per step and no record;
+`welfare_sweep` evaluates its grid in one model.solve_rates call and picks
+the highest lifetime utility.  Only that branch loads numpy.
 """
 
 from __future__ import annotations

@@ -226,11 +226,11 @@ def _reject(failed, error: type, message: str, *args) -> None:
 _FLOATS = _Ops(operator.pow, math.log, _clamp, _reject)
 
 
-def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray, list]:
-    """Ops over rate arrays of `shape`, their mask of vouched points, and
-    each check's failed points in the kernel's order (the rate check first)."""
+def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray, np.ndarray]:
+    """Ops over rate arrays of `shape`, their mask of vouched points, and the
+    mask of points the rate check rejects."""
     import numpy as np
-    vouched, failures = np.ones(shape, dtype=bool), []
+    vouched, inadmissible = np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
 
     def log(c):
         libm_log = np.frompyfunc(math.log, 1, 1)
@@ -243,9 +243,10 @@ def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray, list]:
 
     def reject(failed, error, message, *args):
         vouched[failed] = False
-        failures.append(failed)
+        if message == _RATE_RULE:
+            inadmissible[failed] = True
 
-    return _Ops(np.float_power, log, clamp, reject), vouched, failures
+    return _Ops(np.float_power, log, clamp, reject), vouched, inadmissible
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,7 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
     """
     import numpy as np
     r = np.array(rates, dtype=float)
-    ops, vouched, failures = _array_ops(r.shape)
+    ops, vouched, inadmissible = _array_ops(r.shape)
     with np.errstate(all="ignore"):
         values = _system(instance, r, ops)
         columns = {k: v if isinstance(v, np.ndarray) else np.full_like(r, v)
@@ -442,7 +443,7 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
         flagged = np.flatnonzero(~vouched)
         for column in columns.values():
             column[flagged] = False if column.dtype == bool else np.nan
-        errors, inadmissible = [], failures[0]
+        errors = []
         for j in flagged:
             if inadmissible[j]:
                 errors.append((int(j), _RATE_RULE.format(float(rates[j]))))

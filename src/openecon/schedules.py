@@ -99,7 +99,7 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
                       instance.fiscal, instance.preferences)
         inc0 = ref.w0 * ref.l0 + ref.x0 - ref.tax0
         inc1 = ref.w1 * ref.l1 + ref.x1 - ref.tax1
-        ops, ok, failures = _array_ops(grid.shape)
+        ops, ok, inadmissible = _array_ops(grid.shape)
         with np.errstate(all="ignore"):
             _check_rate(t, grid, ops.reject)
             R = 1.0 + grid
@@ -109,7 +109,7 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
             s0n = ref.y0 - d.n0 * c0 - f.g0
             s1x = ref.tb1 / R
         ok &= np.isfinite(i0) & np.isfinite(s0n) & np.isfinite(s1x)
-        errors = [(int(j), (_RATE_RULE if failures[0][j] else
+        errors = [(int(j), (_RATE_RULE if inadmissible[j] else
                             "numerical overflow at r={}").format(grid[j]))
                   for j in np.flatnonzero(~ok)]
         i0, s0n, s1x = (np.where(ok, v, np.nan) for v in (i0, s0n, s1x))

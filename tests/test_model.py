@@ -10,14 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from openecon import (Demography, DomainError, Fiscal, InfeasibleError,
                       ModelInstance, Preferences, Technology, annualize_rate,
                       capital_demand, solve_at_rate)
 from openecon import model
-from openecon.acceptance import sample_instance
 from openecon.closure import ClosureSpec, resolve_rate
 from reference_model import (dividends, euler_growth, future_wage,
                              government_t1, labor_supply_present,
@@ -299,11 +296,16 @@ class TestValuePath:
     """model._values_at_rate, which the closures call, gives solve_at_rate's
     fields without the record, and checks that pass make no call."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           r=st.floats(-1.2, 2.5, exclude_min=True, exclude_max=True))
-    def test_values_are_the_record_fields(self, seed, r):
-        instance = sample_instance(np.random.default_rng(seed))
+    @pytest.mark.parametrize("block, changes, r", [
+        (None, {}, 0.4821),                                  # a solve
+        (None, {}, -1.5),                                    # inadmissible
+        ("fiscal", {"g0": 1e6}, 0.4821),                     # infeasible
+        ("technology", {"alpha": 0.98, "delta": 0.1}, -0.09999999),  # ** raises
+        ("demography", {"n0": 1e306}, 0.4821),               # overflow rule
+    ])
+    def test_values_are_the_record_fields(self, baseline, block, changes, r):
+        instance = baseline if block is None else replace(baseline, **{
+            block: replace(getattr(baseline, block), **changes)})
         assert outcome(model._values_at_rate, instance, r) == outcome(
             lambda i, x: tuple(vars(solve_at_rate(i, x)).values()), instance, r)
 

@@ -123,20 +123,23 @@ class TestValidationAndFlagging:
                                                  mode):
         """On the baseline, 1429 of these 10k rates are below -1.  Their
         messages come from the array pass's rate check, byte for byte as the
-        per-point replay gave them; no such rate reaches a float solve or
-        check_rate; partial mode solves only its reference rate."""
-        replayed = []
+        per-point replay gave them.  No float check rejects a point (neither
+        in a float solve nor in check_rate, which calls model._reject), and
+        the only float solve is partial mode's at its reference rate."""
+        replayed, values_at_rate, float_reject = [], model._values_at_rate, \
+            model._reject
 
-        def spy(name):
-            original = getattr(model, name)
+        def solve(instance, r):
+            replayed.append(r)
+            return values_at_rate(instance, r)
 
-            def recording(*args):
-                replayed.append(args[1])
-                return original(*args)
-            monkeypatch.setattr(model, name, recording)
+        def reject(failed, error, message, *args):
+            replayed.append(args)
+            float_reject(failed, error, message, *args)
 
-        for name in ("_values_at_rate", "solve_at_rate", "_reject"):
-            spy(name)
+        monkeypatch.setattr(model, "_values_at_rate", solve)
+        monkeypatch.setattr(model, "_reject", reject)
+        monkeypatch.setattr(model, "_FLOATS", model._FLOATS._replace(reject=reject))
         curve = compute_schedules(baseline, np.linspace(-1.5, 2.0, 10_000),
                                   mode, R_REF if mode == "partial" else None)
         text = repr(curve.errors)
