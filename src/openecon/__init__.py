@@ -1,7 +1,6 @@
 """Two-period open-economy general equilibrium with the interest rate as an input."""
 
-from .model import (Demography, DomainError, Equilibrium, Fiscal,
-                    InfeasibleError, ModelInstance, Preferences, Technology,
+from .model import (DomainError, Equilibrium, InfeasibleError, ModelInstance,
                     annualize_rate, capital_demand, solve_at_rate,
                     solve_rates)
 from .closure import (BracketError, ClosureDiagnostics, ClosureSpec,
@@ -13,8 +12,7 @@ from .schedules import ScheduleCurve, compute_schedules, slope_check
 from .reference import baseline_instance
 
 __all__ = [
-    "Demography", "DomainError", "Equilibrium", "Fiscal", "InfeasibleError",
-    "ModelInstance", "Preferences", "Technology",
+    "DomainError", "Equilibrium", "InfeasibleError", "ModelInstance",
     "annualize_rate", "capital_demand", "solve_at_rate", "solve_rates",
     "BracketError", "ClosureDiagnostics", "ClosureSpec", "ConvergenceError",
     "calibrated_labor_weight", "resolve_rate", "welfare_stationarity_check",

@@ -9,17 +9,17 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .closure import (ClosureSpec, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
-from .model import (Demography, Fiscal, ModelInstance, Preferences,
-                    Technology, _euler_factor, annualize_rate, capital_demand,
-                    solve_at_rate, solve_rates)
+from .model import (ModelInstance, _euler_factor, annualize_rate,
+                    capital_demand, solve_at_rate, solve_rates,
+                    with_parameters)
 from .reference import baseline_instance
-from .scenarios import paper_suite, run_suite, with_parameters
+from .scenarios import paper_suite, run_suite
 
 CHECK_RATES = np.linspace(0.1, 1.0, 20)
 
@@ -49,17 +49,14 @@ def sample_instance(rng: np.random.Generator) -> ModelInstance:
     """
     n = float(rng.integers(1, 40))
     return ModelInstance(
-        preferences=Preferences(
-            gamma=rng.uniform(0.5, 3.0), theta=rng.uniform(1.0, 12.0),
-            rho=rng.uniform(0.05, 1.0), phi=rng.uniform(0.5, 2.0)),
-        technology=Technology(
-            alpha=rng.uniform(0.2, 0.65), delta=rng.uniform(0.5, 1.0),
-            a0=rng.uniform(0.5, 2.0), a1=rng.uniform(0.5, 2.0)),
-        demography=Demography(
-            n0=n, n1=n, l0_max=rng.uniform(5000.0, 40000.0),
-            l1_max=rng.uniform(1000.0, 30000.0)),
-        fiscal=Fiscal(g0=rng.uniform(0.0, 20.0), g1=rng.uniform(0.0, 20.0),
-                      t0=rng.uniform(-10.0, 20.0)),
+        gamma=rng.uniform(0.5, 3.0), theta=rng.uniform(1.0, 12.0),
+        rho=rng.uniform(0.05, 1.0), phi=rng.uniform(0.5, 2.0),
+        alpha=rng.uniform(0.2, 0.65), delta=rng.uniform(0.5, 1.0),
+        a0=rng.uniform(0.5, 2.0), a1=rng.uniform(0.5, 2.0),
+        n0=n, n1=n, l0_max=rng.uniform(5000.0, 40000.0),
+        l1_max=rng.uniform(1000.0, 30000.0),
+        g0=rng.uniform(0.0, 20.0), g1=rng.uniform(0.0, 20.0),
+        t0=rng.uniform(-10.0, 20.0),
         k0=rng.uniform(1000.0, 60000.0),
         years_per_period=16.0,
     )
@@ -129,17 +126,17 @@ def _worst_residuals(sample, rates) -> tuple[float, float, float, float, float]:
     worst = [0.0] * 5
     R = 1.0 + rates
     for instance, c in sample:
-        p, t = instance.preferences, instance.technology
+        theta = instance.theta
         free = ~c["l0_binding"]
-        labor_lhs = np.float_power(c["l0"], p.theta) * c["w1"]
-        labor_rhs = p.beta * R * c["w0"] * np.float_power(c["l1"], p.theta)
+        labor_lhs = np.float_power(c["l0"], theta) * c["w1"]
+        labor_rhs = instance.beta * R * c["w0"] * np.float_power(c["l1"], theta)
         gaps = (
             np.abs(c["tb0"] + c["tb1"] / R) * (1.0 / c["y0"]),
             np.abs(c["s0n"] + c["s1x"] - c["i0"]) * (1.0 / c["y0"]),
-            np.abs(c["c1"] / c["c0"] / _euler_factor(p, rates, np.float_power)
-                   - 1.0),
+            np.abs(c["c1"] / c["c0"]
+                   / _euler_factor(instance, rates, np.float_power) - 1.0),
             np.abs(labor_lhs[free] / labor_rhs[free] - 1.0),
-            np.abs(c["y1"] - c["w1"] * c["L1"] - (t.delta + rates) * c["k1"])
+            np.abs(c["y1"] - c["w1"] * c["L1"] - (instance.delta + rates) * c["k1"])
             / c["y1"],
         )
         worst = [max(w, float(g.max(initial=0.0))) for w, g in zip(worst, gaps)]
@@ -165,15 +162,14 @@ def _criterion_4(shared: Shared) -> CriterionResult:
 def iterate_labor_supply(instance: ModelInstance, r: float, w1: float) -> float:
     """Fixed-point oracle for present hours (ignores the clamp), damped by
     half in logs, to a relative step of 1e-14 or 500 iterations."""
-    p, t, d = instance.preferences, instance.technology, instance.demography
-    a = t.alpha
-    scale = (1.0 - a) * instance.k0 ** a * t.a0 ** (1.0 - a)
+    a, beta, l1 = instance.alpha, instance.beta, instance.l1_max
+    scale = (1.0 - a) * instance.k0 ** a * instance.a0 ** (1.0 - a)
 
     def step(l0):
-        w0 = scale * (d.n0 * l0) ** (-a)
-        return (p.beta * w0 * (1.0 + r) / w1) ** (1.0 / p.theta) * d.l1_max
+        w0 = scale * (instance.n0 * l0) ** (-a)
+        return (beta * w0 * (1.0 + r) / w1) ** (1.0 / instance.theta) * l1
 
-    l0 = d.l1_max
+    l0 = l1
     for _ in range(500):
         nxt = math.exp(0.5 * math.log(l0) + 0.5 * math.log(step(l0)))
         if abs(nxt / l0 - 1.0) < 1e-14:
@@ -187,8 +183,7 @@ def _criterion_5(shared: Shared) -> CriterionResult:
     worst_l0 = 0.0
     worst_w1 = 0.0
     for instance, _ in shared.sample:
-        t = instance.technology
-        a = t.alpha
+        a = instance.alpha
         r = rng.uniform(0.1, 1.0)
         eq = solve_at_rate(instance, r)
         if not eq.l0_binding:
@@ -197,8 +192,8 @@ def _criterion_5(shared: Shared) -> CriterionResult:
         for _ in range(10):
             # the firm's capital choice for hours L1, then the wage (1-a)*Y/L1
             L1 = rng.uniform(100.0, 1e6)
-            k1 = capital_demand(t, L1, r)
-            composed = (1.0 - a) * (k1 ** a * (t.a1 * L1) ** (1.0 - a)) / L1
+            k1 = capital_demand(instance, L1, r)
+            composed = (1.0 - a) * (k1 ** a * (instance.a1 * L1) ** (1.0 - a)) / L1
             worst_w1 = max(worst_w1, abs(eq.w1 / composed - 1.0))
     passed = worst_l0 <= 1e-10 and worst_w1 <= 1e-12
     return CriterionResult(
@@ -229,8 +224,8 @@ def _criterion_8(shared: Shared) -> CriterionResult:
     base = baseline_instance()
     r = 0.4821
     alphas = np.linspace(0.3, 0.7, 41)
-    values = [capital_demand(replace(base.technology, alpha=float(a)),
-                             base.demography.n1 * base.demography.l1_max, r)
+    values = [capital_demand(with_parameters(base, {"alpha": float(a)}),
+                             base.n1 * base.l1_max, r)
               for a in alphas]
     rising = [float(alphas[j]) for j in range(len(values) - 1)
               if values[j + 1] >= values[j]]

@@ -12,10 +12,10 @@ the highest lifetime utility.  Only that branch loads numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .model import (_FIELDS, DomainError, ModelInstance, _values_at_rate,
-                    solve_rates)
+                    solve_rates, with_parameters)
 
 DEFAULT_BRACKET = (0.01, 2.0)
 _Y0, _L0, _W0, _C0, _TB0, _WELFARE = map(
@@ -188,9 +188,9 @@ def calibrated_labor_weight(instance: ModelInstance, r: float) -> float:
     this returns the value under which the level condition
     phi * l0^theta = c0^(-gamma) * w0 holds at the equilibrium for r.
     """
-    p = instance.preferences
     values = _values_at_rate(instance, r)
-    return values[_C0] ** (-p.gamma) * values[_W0] / values[_L0] ** p.theta
+    return (values[_C0] ** (-instance.gamma) * values[_W0]
+            / values[_L0] ** instance.theta)
 
 
 def welfare_stationarity_check(instance: ModelInstance, r_star: float,
@@ -206,6 +206,6 @@ def welfare_stationarity_check(instance: ModelInstance, r_star: float,
     if h <= 0 or h >= r_star + 1.0:
         raise DomainError("step h must be positive and small relative to r_star")
     phi = calibrated_labor_weight(instance, r_star)
-    calibrated = replace(instance, preferences=replace(instance.preferences, phi=phi))
+    calibrated = with_parameters(instance, {"phi": phi})
     return (_values_at_rate(calibrated, r_star + h)[_WELFARE]
             - _values_at_rate(calibrated, r_star - h)[_WELFARE]) / (2.0 * h)

@@ -21,9 +21,8 @@ import math
 from itertools import chain
 
 from .closure import ClosureSpec
-from .model import DomainError, ModelInstance
-from .scenarios import (PARAMETERS, Scenario, canonical_parameter,
-                        parameter_value, with_parameters)
+from .model import DomainError, ModelInstance, with_parameters
+from .scenarios import PARAMETERS, Scenario, canonical_parameter
 from .reference import baseline_instance
 
 
@@ -105,8 +104,8 @@ def _check_alone(lineno: int, path: str, value: float) -> None:
 
 def format_instance(instance: ModelInstance) -> str:
     """Serialize an instance so that re-parsing reproduces it bit for bit."""
-    return "".join(f"{spelling} = {parameter_value(instance, path)!r}\n"
-                   for spelling, _, path in PARAMETERS)
+    return "".join(f"{spelling} = {getattr(instance, path)!r}\n"
+                   for spelling, path in PARAMETERS)
 
 
 def read_instance(path: str) -> ModelInstance:

@@ -36,41 +36,74 @@ class InfeasibleError(ValueError):
     """The household's present-value income is non-positive at this rate."""
 
 
-def _require_finite(block, names: tuple[str, ...]) -> None:
-    """Raise DomainError for the first of `block`'s fields `names` that is
-    NaN or infinite."""
-    for name in names:
-        if not math.isfinite(getattr(block, name)):
-            raise DomainError(f"{name} must be finite")
-
-
 # ---------------------------------------------------------------------------
-# Parameter blocks
+# Parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Preferences:
-    """Household preference parameters.
+@dataclass(frozen=True, kw_only=True)
+class ModelInstance:
+    """A complete parameterization of the two-period economy.
 
-    gamma : inverse intertemporal elasticity of substitution (> 0)
-    theta : inverse Frisch elasticity of labor supply (> 0)
-    rho   : subjective discount rate per period (> 0)
-    phi   : labor-disutility weight (> 0); never affects equilibrium
-            quantities, but sets the shape of welfare in r.  Calibrated at
-            the balanced-trade rate r* (closure.calibrated_labor_weight),
-            lifetime utility has a *minimum* at r*, so a welfare argmax over
-            a rate grid lands on one of the grid's ends.
+    gamma  : inverse intertemporal elasticity of substitution (> 0)
+    theta  : inverse Frisch elasticity of labor supply (> 0)
+    rho    : subjective discount rate per period (> 0)
+    phi    : labor-disutility weight (> 0); never affects equilibrium
+             quantities, but sets the shape of welfare in r.  Calibrated at
+             the balanced-trade rate r* (closure.calibrated_labor_weight),
+             lifetime utility has a *minimum* at r*, so a welfare argmax
+             over a rate grid lands on one of the grid's ends.
+    alpha  : output elasticity of capital, in (0, 1)
+    delta  : depreciation rate per period, in (0, 1]
+    a0/a1  : labor efficiency in the present/future period (> 0)
+    n0/n1, l0_max/l1_max : household counts and time endowments (> 0)
+    g0/g1, t0 : government purchases (>= 0), period-0 total tax revenue
+    k0, years_per_period : initial capital, years per period (> 0)
+
+    The range checks run in field order, then one check that every field
+    is finite; the first failure raises DomainError.
     """
 
     gamma: float
     theta: float
     rho: float
     phi: float = 1.0
+    alpha: float
+    delta: float
+    a0: float = 1.0
+    a1: float = 1.0
+    n0: float
+    n1: float
+    l0_max: float
+    l1_max: float
+    g0: float = 0.0
+    g1: float = 0.0
+    t0: float = 0.0
+    k0: float
+    years_per_period: float = 16.0
 
     def __post_init__(self):
         if not (self.gamma > 0 and self.theta > 0 and self.rho > 0 and self.phi > 0):
             raise DomainError("gamma, theta, rho, phi must all be positive")
-        _require_finite(self, ("gamma", "theta", "rho", "phi"))
+        if not 0.0 < self.alpha < 1.0:
+            raise DomainError("alpha must lie in (0, 1)")
+        if not 0.0 < self.delta <= 1.0:
+            raise DomainError("delta must lie in (0, 1]")
+        if not (self.a0 > 0 and self.a1 > 0):
+            raise DomainError("labor efficiencies must be positive")
+        if not (self.n0 > 0 and self.n1 > 0 and self.l0_max > 0 and self.l1_max > 0):
+            raise DomainError("household counts and time endowments must be positive")
+        if self.g0 < 0 or self.g1 < 0:
+            raise DomainError("government purchases must be non-negative")
+        if self.k0 <= 0:
+            raise DomainError("initial capital k0 must be positive")
+        if self.years_per_period <= 0:
+            raise DomainError("years_per_period must be positive")
+        values = _parameter_values(self)
+        # A NaN or inf makes the sum one; a sum that overflows costs the loop.
+        if not math.isfinite(sum(values)):
+            for name, value in zip(_PARAMETER_NAMES, values):
+                if not math.isfinite(value):
+                    raise DomainError(f"{name} must be finite")
 
     @property
     def beta(self) -> float:
@@ -78,76 +111,19 @@ class Preferences:
         return 1.0 / (1.0 + self.rho)
 
 
-@dataclass(frozen=True)
-class Technology:
-    """Production-side parameters.
-
-    alpha : output elasticity of capital, in (0, 1)
-    delta : depreciation rate per period, in (0, 1]
-    a0/a1 : labor efficiency in the present/future period (> 0)
-    """
-
-    alpha: float
-    delta: float
-    a0: float = 1.0
-    a1: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError("alpha must lie in (0, 1)")
-        if not 0.0 < self.delta <= 1.0:
-            raise DomainError("delta must lie in (0, 1]")
-        if not (self.a0 > 0 and self.a1 > 0):
-            raise DomainError("labor efficiencies must be positive")
-        _require_finite(self, ("a0", "a1"))
+_PARAMETER_NAMES = tuple(ModelInstance.__dataclass_fields__)
+_parameter_values = operator.attrgetter(*_PARAMETER_NAMES)
 
 
-@dataclass(frozen=True)
-class Demography:
-    """Household counts and time endowments per period."""
-
-    n0: float
-    n1: float
-    l0_max: float
-    l1_max: float
-
-    def __post_init__(self):
-        if not (self.n0 > 0 and self.n1 > 0 and self.l0_max > 0 and self.l1_max > 0):
-            raise DomainError("household counts and time endowments must be positive")
-        _require_finite(self, ("n0", "n1", "l0_max", "l1_max"))
-
-
-@dataclass(frozen=True)
-class Fiscal:
-    """Government purchases g0, g1 and period-0 total tax revenue t0."""
-
-    g0: float = 0.0
-    g1: float = 0.0
-    t0: float = 0.0
-
-    def __post_init__(self):
-        if self.g0 < 0 or self.g1 < 0:
-            raise DomainError("government purchases must be non-negative")
-        _require_finite(self, ("g0", "g1", "t0"))
-
-
-@dataclass(frozen=True)
-class ModelInstance:
-    """A complete parameterization of the two-period economy."""
-
-    preferences: Preferences
-    technology: Technology
-    demography: Demography
-    fiscal: Fiscal
-    k0: float
-    years_per_period: float = 16.0
-
-    def __post_init__(self):
-        if self.k0 <= 0:
-            raise DomainError("initial capital k0 must be positive")
-        if self.years_per_period <= 0:
-            raise DomainError("years_per_period must be positive")
-        _require_finite(self, ("k0", "years_per_period"))
+def with_parameters(instance: ModelInstance,
+                    values: dict[str, float]) -> ModelInstance:
+    """`instance` with each field named in `values` set, checked as any new
+    instance is; `instance` itself if `values` is empty."""
+    if not values:
+        return instance
+    fields = dict(zip(_PARAMETER_NAMES, _parameter_values(instance)))
+    fields.update(values)
+    return ModelInstance(**fields)
 
 
 @dataclass(frozen=True)
@@ -253,34 +229,34 @@ def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray, np.ndarray]:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def _check_rate(tech: Technology, r, reject) -> None:
+def _check_rate(instance: ModelInstance, r, reject) -> None:
     """check_rate's test on a float or a rate array, through `reject`."""
-    bad = (r <= -1.0) | (tech.delta + r <= MIN_GROSS_RETURN) | (r != r)
+    bad = (r <= -1.0) | (instance.delta + r <= MIN_GROSS_RETURN) | (r != r)
     if bad is not False:
         reject(bad, DomainError, _RATE_RULE, r)
 
 
-def check_rate(tech: Technology, r: float) -> None:
+def check_rate(instance: ModelInstance, r: float) -> None:
     """Raise DomainError unless r > -1 and delta + r > MIN_GROSS_RETURN (not NaN)."""
-    _check_rate(tech, r, _reject)
+    _check_rate(instance, r, _reject)
 
 
-def _capital_demand(tech: Technology, L1: float, r, power):
-    return tech.a1 * L1 * power(tech.alpha / (tech.delta + r),
-                                1.0 / (1.0 - tech.alpha))
+def _capital_demand(instance: ModelInstance, L1: float, r, power):
+    a = instance.alpha
+    return instance.a1 * L1 * power(a / (instance.delta + r), 1.0 / (1.0 - a))
 
 
-def capital_demand(tech: Technology, L1: float, r: float) -> float:
+def capital_demand(instance: ModelInstance, L1: float, r: float) -> float:
     """Future capital demanded by the firm: A1 * L1 * (alpha/(delta+r))^(1/(1-alpha)).
 
     Strictly decreasing in r.  In alpha it is strictly decreasing exactly
     where (1-alpha)/alpha + ln(alpha/(delta+r)) < 0 and rising where that
     is positive: hump-shaped, peaking near alpha = 0.4615 at delta + r = 1.4821.
     """
-    check_rate(tech, r)
+    check_rate(instance, r)
     if L1 <= 0:
         raise DomainError("aggregate future hours L1 must be positive")
-    return _capital_demand(tech, L1, r, operator.pow)
+    return _capital_demand(instance, L1, r, operator.pow)
 
 
 def _present_hours(instance: ModelInstance, r, w1, power):
@@ -288,16 +264,15 @@ def _present_hours(instance: ModelInstance, r, w1, power):
     form, with exponent 1/(theta+alpha), of the fixed point
     l0 = [beta * w0(l0) * (1+r) / w1]^(1/theta) * l1, where w0 moves with
     hours through the marginal product."""
-    p, t, d = instance.preferences, instance.technology, instance.demography
-    a = t.alpha
-    return power(p.beta * (1.0 + r) * (1.0 - a) * power(instance.k0, a)
-                 * power(t.a0, 1.0 - a) * power(d.n0, -a)
-                 * power(d.l1_max, p.theta) / w1, 1.0 / (p.theta + a))
+    a, theta = instance.alpha, instance.theta
+    return power(instance.beta * (1.0 + r) * (1.0 - a) * power(instance.k0, a)
+                 * power(instance.a0, 1.0 - a) * power(instance.n0, -a)
+                 * power(instance.l1_max, theta) / w1, 1.0 / (theta + a))
 
 
-def _euler_factor(prefs: Preferences, r, power):
+def _euler_factor(instance: ModelInstance, r, power):
     """Consumption growth c1/c0 = [beta*(1+r)]^(1/gamma)."""
-    return power(prefs.beta * (1.0 + r), 1.0 / prefs.gamma)
+    return power(instance.beta * (1.0 + r), 1.0 / instance.gamma)
 
 
 def annualize_rate(per_period: float, years: float) -> float:
@@ -306,23 +281,31 @@ def annualize_rate(per_period: float, years: float) -> float:
         raise DomainError("per-period rate must exceed -1")
     if years <= 0:
         raise DomainError("years must be positive")
-    return (1.0 + per_period) ** (1.0 / years) - 1.0
+    try:
+        growth = (1.0 + per_period) ** (1.0 / years)
+    except OverflowError:      # Python's float ** raises; 1/years may be inf
+        growth = math.inf
+    if growth == math.inf:
+        raise DomainError(f"per-year rate overflows at r={per_period} "
+                          f"over {years} years")
+    return growth - 1.0
 
 
 # ---------------------------------------------------------------------------
 # Welfare
 # ---------------------------------------------------------------------------
 
-def _period_utility(c, l, prefs: Preferences, ops: _Ops):
+def _period_utility(c, l, instance: ModelInstance, ops: _Ops):
     """u(c, l) = c^(1-gamma)/(1-gamma) - phi * l^(1+theta)/(1+theta), with
     log(c) at gamma = 1.  The power term differs from the normalized CRRA form
     by the constant 1/(1-gamma), so utility *differences* are continuous in
     gamma at 1, while levels diverge with the constant."""
     if (bad := c <= 0) is not False:
         ops.reject(bad, DomainError, "consumption must be positive")
-    uc = (ops.log(c) if prefs.gamma == 1.0
-          else ops.power(c, 1.0 - prefs.gamma) / (1.0 - prefs.gamma))
-    return uc - prefs.phi * ops.power(l, 1.0 + prefs.theta) / (1.0 + prefs.theta)
+    gamma, theta = instance.gamma, instance.theta
+    uc = (ops.log(c) if gamma == 1.0
+          else ops.power(c, 1.0 - gamma) / (1.0 - gamma))
+    return uc - instance.phi * ops.power(l, 1.0 + theta) / (1.0 + theta)
 
 
 # ---------------------------------------------------------------------------
@@ -340,55 +323,55 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     Returns the 29 values in Equilibrium field order; only solve_at_rate
     builds the record, through _equilibrium.
     """
-    p, t, d, f = (instance.preferences, instance.technology,
-                  instance.demography, instance.fiscal)
     power, reject = ops.power, ops.reject
-    a = t.alpha
-    _check_rate(t, r, reject)
+    a, a1, k0 = instance.alpha, instance.a1, instance.k0
+    n0, n1, g0, t0 = instance.n0, instance.n1, instance.g0, instance.t0
+    _check_rate(instance, r, reject)
     R = 1.0 + r
 
-    l1 = d.l1_max
-    L1 = d.n1 * l1
-    w1 = (1.0 - a) * t.a1 * power(a / (t.delta + r), a / (1.0 - a))
+    l1 = instance.l1_max
+    L1 = n1 * l1
+    w1 = (1.0 - a) * a1 * power(a / (instance.delta + r), a / (1.0 - a))
     if (bad := L1 <= 0) is not False:
         reject(bad, DomainError, "aggregate future hours L1 must be positive")
-    k1 = _capital_demand(t, L1, r, power)
+    k1 = _capital_demand(instance, L1, r, power)
     if (bad := k1 <= 0) is not False:
         reject(bad, DomainError, _OUTPUT_INPUTS)
-    y1 = power(k1, a) * power(t.a1 * L1, 1.0 - a)
+    y1 = power(k1, a) * power(a1 * L1, 1.0 - a)
 
     if (bad := w1 <= 0) is not False:
         reject(bad, DomainError, "future wage must be positive")
-    l0, binding = ops.clamp(_present_hours(instance, r, w1, power), d.l0_max)
-    L0 = d.n0 * l0
+    l0, binding = ops.clamp(_present_hours(instance, r, w1, power),
+                            instance.l0_max)
+    L0 = n0 * l0
     if (bad := L0 <= 0) is not False:
         reject(bad, DomainError, _OUTPUT_INPUTS)
-    y0 = power(instance.k0, a) * power(t.a0 * L0, 1.0 - a)
+    y0 = power(k0, a) * power(instance.a0 * L0, 1.0 - a)
     w0 = (1.0 - a) * y0 / L0
 
-    i0 = k1 - (1.0 - t.delta) * instance.k0
-    x0 = (y0 - w0 * L0 - i0) / d.n0
-    x1 = (y1 - w1 * L1) / d.n1
-    T1 = R * f.g0 + f.g1 - f.t0 * R
-    tax0 = f.t0 / d.n0
-    tax1 = T1 / d.n1
+    i0 = k1 - (1.0 - instance.delta) * k0
+    x0 = (y0 - w0 * L0 - i0) / n0
+    x1 = (y1 - w1 * L1) / n1
+    T1 = R * g0 + instance.g1 - t0 * R
+    tax0 = t0 / n0
+    tax1 = T1 / n1
 
     income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
     if (bad := income <= 0) is not False:
         reject(bad, InfeasibleError,
                "present-value income per household is {} at r={}", income, r)
-    growth = _euler_factor(p, r, power)
+    growth = _euler_factor(instance, r, power)
     q = 1.0 + growth / R
     c0 = income / q
     c1 = c0 * growth
-    C0 = d.n0 * c0
-    C1 = d.n1 * c1
-    tb0 = y0 - C0 - i0 - f.g0
-    tb1 = y1 - C1 - f.g1
-    s0n = y0 - C0 - f.g0
+    C0 = n0 * c0
+    C1 = n1 * c1
+    tb0 = y0 - C0 - i0 - g0
+    tb1 = y1 - C1 - instance.g1
+    s0n = y0 - C0 - g0
     s1x = tb1 / R
-    welfare = (_period_utility(c0, l0, p, ops)
-               + p.beta * _period_utility(c1, l1, p, ops))
+    welfare = (_period_utility(c0, l0, instance, ops)
+               + instance.beta * _period_utility(c1, l1, instance, ops))
     # The one overflow rule: a product such as a0 * L0 overflows to inf
     # without raising.  Every earlier field reaches c0 through income, and
     # 0 * x is NaN when x is NaN or inf and +-0 otherwise, so total is not 0
@@ -398,8 +381,8 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     if (bad := total != 0) is not False:
         reject(bad, DomainError, "numerical overflow at r={}", r)
 
-    return (r, y0, y1, instance.k0, k1, L0, L1, l0, l1, w0, w1, c0, c1, C0,
-            C1, x0, x1, tax0, tax1, f.t0, T1, tb0, tb1, i0, q, s0n, s1x,
+    return (r, y0, y1, k0, k1, L0, L1, l0, l1, w0, w1, c0, c1, C0,
+            C1, x0, x1, tax0, tax1, t0, T1, tb0, tb1, i0, q, s0n, s1x,
             welfare, binding)
 
 

@@ -10,20 +10,20 @@ from __future__ import annotations
 
 from functools import cache
 
-from .model import Demography, Fiscal, ModelInstance, Preferences, Technology
+from .model import ModelInstance
 
 
 @cache
 def baseline_instance() -> ModelInstance:
     """The embedded baseline calibration (16 years per period).
 
-    Every call returns the same instance; its blocks are frozen.
+    Every call returns the same frozen instance.
     """
     return ModelInstance(
-        preferences=Preferences(gamma=1.2, theta=9.0, rho=0.5, phi=1.0),
-        technology=Technology(alpha=0.5, delta=1.0, a0=1.0, a1=1.0),
-        demography=Demography(n0=10.0, n1=10.0, l0_max=35000.0, l1_max=29440.0),
-        fiscal=Fiscal(g0=0.0, g1=0.0, t0=0.0),
+        gamma=1.2, theta=9.0, rho=0.5, phi=1.0,
+        alpha=0.5, delta=1.0, a0=1.0, a1=1.0,
+        n0=10.0, n1=10.0, l0_max=35000.0, l1_max=29440.0,
+        g0=0.0, g1=0.0, t0=0.0,
         k0=31756.0,
         years_per_period=16.0,
     )

@@ -9,39 +9,36 @@ cross-scenario directional checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from dataclasses import dataclass, field
 
 from . import reference
 from .closure import ClosureSpec, ConvergenceError, resolve_rate
-from .model import Equilibrium, ModelInstance, annualize_rate, solve_at_rate
+from .model import (DomainError, Equilibrium, ModelInstance, annualize_rate,
+                    solve_at_rate, with_parameters)
 
-# (instance-file spelling, sub-block or None for top level, field name), in
-# instance-file order.  The field name is the parameter's canonical path.
-PARAMETERS: tuple[tuple[str, str | None, str], ...] = (
-    ("alpha", "technology", "alpha"),
-    ("gamma", "preferences", "gamma"),
-    ("delta", "technology", "delta"),
-    ("theta", "preferences", "theta"),
-    ("rho", "preferences", "rho"),
-    ("phi", "preferences", "phi"),
-    ("A0", "technology", "a0"),
-    ("A1", "technology", "a1"),
-    ("N0", "demography", "n0"),
-    ("N1", "demography", "n1"),
-    ("K0", None, "k0"),
-    ("tax0", "fiscal", "t0"),
-    ("G0", "fiscal", "g0"),
-    ("G1", "fiscal", "g1"),
-    ("l0_max", "demography", "l0_max"),
-    ("l1_max", "demography", "l1_max"),
-    ("years_per_period", None, "years_per_period"),
+# (instance-file spelling, ModelInstance field), in instance-file order.  The
+# field name is the parameter's canonical path.
+PARAMETERS: tuple[tuple[str, str], ...] = (
+    ("alpha", "alpha"),
+    ("gamma", "gamma"),
+    ("delta", "delta"),
+    ("theta", "theta"),
+    ("rho", "rho"),
+    ("phi", "phi"),
+    ("A0", "a0"),
+    ("A1", "a1"),
+    ("N0", "n0"),
+    ("N1", "n1"),
+    ("K0", "k0"),
+    ("tax0", "t0"),
+    ("G0", "g0"),
+    ("G1", "g1"),
+    ("l0_max", "l0_max"),
+    ("l1_max", "l1_max"),
+    ("years_per_period", "years_per_period"),
 )
 
-_BLOCKS = {path: block for _, block, path in PARAMETERS}
-_GETTERS = {path: attrgetter(path if block is None else f"{block}.{path}")
-            for _, block, path in PARAMETERS}
-_CANONICAL = {name.lower(): path for spelling, _, path in PARAMETERS
+_CANONICAL = {name.lower(): path for spelling, path in PARAMETERS
               for name in (spelling, path)}
 
 
@@ -54,26 +51,6 @@ def canonical_parameter(name: str) -> str:
         return _CANONICAL[name.strip().lower()]
     except KeyError:
         raise KeyError(f"unknown parameter {name!r}") from None
-
-
-def parameter_value(instance: ModelInstance, path: str) -> float:
-    """The value of the parameter at canonical `path`."""
-    return _GETTERS[path](instance)
-
-
-def with_parameters(instance: ModelInstance,
-                    values: dict[str, float]) -> ModelInstance:
-    """`instance` with each canonical path in `values` set, one replace per
-    touched block; `instance` itself if `values` is empty."""
-    if not values:
-        return instance
-    blocks: dict[str | None, dict[str, float]] = {}
-    for path, value in values.items():
-        blocks.setdefault(_BLOCKS[path], {})[path] = value
-    top = blocks.pop(None, {})
-    for block, fields in blocks.items():
-        top[block] = replace(getattr(instance, block), **fields)
-    return replace(instance, **top)
 
 
 @dataclass(frozen=True)
@@ -121,12 +98,14 @@ def apply_scenario(base: ModelInstance, s: Scenario) -> ModelInstance:
               for path, value in s.overrides.items()}
     for path, factor in s.perturbations.items():
         path = canonical_parameter(path)
-        values[path] = values.get(path, parameter_value(base, path)) * factor
+        values[path] = values.get(path, getattr(base, path)) * factor
     return with_parameters(base, values)
 
 
 def report_row(eq: Equilibrium, instance: ModelInstance) -> dict[str, float]:
     """The standard result rows (levels and ratios) for one equilibrium."""
+    if eq.r == 0:
+        raise DomainError(f"row w0/r is undefined at r={eq.r}")
     return {
         "tb0": eq.tb0,
         "r": eq.r,

@@ -95,18 +95,17 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
         i0, s0n, s1x = (columns[k] for k in ("i0", "s0n", "s1x"))
     else:
         ref = solve_at_rate(instance, r_ref)
-        d, t, f, p = (instance.demography, instance.technology,
-                      instance.fiscal, instance.preferences)
         inc0 = ref.w0 * ref.l0 + ref.x0 - ref.tax0
         inc1 = ref.w1 * ref.l1 + ref.x1 - ref.tax1
         ops, ok, inadmissible = _array_ops(grid.shape)
         with np.errstate(all="ignore"):
-            _check_rate(t, grid, ops.reject)
+            _check_rate(instance, grid, ops.reject)
             R = 1.0 + grid
-            k1 = _capital_demand(t, ref.L1, grid, ops.power)
-            c0 = (inc0 + inc1 / R) / (1.0 + _euler_factor(p, grid, ops.power) / R)
-            i0 = k1 - (1.0 - t.delta) * instance.k0
-            s0n = ref.y0 - d.n0 * c0 - f.g0
+            k1 = _capital_demand(instance, ref.L1, grid, ops.power)
+            growth = _euler_factor(instance, grid, ops.power)
+            c0 = (inc0 + inc1 / R) / (1.0 + growth / R)
+            i0 = k1 - (1.0 - instance.delta) * instance.k0
+            s0n = ref.y0 - instance.n0 * c0 - instance.g0
             s1x = ref.tb1 / R
         ok &= np.isfinite(i0) & np.isfinite(s0n) & np.isfinite(s1x)
         errors = [(int(j), (_RATE_RULE if inadmissible[j] else

@@ -10,26 +10,26 @@ with the same message.
 
 import math
 
-from openecon import (DomainError, Fiscal, ModelInstance, Preferences,
-                      Technology)
+from openecon import DomainError, ModelInstance
 
 # Admissibility floor for the gross return delta + r.
 MIN_GROSS_RETURN = 1e-9
 
 
-def check_rate(tech: Technology, r: float) -> None:
+def check_rate(instance: ModelInstance, r: float) -> None:
     """Raise DomainError unless r > -1 and delta + r > MIN_GROSS_RETURN (not NaN)."""
-    if r <= -1.0 or tech.delta + r <= MIN_GROSS_RETURN or r != r:
+    if r <= -1.0 or instance.delta + r <= MIN_GROSS_RETURN or r != r:
         raise DomainError(
             f"inadmissible rate r={r} (need r > -1 and delta + r > 0)")
 
 
-def capital_demand(tech: Technology, L1: float, r: float) -> float:
+def capital_demand(instance: ModelInstance, L1: float, r: float) -> float:
     """Future capital demanded by the firm: A1 * L1 * (alpha/(delta+r))^(1/(1-alpha))."""
-    check_rate(tech, r)
+    check_rate(instance, r)
     if L1 <= 0:
         raise DomainError("aggregate future hours L1 must be positive")
-    return tech.a1 * L1 * (tech.alpha / (tech.delta + r)) ** (1.0 / (1.0 - tech.alpha))
+    a = instance.alpha
+    return instance.a1 * L1 * (a / (instance.delta + r)) ** (1.0 / (1.0 - a))
 
 
 def output(K: float, A: float, L: float, alpha: float) -> float:
@@ -46,15 +46,15 @@ def wage_mpl(Y: float, L: float, alpha: float) -> float:
     return (1.0 - alpha) * Y / L
 
 
-def future_wage(tech: Technology, r: float) -> float:
+def future_wage(instance: ModelInstance, r: float) -> float:
     """Future wage implied by the firm's capital choice.
 
     Substituting capital demand into the marginal-product condition makes
     future hours cancel: w1 = (1-alpha) * A1 * (alpha/(delta+r))^(alpha/(1-alpha)).
     """
-    check_rate(tech, r)
-    a = tech.alpha
-    return (1.0 - a) * tech.a1 * (a / (tech.delta + r)) ** (a / (1.0 - a))
+    check_rate(instance, r)
+    a = instance.alpha
+    return (1.0 - a) * instance.a1 * (a / (instance.delta + r)) ** (a / (1.0 - a))
 
 
 def labor_supply_present(instance: ModelInstance, r: float, w1: float) -> tuple[float, bool]:
@@ -69,37 +69,36 @@ def labor_supply_present(instance: ModelInstance, r: float, w1: float) -> tuple[
         raise DomainError("rate must exceed -1")
     if w1 <= 0:
         raise DomainError("future wage must be positive")
-    p, t, d = instance.preferences, instance.technology, instance.demography
-    a = t.alpha
-    hours = (p.beta * (1.0 + r) * (1.0 - a) * instance.k0 ** a
-             * t.a0 ** (1.0 - a) * d.n0 ** -a
-             * d.l1_max ** p.theta / w1) ** (1.0 / (p.theta + a))
-    return (d.l0_max, True) if hours >= d.l0_max else (hours, False)
+    a, theta, l0_max = instance.alpha, instance.theta, instance.l0_max
+    hours = (instance.beta * (1.0 + r) * (1.0 - a) * instance.k0 ** a
+             * instance.a0 ** (1.0 - a) * instance.n0 ** -a
+             * instance.l1_max ** theta / w1) ** (1.0 / (theta + a))
+    return (l0_max, True) if hours >= l0_max else (hours, False)
 
 
-def euler_growth(prefs: Preferences, r: float) -> float:
+def euler_growth(instance: ModelInstance, r: float) -> float:
     """Consumption growth factor c1/c0 = [beta*(1+r)]^(1/gamma)."""
     if r <= -1.0:
         raise DomainError("rate must exceed -1")
-    return (prefs.beta * (1.0 + r)) ** (1.0 / prefs.gamma)
+    return (instance.beta * (1.0 + r)) ** (1.0 / instance.gamma)
 
 
-def q_factor(prefs: Preferences, r: float) -> float:
+def q_factor(instance: ModelInstance, r: float) -> float:
     """Consumption-function denominator Q = 1 + [beta*(1+r)]^(1/gamma) / (1+r).
 
     Always exceeds 1; Q * c0 equals per-household present-value income.
     """
-    return 1.0 + euler_growth(prefs, r) / (1.0 + r)
+    return 1.0 + euler_growth(instance, r) / (1.0 + r)
 
 
-def government_t1(fiscal: Fiscal, r: float) -> float:
+def government_t1(instance: ModelInstance, r: float) -> float:
     """Future tax revenue balancing the government's present-value budget.
 
     T1 = (1+r)*G0 + G1 - T0*(1+r), so T0 + T1/(1+r) = G0 + G1/(1+r) exactly.
     """
     if r <= -1.0:
         raise DomainError("rate must exceed -1")
-    return (1.0 + r) * fiscal.g0 + fiscal.g1 - fiscal.t0 * (1.0 + r)
+    return (1.0 + r) * instance.g0 + instance.g1 - instance.t0 * (1.0 + r)
 
 
 def dividends(Y: float, w: float, L: float, I: float, N: float) -> float:
@@ -109,19 +108,20 @@ def dividends(Y: float, w: float, L: float, I: float, N: float) -> float:
     return (Y - w * L - I) / N
 
 
-def period_utility(c: float, l: float, prefs: Preferences) -> float:
+def period_utility(c: float, l: float, instance: ModelInstance) -> float:
     """Separable period utility: power function of c minus power function of l.
 
     At gamma = 1 the consumption term is log(c), otherwise c^(1-gamma)/(1-gamma).
     """
     if c <= 0:
         raise DomainError("consumption must be positive")
-    uc = (math.log(c) if prefs.gamma == 1.0
-          else c ** (1.0 - prefs.gamma) / (1.0 - prefs.gamma))
-    return uc - prefs.phi * l ** (1.0 + prefs.theta) / (1.0 + prefs.theta)
+    gamma, theta = instance.gamma, instance.theta
+    uc = math.log(c) if gamma == 1.0 else c ** (1.0 - gamma) / (1.0 - gamma)
+    return uc - instance.phi * l ** (1.0 + theta) / (1.0 + theta)
 
 
 def lifetime_utility(c0: float, l0: float, c1: float, l1: float,
-                     prefs: Preferences) -> float:
+                     instance: ModelInstance) -> float:
     """U = u(c0, l0) + beta * u(c1, l1)."""
-    return period_utility(c0, l0, prefs) + prefs.beta * period_utility(c1, l1, prefs)
+    return (period_utility(c0, l0, instance)
+            + instance.beta * period_utility(c1, l1, instance))

@@ -61,7 +61,7 @@ def peak_share(gross_return: float) -> float:
 
 def check_criterion_8_red(result):
     base = baseline_instance()
-    a_star = peak_share(base.technology.delta + SHARE_RATE)
+    a_star = peak_share(base.delta + SHARE_RATE)
     segments = list(zip(SHARE_GRID[:-1], SHARE_GRID[1:]))
     below = [(a, b) for a, b in segments if b < a_star]
     above = [(a, b) for a, b in segments if a > a_star]
@@ -74,11 +74,10 @@ def check_criterion_8_red(result):
         f"{len(SHARE_GRID)} shares at r={SHARE_RATE}; rises on {len(below)} "
         f"segments (first at share {below[0][0]:.2f})")
     # (c) the true shape: strictly rising below the peak, falling above it
-    L1 = base.demography.n1 * base.demography.l1_max
+    L1 = base.n1 * base.l1_max
 
     def k1(alpha):
-        tech = replace(base.technology, alpha=float(alpha))
-        return capital_demand(tech, L1, SHARE_RATE)
+        return capital_demand(replace(base, alpha=float(alpha)), L1, SHARE_RATE)
 
     assert all(k1(b) > k1(a) for a, b in below)
     assert all(k1(b) < k1(a) for a, b in above)
@@ -111,11 +110,11 @@ def test_calibrated_welfare_has_a_minimum_at_balanced_trade():
     spec = ClosureSpec(kind="balanced_trade", bracket=(0.4821, 2.0),
                        tolerance=1e-10)
     r_star, _ = resolve_rate(base, spec)
-    prefs = replace(base.preferences, phi=calibrated_labor_weight(base, r_star))
+    calibrated = replace(base, phi=calibrated_labor_weight(base, r_star))
 
     def u(r):
         eq = solve_at_rate(base, r)
-        return lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1, prefs)
+        return lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1, calibrated)
 
     curvatures = [(u(r_star + h) - 2.0 * u(r_star) + u(r_star - h)) / h ** 2
                   for h in (1e-2, 1e-3, 1e-4)]
@@ -151,7 +150,6 @@ def reference_worst_residuals():
     worst_walras = worst_saving = 0.0
     worst_euler = worst_labor = worst_profit = 0.0
     for instance in instances:
-        p, t = instance.preferences, instance.technology
         for r in CHECK_RATES:
             eq = solve_at_rate(instance, r)
             scale = 1.0 / eq.y0
@@ -159,13 +157,13 @@ def reference_worst_residuals():
                                abs(eq.tb0 + eq.tb1 / (1.0 + r)) * scale)
             worst_saving = max(worst_saving,
                                abs(eq.s0n + eq.s1x - eq.i0) * scale)
-            growth = (p.beta * (1.0 + r)) ** (1.0 / p.gamma)
+            growth = (instance.beta * (1.0 + r)) ** (1.0 / instance.gamma)
             worst_euler = max(worst_euler, abs(eq.c1 / eq.c0 / growth - 1.0))
             if not eq.l0_binding:
-                lhs = eq.l0 ** p.theta * eq.w1
-                rhs = p.beta * (1.0 + r) * eq.w0 * eq.l1 ** p.theta
+                lhs = eq.l0 ** instance.theta * eq.w1
+                rhs = instance.beta * (1.0 + r) * eq.w0 * eq.l1 ** instance.theta
                 worst_labor = max(worst_labor, abs(lhs / rhs - 1.0))
-            profit_gap = eq.y1 - eq.w1 * eq.L1 - (t.delta + r) * eq.k1
+            profit_gap = eq.y1 - eq.w1 * eq.L1 - (instance.delta + r) * eq.k1
             worst_profit = max(worst_profit, abs(profit_gap) / eq.y1)
     return worst_walras, worst_saving, worst_euler, worst_labor, worst_profit
 

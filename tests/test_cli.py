@@ -187,6 +187,29 @@ class TestTable:
         assert (code, out, err) == (
             2, "", "error: line 3: initial capital k0 must be positive\n")
 
+    def test_zero_rate_scenario_fails_alone(self, tmp_path):
+        """w0/r has no value at r = 0: that scenario fails, the rest print."""
+        path = tmp_path / "zero.txt"
+        path.write_text("[z]\nrate = 0\n[b]\nrate = 0.4821\n")
+        code, out, err = run(["table", "--scenario-file", str(path)])
+        assert code == 1
+        assert out.splitlines()[0] == "row,z,b"
+        assert out.splitlines()[-1] == "w1,nan,0.16868"
+        assert err == "z: error: row w0/r is undefined at r=0.0\n"
+
+    @pytest.mark.parametrize("years", ["1e-300", "5e-324"])
+    def test_overflowing_per_year_rate_fails_each_scenario(self, tmp_path, years):
+        path = tmp_path / "tiny.txt"
+        path.write_text(f"years_per_period = {years}\n")
+        code, out, err = run(["table", "--format", "json",
+                              "--instance-file", str(path)])
+        assert code == 1
+        scenarios = json.loads(out)["scenarios"]
+        assert len(scenarios) == 5 and all(s["rows"] == {} for s in scenarios)
+        assert err.splitlines()[0] == (
+            f"baseline: error: per-year rate overflows at r=0.4821 over "
+            f"{float(years)} years")
+
     def test_failed_scenario_json_is_strict(self, tmp_path):
         """A scenario that fails has no rate: null, not json's NaN."""
         path = tmp_path / "bad.txt"
@@ -520,7 +543,9 @@ def fuzz_files(tmp_path_factory):
              "bad.txt": "K0 = inf\n",
              "scenarios.txt": "[b]\nclosure = balanced_trade\n"
                               "bracket = 0.4821, 2.0\n[r]\nrate = 0.5\n",
-             "bad_scenarios.txt": "[x]\nrate = nan\n"}
+             "bad_scenarios.txt": "[x]\nrate = nan\n",
+             "zero_rate.txt": "[z]\nrate = 0\n[b]\nrate = 0.4821\n",
+             "tiny_years.txt": "years_per_period = 1e-300\n"}
     for name, text in texts.items():
         (root / name).write_text(text)
     return [str(root / name) for name in texts]

@@ -195,9 +195,8 @@ class TestWelfareStationarity:
         r = 0.4821
         phi = calibrated_labor_weight(baseline, r)
         eq = solve_at_rate(baseline, r)
-        p = baseline.preferences
-        assert phi * eq.l0 ** p.theta == pytest.approx(
-            eq.c0 ** (-p.gamma) * eq.w0, rel=1e-12)
+        assert phi * eq.l0 ** baseline.theta == pytest.approx(
+            eq.c0 ** (-baseline.gamma) * eq.w0, rel=1e-12)
 
     def test_bad_step(self, baseline):
         with pytest.raises(ValueError):
@@ -212,12 +211,12 @@ class TestWelfareStationarity:
         for _ in range(200):
             instance = sample_instance(rng)
             r = rng.uniform(0.1, 1.0)
-            prefs = replace(instance.preferences,
-                            phi=calibrated_labor_weight(instance, r))
+            calibrated = replace(instance,
+                                 phi=calibrated_labor_weight(instance, r))
 
             def u(x):
                 eq = solve_at_rate(instance, x)
-                return lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1, prefs)
+                return lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1, calibrated)
 
             assert welfare_stationarity_check(instance, r, h) == \
                 (u(r + h) - u(r - h)) / (2.0 * h)

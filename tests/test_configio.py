@@ -40,9 +40,7 @@ class TestInstanceRoundTrip:
         assert parse_instance(BASELINE_TEXT) == baseline
 
     def test_bit_identical_equilibria(self, baseline):
-        tweaked = replace(baseline, k0=12345.6789,
-                          preferences=replace(baseline.preferences,
-                                              gamma=1.7000000000000002))
+        tweaked = replace(baseline, k0=12345.6789, gamma=1.7000000000000002)
         recovered = parse_instance(format_instance(tweaked))
         assert recovered == tweaked
         a = solve_at_rate(tweaked, 0.4821)
@@ -51,8 +49,8 @@ class TestInstanceRoundTrip:
 
     def test_omitted_keys_default_to_baseline(self, baseline):
         parsed = parse_instance("gamma = 2.0\n")
-        assert parsed.preferences.gamma == 2.0
-        assert parsed.preferences.theta == baseline.preferences.theta
+        assert parsed.gamma == 2.0
+        assert parsed.theta == baseline.theta
         assert parsed.k0 == baseline.k0
 
     def test_table_spellings_and_comments(self, baseline):
@@ -61,8 +59,8 @@ class TestInstanceRoundTrip:
             "A1 = 1.15   # productivity\n"
             "tax0 = 5\n"
             "K0 = 30000\n")
-        assert parsed.technology.a1 == 1.15
-        assert parsed.fiscal.t0 == 5.0
+        assert parsed.a1 == 1.15
+        assert parsed.t0 == 5.0
         assert parsed.k0 == 30000.0
 
     def test_unknown_key_errors(self):
@@ -213,7 +211,7 @@ class TestNumericEmission:
 # Fuzzing: lines built from the real keys, with good and bad values
 # ---------------------------------------------------------------------------
 
-SPELLINGS = [name for spelling, _, path in PARAMETERS for name in (spelling, path)]
+SPELLINGS = [name for spelling, path in PARAMETERS for name in (spelling, path)]
 values = (st.floats(0.01, 2.0).map(repr) | st.integers(1, 40).map(str)
           | st.floats().map(repr) | st.text(max_size=6)
           | st.sampled_from(["1e999", "-0", "nan", "x", "?", "", "1.5", "1,2",

@@ -5,54 +5,55 @@ dividends and welfare pin the test oracle in reference_model; TestSolveAtRate pi
 same values on the kernel's Equilibrium fields.
 """
 
+import ast
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from openecon import (Demography, DomainError, Fiscal, InfeasibleError,
-                      ModelInstance, Preferences, Technology, annualize_rate,
-                      capital_demand, solve_at_rate)
+from openecon import (DomainError, InfeasibleError, ModelInstance,
+                      annualize_rate, baseline_instance, capital_demand,
+                      solve_at_rate)
 from openecon import model
 from openecon.closure import ClosureSpec, resolve_rate
+import reference_model
 from reference_model import (dividends, euler_growth, future_wage,
                              government_t1, labor_supply_present,
                              lifetime_utility, output, q_factor, wage_mpl)
 
-BASE_TECH = Technology(alpha=0.5, delta=1.0, a0=1.0, a1=1.0)
-BASE_PREFS = Preferences(gamma=1.2, theta=9.0, rho=0.5)
+BASE = baseline_instance()
 L1_BASE = 294400.0
 
 
 class TestCapitalDemand:
     def test_baseline(self):
-        assert capital_demand(BASE_TECH, L1_BASE, 0.4821) == \
+        assert capital_demand(BASE, L1_BASE, 0.4821) == \
             pytest.approx(33504.96, rel=2e-3)
 
     def test_unit_ratio(self):
-        tech = Technology(alpha=0.5, delta=0.5)
-        assert capital_demand(tech, L1_BASE, 0.0) == L1_BASE
+        instance = replace(BASE, alpha=0.5, delta=0.5)
+        assert capital_demand(instance, L1_BASE, 0.0) == L1_BASE
 
     def test_higher_rho_rate(self):
         # the discount-rate perturbation leaves technology unchanged
-        assert capital_demand(BASE_TECH, L1_BASE, 0.5560) == \
+        assert capital_demand(BASE, L1_BASE, 0.5560) == \
             pytest.approx(30397.05, rel=2e-3)
 
     def test_decreasing_in_r(self):
         rates = np.linspace(0.1, 1.0, 25)
-        values = [capital_demand(BASE_TECH, L1_BASE, r) for r in rates]
+        values = [capital_demand(BASE, L1_BASE, r) for r in rates]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_inadmissible_rate(self):
         with pytest.raises(DomainError):
-            capital_demand(BASE_TECH, L1_BASE, -1.0)
+            capital_demand(BASE, L1_BASE, -1.0)
         with pytest.raises(DomainError):
-            capital_demand(Technology(alpha=0.5, delta=0.3), L1_BASE, -0.3)
+            capital_demand(replace(BASE, delta=0.3), L1_BASE, -0.3)
 
     def test_bad_hours(self):
         with pytest.raises(DomainError):
-            capital_demand(BASE_TECH, 0.0, 0.4821)
+            capital_demand(BASE, 0.0, 0.4821)
 
 
 class TestOutput:
@@ -103,28 +104,28 @@ class TestWageMpl:
 
 class TestFutureWage:
     def test_baseline(self):
-        assert future_wage(BASE_TECH, 0.4821) == pytest.approx(0.168680, abs=1e-4)
+        assert future_wage(BASE, 0.4821) == pytest.approx(0.168680, abs=1e-4)
 
     def test_unit_ratio(self):
-        assert future_wage(Technology(alpha=0.5, delta=0.5), 0.0) == 0.5
+        assert future_wage(replace(BASE, delta=0.5), 0.0) == 0.5
 
     def test_higher_a1(self):
-        tech = Technology(alpha=0.5, delta=1.0, a1=1.15)
-        assert future_wage(tech, 0.4979) == pytest.approx(0.1919, rel=1e-3)
+        instance = replace(BASE, a1=1.15)
+        assert future_wage(instance, 0.4979) == pytest.approx(0.1919, rel=1e-3)
 
     def test_matches_composed_pipeline(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             L1 = rng.uniform(10.0, 1e6)
             r = rng.uniform(0.05, 1.5)
-            k1 = capital_demand(BASE_TECH, L1, r)
-            composed = wage_mpl(output(k1, BASE_TECH.a1, L1, BASE_TECH.alpha),
-                                L1, BASE_TECH.alpha)
-            assert future_wage(BASE_TECH, r) == pytest.approx(composed, rel=1e-12)
+            k1 = capital_demand(BASE, L1, r)
+            composed = wage_mpl(output(k1, BASE.a1, L1, BASE.alpha),
+                                L1, BASE.alpha)
+            assert future_wage(BASE, r) == pytest.approx(composed, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            future_wage(BASE_TECH, -1.5)
+            future_wage(BASE, -1.5)
 
 
 class TestLaborSupply:
@@ -135,18 +136,16 @@ class TestLaborSupply:
 
     def test_symmetry(self, baseline):
         # with w1 chosen so beta*w0*(1+r)/w1 = 1 at l0 = l1, hours equalize
-        d, t = baseline.demography, baseline.technology
-        r = 0.25
-        w0_at_l1 = (1 - t.alpha) * baseline.k0 ** t.alpha * \
-            t.a0 ** (1 - t.alpha) * (d.n0 * d.l1_max) ** (-t.alpha)
-        w1 = baseline.preferences.beta * (1 + r) * w0_at_l1
-        l0, binding = labor_supply_present(baseline, r, w1)
-        assert l0 == pytest.approx(d.l1_max, rel=1e-12)
+        b, r = baseline, 0.25
+        w0_at_l1 = (1 - b.alpha) * b.k0 ** b.alpha * \
+            b.a0 ** (1 - b.alpha) * (b.n0 * b.l1_max) ** (-b.alpha)
+        w1 = b.beta * (1 + r) * w0_at_l1
+        l0, binding = labor_supply_present(b, r, w1)
+        assert l0 == pytest.approx(b.l1_max, rel=1e-12)
         assert not binding
 
     def test_clamp(self, baseline):
-        low_cap = replace(baseline,
-                          demography=replace(baseline.demography, l0_max=20000.0))
+        low_cap = replace(baseline, l0_max=20000.0)
         l0, binding = labor_supply_present(low_cap, 0.4821, 0.168680)
         assert l0 == 20000.0
         assert binding
@@ -161,50 +160,48 @@ class TestLaborSupply:
 class TestEulerGrowth:
     def test_baseline(self):
         # oracle: published C1/C0 = 77161.10 / 77935.89
-        assert euler_growth(BASE_PREFS, 0.4821) == pytest.approx(0.99005, abs=1e-4)
+        assert euler_growth(BASE, 0.4821) == pytest.approx(0.99005, abs=1e-4)
 
     def test_stationary(self):
         for gamma in (0.7, 1.0, 2.5):
-            prefs = Preferences(gamma=gamma, theta=9.0, rho=0.5)
-            assert euler_growth(prefs, 0.5) == pytest.approx(1.0, rel=1e-12)
+            instance = replace(BASE, gamma=gamma)
+            assert euler_growth(instance, 0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_higher_a1_rate(self):
-        assert euler_growth(BASE_PREFS, 0.4979) == pytest.approx(0.99883, abs=1e-4)
+        assert euler_growth(BASE, 0.4979) == pytest.approx(0.99883, abs=1e-4)
 
 
 class TestQFactor:
     def test_baseline(self):
-        assert q_factor(BASE_PREFS, 0.4821) == pytest.approx(1.66799, abs=1e-4)
+        assert q_factor(BASE, 0.4821) == pytest.approx(1.66799, abs=1e-4)
 
     def test_log_like_limit(self):
-        prefs = Preferences(gamma=1.2, theta=9.0, rho=1e-12)
-        assert q_factor(prefs, 0.0) == pytest.approx(2.0, abs=1e-9)
+        assert q_factor(replace(BASE, rho=1e-12), 0.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_higher_rho(self):
-        prefs = Preferences(gamma=1.2, theta=9.0, rho=0.575)
-        assert q_factor(prefs, 0.5560) == pytest.approx(1.63621, abs=1e-4)
+        assert q_factor(replace(BASE, rho=0.575), 0.5560) == pytest.approx(1.63621, abs=1e-4)
 
     def test_exceeds_one(self):
         for r in np.linspace(-0.5, 2.0, 11):
-            assert q_factor(BASE_PREFS, r) > 1.0
+            assert q_factor(BASE, r) > 1.0
 
 
 class TestGovernment:
     def test_no_government(self):
-        assert government_t1(Fiscal(), 0.4821) == 0.0
+        assert government_t1(BASE, 0.4821) == 0.0
 
     def test_balanced_period0(self):
-        assert government_t1(Fiscal(g0=10.0, t0=10.0), 0.77) == 0.0
+        assert government_t1(replace(BASE, g0=10.0, t0=10.0), 0.77) == 0.0
 
     def test_deferred_spending(self):
-        assert government_t1(Fiscal(g1=5.0), 0.5) == 5.0
+        assert government_t1(replace(BASE, g1=5.0), 0.5) == 5.0
 
     def test_pv_budget(self):
-        fiscal = Fiscal(g0=7.0, g1=3.0, t0=2.0)
+        instance = replace(BASE, g0=7.0, g1=3.0, t0=2.0)
         for r in (0.1, 0.5, 1.2):
-            t1 = government_t1(fiscal, r)
-            lhs = fiscal.t0 + t1 / (1 + r)
-            rhs = fiscal.g0 + fiscal.g1 / (1 + r)
+            t1 = government_t1(instance, r)
+            lhs = instance.t0 + t1 / (1 + r)
+            rhs = instance.g0 + instance.g1 / (1 + r)
             assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
@@ -240,9 +237,7 @@ class TestSolveAtRate:
         assert not eq.l0_binding
 
     def test_higher_a1_column(self, baseline):
-        instance = replace(baseline,
-                           technology=replace(baseline.technology, a1=1.15))
-        eq = solve_at_rate(instance, 0.4979)
+        eq = solve_at_rate(replace(baseline, a1=1.15), 0.4979)
         assert eq.y0 == pytest.approx(95891.88, rel=2e-3)
         assert eq.y1 == pytest.approx(113010.11, rel=2e-3)
         assert eq.l0 == pytest.approx(28956.36, rel=2e-3)
@@ -258,9 +253,9 @@ class TestSolveAtRate:
     def test_structural_invariants(self, baseline_eq, baseline):
         eq = baseline_eq
         assert eq.q > 1.0
-        assert eq.i0 == eq.k1 - (1 - baseline.technology.delta) * baseline.k0
-        assert eq.l0 <= baseline.demography.l0_max
-        assert eq.l1 == baseline.demography.l1_max
+        assert eq.i0 == eq.k1 - (1 - baseline.delta) * baseline.k0
+        assert eq.l0 <= baseline.l0_max
+        assert eq.l1 == baseline.l1_max
 
     def test_deterministic(self, baseline):
         assert solve_at_rate(baseline, 0.4821) == solve_at_rate(baseline, 0.4821)
@@ -276,7 +271,7 @@ class TestSolveAtRate:
         assert eq.T1 == 0.0
 
     def test_deferred_spending(self, baseline):
-        eq = solve_at_rate(replace(baseline, fiscal=Fiscal(g1=5.0)), 0.5)
+        eq = solve_at_rate(replace(baseline, g1=5.0), 0.5)
         assert eq.T1 == 5.0
 
     def test_inadmissible_rate(self, baseline):
@@ -296,16 +291,15 @@ class TestValuePath:
     """model._values_at_rate, which the closures call, gives solve_at_rate's
     fields without the record, and checks that pass make no call."""
 
-    @pytest.mark.parametrize("block, changes, r", [
-        (None, {}, 0.4821),                                  # a solve
-        (None, {}, -1.5),                                    # inadmissible
-        ("fiscal", {"g0": 1e6}, 0.4821),                     # infeasible
-        ("technology", {"alpha": 0.98, "delta": 0.1}, -0.09999999),  # ** raises
-        ("demography", {"n0": 1e306}, 0.4821),               # overflow rule
+    @pytest.mark.parametrize("changes, r", [
+        ({}, 0.4821),                                  # a solve
+        ({}, -1.5),                                    # inadmissible
+        ({"g0": 1e6}, 0.4821),                         # infeasible
+        ({"alpha": 0.98, "delta": 0.1}, -0.09999999),  # ** raises
+        ({"n0": 1e306}, 0.4821),                       # overflow rule
     ])
-    def test_values_are_the_record_fields(self, baseline, block, changes, r):
-        instance = baseline if block is None else replace(baseline, **{
-            block: replace(getattr(baseline, block), **changes)})
+    def test_values_are_the_record_fields(self, baseline, changes, r):
+        instance = replace(baseline, **changes)
         assert outcome(model._values_at_rate, instance, r) == outcome(
             lambda i, x: tuple(vars(solve_at_rate(i, x)).values()), instance, r)
 
@@ -323,7 +317,7 @@ class TestValuePath:
 
     def test_passing_checks_make_no_call(self, baseline, rejects):
         solve_at_rate(baseline, 0.4821)
-        model.check_rate(baseline.technology, 0.4821)
+        model.check_rate(baseline, 0.4821)
         assert rejects == []
         model._values_at_rate(baseline, 0.4821)
         assert rejects == []
@@ -332,7 +326,7 @@ class TestValuePath:
         with pytest.raises(DomainError, match="^inadmissible rate r=-1.5 "):
             solve_at_rate(baseline, -1.5)
         with pytest.raises(DomainError, match="^inadmissible rate r=nan "):
-            model.check_rate(baseline.technology, math.nan)
+            model.check_rate(baseline, math.nan)
         assert len(rejects) == 2
 
 
@@ -351,9 +345,7 @@ class TestSavingDecomposition:
         assert s0n == pytest.approx(eq.i0, rel=1e-9)
 
     def test_higher_rho(self, baseline):
-        instance = replace(baseline,
-                           preferences=replace(baseline.preferences, rho=0.575))
-        eq = solve_at_rate(instance, 0.5560)
+        eq = solve_at_rate(replace(baseline, rho=0.575), 0.5560)
         assert eq.s1x == pytest.approx(11359.92, rel=5e-3)
 
     def test_identity(self, baseline_eq):
@@ -363,15 +355,15 @@ class TestSavingDecomposition:
 
 class TestWelfare:
     def test_unit_consumption(self):
-        prefs = Preferences(gamma=2.0, theta=9.0, rho=1.0)
-        assert lifetime_utility(1.0, 0.0, 1.0, 0.0, prefs) == pytest.approx(-1.5)
+        instance = replace(BASE, gamma=2.0, rho=1.0)
+        assert lifetime_utility(1.0, 0.0, 1.0, 0.0, instance) == pytest.approx(-1.5)
 
     def test_log_limit(self):
         # levels carry a 1/(1-gamma) constant, so continuity at gamma = 1
         # holds for utility differences (the constant cancels)
         for eps in (1e-6, -1e-6):
-            log_prefs = Preferences(gamma=1.0, theta=9.0, rho=0.5)
-            near_prefs = Preferences(gamma=1.0 + eps, theta=9.0, rho=0.5)
+            log_prefs = replace(BASE, gamma=1.0)
+            near_prefs = replace(BASE, gamma=1.0 + eps)
             diff_log = (lifetime_utility(2.0, 0.5, 3.0, 0.4, log_prefs)
                         - lifetime_utility(5.0, 0.5, 7.0, 0.4, log_prefs))
             diff_near = (lifetime_utility(2.0, 0.5, 3.0, 0.4, near_prefs)
@@ -388,11 +380,11 @@ class TestWelfare:
     def test_welfare_matches_equilibrium_field(self, baseline, baseline_eq):
         eq = baseline_eq
         assert eq.welfare == lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1,
-                                              baseline.preferences)
+                                              baseline)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            lifetime_utility(-1.0, 0.0, 1.0, 0.0, BASE_PREFS)
+            lifetime_utility(-1.0, 0.0, 1.0, 0.0, BASE)
 
 
 class TestAnnualize:
@@ -414,31 +406,109 @@ class TestAnnualize:
         with pytest.raises(DomainError):
             annualize_rate(0.5, 0)
 
+    @pytest.mark.parametrize("years", [1e-300, 5e-324])
+    def test_overflow(self, years):
+        with pytest.raises(DomainError, match="^per-year rate overflows at "
+                           f"r=0.4821 over {years} years$"):
+            annualize_rate(0.4821, years)
+        assert annualize_rate(-0.5, years) == -1.0
+
+
+def test_oracle_imports_nothing_from_the_kernel():
+    """reference_model takes the instance and imports only the error type
+    and the record from the package, so its equations are its own."""
+    tree = ast.parse(open(reference_model.__file__).read())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = {(getattr(node, "module", None), alias.name)
+             for node in imports for alias in node.names}
+    assert names == {(None, "math"), ("openecon", "DomainError"),
+                     ("openecon", "ModelInstance")}
+
+
+POSITIVE = "gamma, theta, rho, phi must all be positive"
+ENDOWMENTS = "household counts and time endowments must be positive"
+
 
 class TestValidation:
     def test_preferences(self):
         with pytest.raises(DomainError):
-            Preferences(gamma=0.0, theta=9.0, rho=0.5)
+            replace(BASE, gamma=0.0)
         with pytest.raises(DomainError):
-            Preferences(gamma=1.2, theta=9.0, rho=-0.1)
-        assert 0.0 < BASE_PREFS.beta < 1.0
+            replace(BASE, rho=-0.1)
+        assert 0.0 < BASE.beta < 1.0
 
     def test_technology(self):
         with pytest.raises(DomainError):
-            Technology(alpha=1.0, delta=1.0)
+            replace(BASE, alpha=1.0)
         with pytest.raises(DomainError):
-            Technology(alpha=0.5, delta=1.5)
+            replace(BASE, delta=1.5)
 
     def test_demography(self):
         with pytest.raises(DomainError):
-            Demography(n0=0.0, n1=10.0, l0_max=1.0, l1_max=1.0)
+            replace(BASE, n0=0.0, l0_max=1.0, l1_max=1.0)
 
     def test_fiscal(self):
         with pytest.raises(DomainError):
-            Fiscal(g0=-1.0)
+            replace(BASE, g0=-1.0)
 
     def test_instance(self, baseline):
         with pytest.raises(DomainError):
             replace(baseline, k0=0.0)
         with pytest.raises(DomainError):
             replace(baseline, years_per_period=0.0)
+
+    # One bad value per field, with the message the checks gave when the
+    # parameters were split over four records.
+    @pytest.mark.parametrize("name, value, message", [
+        ("gamma", 0.0, POSITIVE), ("gamma", math.inf, "gamma must be finite"),
+        ("theta", -1.0, POSITIVE), ("theta", math.inf, "theta must be finite"),
+        ("rho", math.nan, POSITIVE), ("rho", math.inf, "rho must be finite"),
+        ("phi", 0.0, POSITIVE), ("phi", math.inf, "phi must be finite"),
+        ("alpha", 1.0, "alpha must lie in (0, 1)"),
+        ("alpha", math.nan, "alpha must lie in (0, 1)"),
+        ("delta", 1.5, "delta must lie in (0, 1]"),
+        ("delta", math.inf, "delta must lie in (0, 1]"),
+        ("a0", 0.0, "labor efficiencies must be positive"),
+        ("a0", math.inf, "a0 must be finite"),
+        ("a1", -1.0, "labor efficiencies must be positive"),
+        ("a1", math.inf, "a1 must be finite"),
+        ("n0", 0.0, ENDOWMENTS), ("n0", math.inf, "n0 must be finite"),
+        ("n1", math.nan, ENDOWMENTS), ("n1", math.inf, "n1 must be finite"),
+        ("l0_max", -1.0, ENDOWMENTS), ("l0_max", math.inf, "l0_max must be finite"),
+        ("l1_max", 0.0, ENDOWMENTS), ("l1_max", math.inf, "l1_max must be finite"),
+        ("g0", -1.0, "government purchases must be non-negative"),
+        ("g0", math.nan, "g0 must be finite"),
+        ("g1", -math.inf, "government purchases must be non-negative"),
+        ("g1", math.inf, "g1 must be finite"),
+        ("t0", -math.inf, "t0 must be finite"), ("t0", math.nan, "t0 must be finite"),
+        ("k0", 0.0, "initial capital k0 must be positive"),
+        ("k0", math.inf, "k0 must be finite"),
+        ("years_per_period", -16.0, "years_per_period must be positive"),
+        ("years_per_period", math.nan, "years_per_period must be finite"),
+    ])
+    def test_each_field_message(self, name, value, message):
+        with pytest.raises(DomainError) as info:
+            model.with_parameters(BASE, {name: value})
+        assert str(info.value) == message
+
+    def test_first_bad_field_in_check_order(self):
+        # gamma is checked before alpha, whatever order the values come in
+        with pytest.raises(DomainError, match=f"^{POSITIVE}$"):
+            model.with_parameters(BASE, {"alpha": 3.0, "gamma": -1.0})
+        # and every range check before the finiteness check
+        with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\)$"):
+            model.with_parameters(BASE, {"gamma": math.inf, "alpha": 3.0})
+
+    def test_keywords_only(self):
+        values = [getattr(BASE, name) for name in ModelInstance.__dataclass_fields__]
+        with pytest.raises(TypeError):
+            ModelInstance(*values)
+
+    def test_with_parameters_builds_the_checked_record(self):
+        changed = model.with_parameters(BASE, {"alpha": 0.4, "rho": 0.6})
+        built = replace(BASE, alpha=0.4, rho=0.6)
+        assert changed == built and hash(changed) == hash(built)
+        assert model.with_parameters(BASE, {}) is BASE
+        with pytest.raises(DomainError, match="^k0 must be finite$"):
+            model.with_parameters(changed, {"k0": math.nan})

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from openecon import (Demography, Fiscal, InfeasibleError, ModelInstance,
-                      Preferences, Technology, capital_demand, solve_at_rate)
+from openecon import (InfeasibleError, ModelInstance, capital_demand,
+                      solve_at_rate)
 from openecon.acceptance import iterate_labor_supply
 from reference_model import output, wage_mpl
 
@@ -19,10 +19,10 @@ def instances(equal_counts=True):
     def build(gamma, theta, rho, alpha, delta, a0, a1, n, l0_max, l1_max, k0,
               g0, g1, t0):
         return ModelInstance(
-            preferences=Preferences(gamma=gamma, theta=theta, rho=rho),
-            technology=Technology(alpha=alpha, delta=delta, a0=a0, a1=a1),
-            demography=Demography(n0=n, n1=n, l0_max=l0_max, l1_max=l1_max),
-            fiscal=Fiscal(g0=g0, g1=g1, t0=t0),
+            gamma=gamma, theta=theta, rho=rho,
+            alpha=alpha, delta=delta, a0=a0, a1=a1,
+            n0=n, n1=n, l0_max=l0_max, l1_max=l1_max,
+            g0=g0, g1=g1, t0=t0,
             k0=k0,
         )
 
@@ -65,7 +65,7 @@ def test_walras_and_saving_identities(instance, r):
 @settings(max_examples=100, deadline=None)
 def test_foc_residuals(instance, r):
     eq = solve_or_assume(instance, r)
-    p, t = instance.preferences, instance.technology
+    p = instance
     growth = (p.beta * (1 + r)) ** (1 / p.gamma)
     assert abs(eq.c1 / eq.c0 / growth - 1) <= 1e-12
     if not eq.l0_binding:
@@ -73,16 +73,16 @@ def test_foc_residuals(instance, r):
         rhs = p.beta * (1 + r) * eq.w0 * eq.l1 ** p.theta
         assert abs(lhs / rhs - 1) <= 1e-10
     # factor payments and the firm's future zero profit
-    assert eq.w0 * eq.L0 == pytest.approx((1 - t.alpha) * eq.y0, rel=1e-12)
-    assert eq.w1 * eq.L1 == pytest.approx((1 - t.alpha) * eq.y1, rel=1e-12)
-    assert abs(eq.y1 - eq.w1 * eq.L1 - (t.delta + r) * eq.k1) <= 1e-10 * eq.y1
+    assert eq.w0 * eq.L0 == pytest.approx((1 - p.alpha) * eq.y0, rel=1e-12)
+    assert eq.w1 * eq.L1 == pytest.approx((1 - p.alpha) * eq.y1, rel=1e-12)
+    assert abs(eq.y1 - eq.w1 * eq.L1 - (p.delta + r) * eq.k1) <= 1e-10 * eq.y1
 
 
 @given(instance=instances(), r=st.floats(0.1, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_government_budget_and_q(instance, r):
     eq = solve_or_assume(instance, r)
-    f = instance.fiscal
+    f = instance
     assert eq.T0 + eq.T1 / (1 + r) == pytest.approx(f.g0 + f.g1 / (1 + r),
                                                     rel=1e-12, abs=1e-9)
     assert eq.q > 1.0
@@ -98,8 +98,7 @@ def test_monotone_in_rate(baseline):
 
 
 def test_gamma_invariance_of_production_side(baseline):
-    twisted = replace(baseline,
-                      preferences=replace(baseline.preferences, gamma=1.38))
+    twisted = replace(baseline, gamma=1.38)
     a = solve_at_rate(baseline, 0.4821)
     b = solve_at_rate(twisted, 0.4821)
     for name in ("y0", "y1", "l0", "w0", "w1", "k1", "i0"):
@@ -110,10 +109,10 @@ def test_capital_demand_locally_decreasing_in_share(baseline):
     # decreasing in the share exactly where (1-a)/a + ln(a/(delta+r)) < 0;
     # at a = 0.5 and delta + r = 1.4821 that is 1 + ln(0.3374) = -0.087.
     # Checked by central finite difference
-    L1 = baseline.demography.n1 * baseline.demography.l1_max
+    L1 = baseline.n1 * baseline.l1_max
     h = 1e-6
-    lo = capital_demand(replace(baseline.technology, alpha=0.5 - h), L1, 0.4821)
-    hi = capital_demand(replace(baseline.technology, alpha=0.5 + h), L1, 0.4821)
+    lo = capital_demand(replace(baseline, alpha=0.5 - h), L1, 0.4821)
+    hi = capital_demand(replace(baseline, alpha=0.5 + h), L1, 0.4821)
     assert hi < lo
 
 
@@ -121,7 +120,7 @@ def test_capital_demand_locally_decreasing_in_share(baseline):
        data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_future_wage_matches_pipeline(instance, r, data):
-    t = instance.technology
+    t = instance
     w1 = solve_or_assume(instance, r).w1
     for _ in range(10):
         L1 = data.draw(st.floats(10.0, 1e6))

@@ -26,8 +26,7 @@ from openecon import (ClosureSpec, DomainError, Equilibrium, InfeasibleError,
                       resolve_rate, solve_at_rate)
 from openecon.acceptance import sample_instance
 from openecon.configio import Records, csv_number, json_number, to_csv, to_json
-from openecon.model import solve_rates
-from openecon.scenarios import with_parameters
+from openecon.model import solve_rates, with_parameters
 from reference_model import (capital_demand, check_rate, dividends,
                              euler_growth, future_wage, government_t1,
                              labor_supply_present, lifetime_utility, output,
@@ -51,53 +50,51 @@ def reference_solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
     converted to a Python float first: its ** raises on overflow, where a
     numpy scalar's returns inf.
     """
-    p, t, d, f = (instance.preferences, instance.technology,
-                  instance.demography, instance.fiscal)
     r = float(r)
     try:
-        check_rate(t, r)
+        check_rate(instance, r)
         R = 1.0 + r
 
-        l1 = d.l1_max
-        L1 = d.n1 * l1
-        w1 = future_wage(t, r)
-        k1 = capital_demand(t, L1, r)
-        y1 = output(k1, t.a1, L1, t.alpha)
+        l1 = instance.l1_max
+        L1 = instance.n1 * l1
+        w1 = future_wage(instance, r)
+        k1 = capital_demand(instance, L1, r)
+        y1 = output(k1, instance.a1, L1, instance.alpha)
 
         l0, binding = labor_supply_present(instance, r, w1)
-        L0 = d.n0 * l0
-        y0 = output(instance.k0, t.a0, L0, t.alpha)
-        w0 = wage_mpl(y0, L0, t.alpha)
+        L0 = instance.n0 * l0
+        y0 = output(instance.k0, instance.a0, L0, instance.alpha)
+        w0 = wage_mpl(y0, L0, instance.alpha)
 
-        i0 = k1 - (1.0 - t.delta) * instance.k0
-        x0 = dividends(y0, w0, L0, i0, d.n0)
-        x1 = dividends(y1, w1, L1, 0.0, d.n1)
+        i0 = k1 - (1.0 - instance.delta) * instance.k0
+        x0 = dividends(y0, w0, L0, i0, instance.n0)
+        x1 = dividends(y1, w1, L1, 0.0, instance.n1)
 
-        T1 = government_t1(f, r)
-        tax0 = f.t0 / d.n0
-        tax1 = T1 / d.n1
+        T1 = government_t1(instance, r)
+        tax0 = instance.t0 / instance.n0
+        tax1 = T1 / instance.n1
 
         income = w0 * l0 + w1 * l1 / R + x0 + x1 / R - tax0 - tax1 / R
         if income <= 0:
             raise InfeasibleError(
                 f"present-value income per household is {income} at r={r}")
 
-        q = q_factor(p, r)
+        q = q_factor(instance, r)
         c0 = income / q
-        c1 = c0 * euler_growth(p, r)
-        C0 = d.n0 * c0
-        C1 = d.n1 * c1
+        c1 = c0 * euler_growth(instance, r)
+        C0 = instance.n0 * c0
+        C1 = instance.n1 * c1
 
-        tb0 = y0 - C0 - i0 - f.g0
-        tb1 = y1 - C1 - f.g1
-        s0n = y0 - C0 - f.g0
+        tb0 = y0 - C0 - i0 - instance.g0
+        tb1 = y1 - C1 - instance.g1
+        s0n = y0 - C0 - instance.g0
         s1x = tb1 / R
-        U = lifetime_utility(c0, l0, c1, l1, p)
+        U = lifetime_utility(c0, l0, c1, l1, instance)
 
         return Equilibrium(
             r=r, y0=y0, y1=y1, k0=instance.k0, k1=k1, L0=L0, L1=L1,
             l0=l0, l1=l1, w0=w0, w1=w1, c0=c0, c1=c1, C0=C0, C1=C1,
-            x0=x0, x1=x1, tax0=tax0, tax1=tax1, T0=f.t0, T1=T1,
+            x0=x0, x1=x1, tax0=tax0, tax1=tax1, T0=instance.t0, T1=T1,
             tb0=tb0, tb1=tb1, i0=i0, q=q, s0n=s0n, s1x=s1x,
             welfare=U, l0_binding=binding,
         )
@@ -125,20 +122,18 @@ def reference_partial(instance, grid, r_ref):
     i0, s0n, s1x = (np.full(n, np.nan) for _ in range(3))
     errors = []
     ref = solve_at_rate(instance, r_ref)
-    d, t, f, p = (instance.demography, instance.technology,
-                  instance.fiscal, instance.preferences)
     inc0 = ref.w0 * ref.l0 + ref.x0 - ref.tax0
     inc1 = ref.w1 * ref.l1 + ref.x1 - ref.tax1
     for j, r in enumerate(grid):
         try:
-            check_rate(t, r)
-            k1 = capital_demand(t, ref.L1, r)
-            c0 = (inc0 + inc1 / (1.0 + r)) / q_factor(p, r)
+            check_rate(instance, r)
+            k1 = capital_demand(instance, ref.L1, r)
+            c0 = (inc0 + inc1 / (1.0 + r)) / q_factor(instance, r)
         except (DomainError, InfeasibleError) as exc:
             errors.append((j, str(exc)))
             continue
-        i0[j] = k1 - (1.0 - t.delta) * instance.k0
-        s0n[j] = ref.y0 - d.n0 * c0 - f.g0
+        i0[j] = k1 - (1.0 - instance.delta) * instance.k0
+        s0n[j] = ref.y0 - instance.n0 * c0 - instance.g0
         s1x[j] = ref.tb1 / (1.0 + r)
     return i0, s0n, s1x, errors
 
@@ -194,12 +189,10 @@ def economies(draw):
     """A sampled economy; sometimes gamma = 1 or heavy spending."""
     instance = sample_instance(np.random.default_rng(draw(st.integers(0, 2**32))))
     if draw(st.booleans()):
-        instance = replace(instance, preferences=replace(
-            instance.preferences, gamma=1.0))
+        instance = replace(instance, gamma=1.0)
     if draw(st.booleans()):   # income turns negative over part of the grid
-        instance = replace(instance, fiscal=replace(
-            instance.fiscal, g0=draw(st.floats(1e3, 1e5)),
-            g1=draw(st.floats(1e3, 1e5))))
+        instance = replace(instance, g0=draw(st.floats(1e3, 1e5)),
+                           g1=draw(st.floats(1e3, 1e5)))
     return instance
 
 
@@ -238,14 +231,14 @@ def assert_matches_scalar_solve(instance, rates):
 @given(data=st.data(), instance=economies(), as_list=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_solve_rates_matches_scalar_solve(data, instance, as_list):
-    grid = data.draw(rate_grids(instance.technology.delta))
+    grid = data.draw(rate_grids(instance.delta))
     assert_matches_scalar_solve(instance, grid.tolist() if as_list else grid)
 
 
 @given(data=st.data(), instance=economies())
 @settings(max_examples=100, deadline=None)
 def test_schedules_match_per_point_loops(data, instance):
-    grid = np.unique(data.draw(rate_grids(instance.technology.delta)))
+    grid = np.unique(data.draw(rate_grids(instance.delta)))
     curve = compute_schedules(instance, grid)
     *want, want_errors = reference_full(instance, grid)
     for got, expected in zip((curve.i0, curve.s0n, curve.s1x), want, strict=True):
@@ -269,7 +262,7 @@ def test_schedules_match_per_point_loops(data, instance):
 @settings(max_examples=150, deadline=None)
 def test_welfare_sweep_matches_loop(data, instance, as_array):
     low = data.draw(st.sampled_from([-1.5, 0.01]))
-    grid = data.draw(rate_grids(instance.technology.delta, low))
+    grid = data.draw(rate_grids(instance.delta, low))
     if data.draw(st.booleans()):   # equal welfare at repeated rates
         grid = np.concatenate([grid, grid[::2]])
     grid = tuple(grid) if as_array else tuple(grid.tolist())
@@ -323,29 +316,19 @@ def edge_economies(b):
     finite (which the replaced code let through and solve_at_rate rejects),
     and fields that are all finite while tb0 + s0n leaves the double range
     (at r = 2.0 both are -1.108e308; the overflow rule must accept them)."""
-    t = b.technology
     return {
-        "steep": replace(b, technology=replace(t, alpha=0.99, delta=0.1)),
-        "log_small_hours": replace(
-            b, k0=1.0, preferences=replace(b.preferences, gamma=1.0, theta=1.0),
-            demography=replace(b.demography, l0_max=1.0, l1_max=1.0)),
-        "L1_underflow": replace(b, demography=replace(b.demography, n1=1e-200,
-                                                      l1_max=1e-200)),
+        "steep": replace(b, alpha=0.99, delta=0.1),
+        "log_small_hours": replace(b, k0=1.0, gamma=1.0, theta=1.0,
+                                   l0_max=1.0, l1_max=1.0),
+        "L1_underflow": replace(b, n1=1e-200, l1_max=1e-200),
         "tiny_k0": replace(b, k0=1e-300),
-        "hours_overflow": replace(b, preferences=replace(b.preferences, theta=0.05),
-                                  technology=replace(t, alpha=0.2, a0=1e100)),
-        "utility_overflow": replace(
-            b, preferences=replace(b.preferences, theta=1.0),
-            demography=replace(b.demography, l1_max=1e200)),
-        "nan_income": replace(b, technology=replace(t, a0=1e300),
-                              demography=replace(b.demography, n0=1e10)),
-        "nan_future_income": replace(b, technology=replace(t, a1=1e300),
-                                     demography=replace(b.demography, n1=1e10)),
-        "inf_aggregate_consumption": replace(
-            b, demography=replace(b.demography, n0=1e306)),
-        "finite_sum_overflow": replace(
-            b, technology=replace(t, a0=4.685e-43, a1=3.946e37),
-            demography=replace(b.demography, n0=2.736e267)),
+        "hours_overflow": replace(b, theta=0.05, alpha=0.2, a0=1e100),
+        "utility_overflow": replace(b, theta=1.0, l1_max=1e200),
+        "nan_income": replace(b, a0=1e300, n0=1e10),
+        "nan_future_income": replace(b, a1=1e300, n1=1e10),
+        "inf_aggregate_consumption": replace(b, n0=1e306),
+        "finite_sum_overflow": replace(b, a0=4.685e-43, a1=3.946e37,
+                                       n0=2.736e267),
     }
 
 
@@ -358,7 +341,7 @@ EDGE_RATES = np.concatenate([
 @given(data=st.data(), instance=economies())
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_replaced_solve_at_rate(data, instance):
-    grid = data.draw(rate_grids(instance.technology.delta))
+    grid = data.draw(rate_grids(instance.delta))
     assert_kernel_matches_reference(instance, grid)
     assert_kernel_matches_reference(instance, grid.tolist())
 
@@ -389,7 +372,7 @@ def extreme_economies(draw):
 def test_extreme_economies_solve_finite_or_raise(data, instance):
     """No successful solve has a NaN or infinite field, and solve_rates
     agrees with solve_at_rate point for point."""
-    rates = data.draw(rate_grids(instance.technology.delta, low=-0.5))
+    rates = data.draw(rate_grids(instance.delta, low=-0.5))
     for r in rates:
         eq = outcome(solve_at_rate, instance, r)
         if isinstance(eq, Equilibrium):
@@ -399,8 +382,7 @@ def test_extreme_economies_solve_finite_or_raise(data, instance):
 
 def test_overflowing_economy_matches_scalar_solve(baseline):
     """alpha = 0.99, delta = 0.1: powers overflow just above r = -0.1."""
-    steep = replace(baseline, technology=replace(
-        baseline.technology, alpha=0.99, delta=0.1))
+    steep = replace(baseline, alpha=0.99, delta=0.1)
     grid = np.linspace(-0.11, -0.05, 61)
     assert_matches_scalar_solve(steep, grid)
     assert_matches_scalar_solve(steep, grid.tolist())
@@ -447,11 +429,8 @@ def test_solve_at_rate_record_is_a_dataclass_record(baseline, r):
 def test_log_utility_matches_scalar_solve(baseline):
     """gamma = 1 with small hours, so that log(c) shows in welfare: numpy's
     vectorized log differs from math.log by an ulp at some of these points."""
-    small = replace(baseline, k0=1.0,
-                    preferences=replace(baseline.preferences, gamma=1.0,
-                                        theta=1.0),
-                    demography=replace(baseline.demography, l0_max=1.0,
-                                       l1_max=1.0))
+    small = replace(baseline, k0=1.0, gamma=1.0, theta=1.0, l0_max=1.0,
+                    l1_max=1.0)
     assert_matches_scalar_solve(small, np.linspace(0.01, 2.0, 401))
 
 

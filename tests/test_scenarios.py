@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from openecon import (ClosureSpec, Scenario, apply_scenario, paper_suite,
-                      report_row, run_suite, solve_at_rate)
+from openecon import (ClosureSpec, DomainError, Scenario, apply_scenario,
+                      paper_suite, report_row, run_suite, solve_at_rate)
 from openecon.scenarios import canonical_parameter, row_deviation
 
 
@@ -23,22 +23,22 @@ class TestApplyScenario:
     def test_perturb_gamma(self, baseline):
         s = Scenario("g", rate=0.4821, perturbations={"gamma": 1.15})
         out = apply_scenario(baseline, s)
-        assert out.preferences.gamma == pytest.approx(1.38, rel=1e-12)
+        assert out.gamma == pytest.approx(1.38, rel=1e-12)
 
     def test_perturb_rho(self, baseline):
         s = Scenario("p", rate=0.5, perturbations={"rho": 1.15})
         out = apply_scenario(baseline, s)
-        assert out.preferences.rho == pytest.approx(0.575, rel=1e-12)
+        assert out.rho == pytest.approx(0.575, rel=1e-12)
 
     def test_empty_scenario_identical(self, baseline):
         out = apply_scenario(baseline, Scenario("b", rate=0.4821))
         assert out == baseline
 
     def test_base_untouched(self, baseline):
-        gamma_before = baseline.preferences.gamma
+        gamma_before = baseline.gamma
         apply_scenario(baseline, Scenario("g", rate=0.5,
                                           overrides={"gamma": 2.0}))
-        assert baseline.preferences.gamma == gamma_before
+        assert baseline.gamma == gamma_before
 
     def test_override_then_perturb_disjoint_only(self):
         with pytest.raises(ValueError):
@@ -83,6 +83,10 @@ class TestReportRow:
         assert rows["r_year"] == pytest.approx((1.4821) ** (1 / 16) - 1,
                                                rel=1e-12)
 
+    def test_zero_rate_has_no_w0_r_row(self, baseline):
+        with pytest.raises(DomainError, match=r"^row w0/r is undefined at r=0.0$"):
+            report_row(solve_at_rate(baseline, 0.0), baseline)
+
     def test_row_deviation_modes(self):
         assert row_deviation(0.35, 0.34) == pytest.approx(0.01)
         assert row_deviation(101.0, 100.0) == pytest.approx(0.01)
@@ -110,6 +114,13 @@ class TestSuite:
         assert report.results[0].passed
         assert report.results[1].error is not None
         assert not report.passed
+
+    def test_two_bad_values_name_the_first_checked(self, baseline):
+        """Checks run in the instance's field order, gamma before alpha,
+        whatever order the scenario gives the perturbations in."""
+        s = Scenario("x", rate=0.5, perturbations={"alpha": 3.0, "gamma": -1.0})
+        (result,) = run_suite(baseline, [s]).results
+        assert result.error == "gamma, theta, rho, phi must all be positive"
 
     def test_convergence_failure_does_not_abort(self, baseline):
         slow = Scenario("slow", closure=ClosureSpec("balanced_trade",

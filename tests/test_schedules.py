@@ -95,8 +95,7 @@ class TestValidationAndFlagging:
             compute_schedules(baseline, GRID, mode="sideways")
 
     def test_inadmissible_points_are_flagged(self, baseline):
-        soft = replace(baseline, technology=replace(baseline.technology,
-                                                    delta=0.6))
+        soft = replace(baseline, delta=0.6)
         grid = np.linspace(-0.7, 0.5, 13)  # first points give delta + r <= 0
         curve = compute_schedules(soft, grid)
         assert curve.errors
@@ -107,8 +106,7 @@ class TestValidationAndFlagging:
 
     def test_partial_errors_in_index_order(self, baseline):
         """Inadmissible and overflowing points both become NaN errors."""
-        steep = replace(baseline, technology=replace(
-            baseline.technology, alpha=0.98, delta=0.1))
+        steep = replace(baseline, alpha=0.98, delta=0.1)
         grid = np.array([-0.2, -0.1, -0.09999999, 10.0])
         curve = compute_schedules(steep, grid, mode="partial", r_ref=10.0)
         assert [j for j, _ in curve.errors] == [0, 1, 2]
@@ -154,7 +152,7 @@ class TestValidationAndFlagging:
     def test_later_failures_are_still_replayed(self, baseline, monkeypatch):
         """A rate that passes the rate check but fails a later one is
         replayed through the float path, which supplies its message."""
-        poor = replace(baseline, fiscal=replace(baseline.fiscal, g0=1e6))
+        poor = replace(baseline, g0=1e6)
         replayed, values_at_rate = [], model._values_at_rate
 
         def recording(instance, r):
@@ -168,7 +166,7 @@ class TestValidationAndFlagging:
         assert errors[1][1].startswith("present-value income per household")
         assert replayed == [0.4821]
         for r in replayed:
-            check_rate(poor.technology, r)
+            check_rate(poor, r)
 
     def test_default_grid(self):
         grid = default_grid(0.4821)
