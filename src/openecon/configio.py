@@ -1,12 +1,12 @@
 """Plain-text instance and scenario files, plus CSV/JSON emission helpers.
 
 Instance files are flat `key = value` lines, one per parameter of
-scenarios.PARAMETERS, written with its calibration-table spelling and read
-with any spelling canonical_parameter accepts.  Scenario files group lines
-under `[name]` headers; inside a section, `set.<param> = v` overrides a
-parameter, `perturb.<param> = f` scales it, and either `rate = r` or a
-`closure = kind` block selects the rate.  A parameter, key or section
-given twice is an error naming both lines.
+model.PARAMETERS, written with its calibration-table spelling, read with
+any spelling canonical_parameter accepts, and checked by check_parameter.
+Scenario files group lines under `[name]` headers; inside a section,
+`set.<param> = v` overrides a parameter, `perturb.<param> = f` scales it,
+and either `rate = r` or a `closure = kind` block selects the rate.  A
+parameter, key or section given twice is an error naming both lines.
 
 Numeric output is deterministic: JSON carries 15 significant digits, CSV
 carries 6.  Float columns such as schedule points reach to_json as a Records
@@ -21,8 +21,9 @@ import math
 from itertools import chain
 
 from .closure import ClosureSpec
-from .model import DomainError, ModelInstance, with_parameters
-from .scenarios import PARAMETERS, Scenario, canonical_parameter
+from .model import (PARAMETERS, DomainError, ModelInstance,
+                    canonical_parameter, check_parameter, with_parameters)
+from .scenarios import Scenario
 from .reference import baseline_instance
 
 
@@ -71,6 +72,13 @@ def _once(seen: dict[str, int], name: str, lineno: int, what: str) -> None:
     seen[name] = lineno
 
 
+def _parameter(lineno: int, name: str) -> str:
+    try:
+        return canonical_parameter(name)
+    except KeyError:
+        raise ParseError(f"line {lineno}: unknown parameter {name!r}") from None
+
+
 def parse_instance(text: str) -> ModelInstance:
     """Build an instance from flat key-value text; unknown or repeated keys
     are errors, and a rejected value names its line.  Keys omitted from the
@@ -79,25 +87,19 @@ def parse_instance(text: str) -> ModelInstance:
     lines: dict[str, int] = {}
     for lineno, line in _parse_lines(text):
         key, value = _split_kv(lineno, line)
-        try:
-            path = canonical_parameter(key)
-        except KeyError:
-            raise ParseError(f"line {lineno}: unknown parameter {key!r}") from None
+        path = _parameter(lineno, key)
         _once(lines, path, lineno, "parameter")
         values[path] = _as_float(lineno, key, value)
-    try:
-        return with_parameters(baseline_instance(), values)
-    except DomainError:
-        # Every range check reads one field: the first line at fault fails alone.
-        for path, value in values.items():
-            _check_alone(lines[path], path, value)
-        raise
+    # Every rule reads one field: the first line at fault fails alone.
+    for path, value in values.items():
+        _check_alone(lines[path], path, value)
+    return with_parameters(baseline_instance(), values)
 
 
 def _check_alone(lineno: int, path: str, value: float) -> None:
-    """Apply one value alone to the baseline; a rejection names its line."""
+    """check_parameter, with a rejection naming its line."""
     try:
-        with_parameters(baseline_instance(), {path: value})
+        check_parameter(path, value)
     except DomainError as exc:
         raise DomainError(f"line {lineno}: {exc}") from None
 
@@ -105,7 +107,7 @@ def _check_alone(lineno: int, path: str, value: float) -> None:
 def format_instance(instance: ModelInstance) -> str:
     """Serialize an instance so that re-parsing reproduces it bit for bit."""
     return "".join(f"{spelling} = {getattr(instance, path)!r}\n"
-                   for spelling, path in PARAMETERS)
+                   for spelling, path, _, _ in PARAMETERS)
 
 
 def read_instance(path: str) -> ModelInstance:
@@ -186,7 +188,7 @@ def parse_scenarios(text: str) -> list[Scenario]:
                     raise ParseError(f"line {lineno}: rate must be finite")
             elif key.startswith(("set.", "perturb.")):
                 prefix, param = key.split(".", 1)
-                path = _scenario_param(lineno, param)
+                path = _parameter(lineno, param)
                 _once(params, f"{prefix}.{path}", lineno, "key")
                 number = _as_float(lineno, key, value)
                 if prefix == "set":
@@ -204,13 +206,6 @@ def parse_scenarios(text: str) -> list[Scenario]:
         except ValueError as exc:
             raise ParseError(f"line {header}: {exc}") from None
     return scenarios
-
-
-def _scenario_param(lineno: int, name: str) -> str:
-    try:
-        return canonical_parameter(name)
-    except KeyError:
-        raise ParseError(f"line {lineno}: unknown parameter {name!r}") from None
 
 
 def read_scenarios(path: str) -> list[Scenario]:

@@ -40,6 +40,50 @@ class InfeasibleError(ValueError):
 # Parameters
 # ---------------------------------------------------------------------------
 
+_PREFERENCES = "gamma, theta, rho, phi must all be positive"
+_EFFICIENCIES = "labor efficiencies must be positive"
+_ENDOWMENTS = "household counts and time endowments must be positive"
+_PURCHASES = "government purchases must be non-negative"
+
+# The 17 parameters in instance-file order, not field order: (file spelling,
+# ModelInstance field, rule, message), where rule(x) is True if it rejects x.
+# `not x > 0` rejects NaN; `<` and `<=` pass it on to the finiteness check.
+PARAMETERS = (
+    ("alpha", "alpha", lambda x: not 0.0 < x < 1.0, "alpha must lie in (0, 1)"),
+    ("gamma", "gamma", lambda x: not x > 0, _PREFERENCES),
+    ("delta", "delta", lambda x: not 0.0 < x <= 1.0, "delta must lie in (0, 1]"),
+    ("theta", "theta", lambda x: not x > 0, _PREFERENCES),
+    ("rho", "rho", lambda x: not x > 0, _PREFERENCES),
+    ("phi", "phi", lambda x: not x > 0, _PREFERENCES),
+    ("A0", "a0", lambda x: not x > 0, _EFFICIENCIES),
+    ("A1", "a1", lambda x: not x > 0, _EFFICIENCIES),
+    ("N0", "n0", lambda x: not x > 0, _ENDOWMENTS),
+    ("N1", "n1", lambda x: not x > 0, _ENDOWMENTS),
+    ("K0", "k0", lambda x: x <= 0, "initial capital k0 must be positive"),
+    ("tax0", "t0", None, None),
+    ("G0", "g0", lambda x: x < 0, _PURCHASES),
+    ("G1", "g1", lambda x: x < 0, _PURCHASES),
+    ("l0_max", "l0_max", lambda x: not x > 0, _ENDOWMENTS),
+    ("l1_max", "l1_max", lambda x: not x > 0, _ENDOWMENTS),
+    ("years_per_period", "years_per_period", lambda x: x <= 0,
+     "years_per_period must be positive"),
+)
+
+_CANONICAL = {name.lower(): field for spelling, field, _, _ in PARAMETERS
+              for name in (spelling, field)}
+
+
+def canonical_parameter(name: str) -> str:
+    """Normalize a parameter spelling (e.g. 'A1', 'tax0') to its field.
+
+    Spellings and fields match case-insensitively, ignoring surrounding space.
+    """
+    try:
+        return _CANONICAL[name.strip().lower()]
+    except KeyError:
+        raise KeyError(f"unknown parameter {name!r}") from None
+
+
 @dataclass(frozen=True, kw_only=True)
 class ModelInstance:
     """A complete parameterization of the two-period economy.
@@ -59,8 +103,8 @@ class ModelInstance:
     g0/g1, t0 : government purchases (>= 0), period-0 total tax revenue
     k0, years_per_period : initial capital, years per period (> 0)
 
-    The range checks run in field order, then one check that every field
-    is finite; the first failure raises DomainError.
+    The range rules of PARAMETERS run in field order, then one check that
+    every field is finite; the first failure raises DomainError.
     """
 
     gamma: float
@@ -82,28 +126,16 @@ class ModelInstance:
     years_per_period: float = 16.0
 
     def __post_init__(self):
-        if not (self.gamma > 0 and self.theta > 0 and self.rho > 0 and self.phi > 0):
-            raise DomainError("gamma, theta, rho, phi must all be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError("alpha must lie in (0, 1)")
-        if not 0.0 < self.delta <= 1.0:
-            raise DomainError("delta must lie in (0, 1]")
-        if not (self.a0 > 0 and self.a1 > 0):
-            raise DomainError("labor efficiencies must be positive")
-        if not (self.n0 > 0 and self.n1 > 0 and self.l0_max > 0 and self.l1_max > 0):
-            raise DomainError("household counts and time endowments must be positive")
-        if self.g0 < 0 or self.g1 < 0:
-            raise DomainError("government purchases must be non-negative")
-        if self.k0 <= 0:
-            raise DomainError("initial capital k0 must be positive")
-        if self.years_per_period <= 0:
-            raise DomainError("years_per_period must be positive")
         values = _parameter_values(self)
+        for field, value in zip(_PARAMETER_NAMES, values):
+            rule, message = _RULES[field]
+            if rule is not None and rule(value):
+                raise DomainError(message)
         # A NaN or inf makes the sum one; a sum that overflows costs the loop.
         if not math.isfinite(sum(values)):
-            for name, value in zip(_PARAMETER_NAMES, values):
+            for field, value in zip(_PARAMETER_NAMES, values):
                 if not math.isfinite(value):
-                    raise DomainError(f"{name} must be finite")
+                    raise DomainError(f"{field} must be finite")
 
     @property
     def beta(self) -> float:
@@ -113,6 +145,17 @@ class ModelInstance:
 
 _PARAMETER_NAMES = tuple(ModelInstance.__dataclass_fields__)
 _parameter_values = operator.attrgetter(*_PARAMETER_NAMES)
+_RULES = {field: (rule, message) for _, field, rule, message in PARAMETERS}
+
+
+def check_parameter(field: str, value: float) -> None:
+    """Raise the DomainError that `value` in `field`, with valid values
+    elsewhere, gives a new instance.  Builds no instance."""
+    rule, message = _RULES[field]
+    if rule is not None and rule(value):
+        raise DomainError(message)
+    if not math.isfinite(value):
+        raise DomainError(f"{field} must be finite")
 
 
 def with_parameters(instance: ModelInstance,

@@ -13,44 +13,9 @@ from dataclasses import dataclass, field
 
 from . import reference
 from .closure import ClosureSpec, ConvergenceError, resolve_rate
-from .model import (DomainError, Equilibrium, ModelInstance, annualize_rate,
-                    solve_at_rate, with_parameters)
-
-# (instance-file spelling, ModelInstance field), in instance-file order.  The
-# field name is the parameter's canonical path.
-PARAMETERS: tuple[tuple[str, str], ...] = (
-    ("alpha", "alpha"),
-    ("gamma", "gamma"),
-    ("delta", "delta"),
-    ("theta", "theta"),
-    ("rho", "rho"),
-    ("phi", "phi"),
-    ("A0", "a0"),
-    ("A1", "a1"),
-    ("N0", "n0"),
-    ("N1", "n1"),
-    ("K0", "k0"),
-    ("tax0", "t0"),
-    ("G0", "g0"),
-    ("G1", "g1"),
-    ("l0_max", "l0_max"),
-    ("l1_max", "l1_max"),
-    ("years_per_period", "years_per_period"),
-)
-
-_CANONICAL = {name.lower(): path for spelling, path in PARAMETERS
-              for name in (spelling, path)}
-
-
-def canonical_parameter(name: str) -> str:
-    """Normalize a parameter spelling (e.g. 'A1', 'tax0') to its path.
-
-    Spellings and paths match case-insensitively, ignoring surrounding space.
-    """
-    try:
-        return _CANONICAL[name.strip().lower()]
-    except KeyError:
-        raise KeyError(f"unknown parameter {name!r}") from None
+from .model import (_CANONICAL, DomainError, Equilibrium, ModelInstance,
+                    annualize_rate, canonical_parameter, solve_at_rate,
+                    with_parameters)
 
 
 @dataclass(frozen=True)

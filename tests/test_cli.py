@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import openecon
 from openecon.cli import main
-from openecon.scenarios import PARAMETERS
+from openecon.model import PARAMETERS
 
 SRC = str(Path(openecon.__file__).resolve().parents[1])
 SCALAR_COMMANDS = [["solve", "--rate", "0.4821"], ["table"],

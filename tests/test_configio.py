@@ -10,7 +10,8 @@ from openecon import DomainError, ModelInstance, solve_at_rate
 from openecon.configio import (ParseError, csv_number, format_instance,
                                json_number, parse_instance, parse_scenarios,
                                to_csv, to_json)
-from openecon.scenarios import PARAMETERS, Scenario
+from openecon.model import PARAMETERS
+from openecon.scenarios import Scenario
 
 
 BASELINE_TEXT = """\
@@ -211,7 +212,7 @@ class TestNumericEmission:
 # Fuzzing: lines built from the real keys, with good and bad values
 # ---------------------------------------------------------------------------
 
-SPELLINGS = [name for spelling, path in PARAMETERS for name in (spelling, path)]
+SPELLINGS = [name for spelling, path, _, _ in PARAMETERS for name in (spelling, path)]
 values = (st.floats(0.01, 2.0).map(repr) | st.integers(1, 40).map(str)
           | st.floats().map(repr) | st.text(max_size=6)
           | st.sampled_from(["1e999", "-0", "nan", "x", "?", "", "1.5", "1,2",

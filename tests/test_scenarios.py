@@ -6,7 +6,8 @@ import pytest
 
 from openecon import (ClosureSpec, DomainError, Scenario, apply_scenario,
                       paper_suite, report_row, run_suite, solve_at_rate)
-from openecon.scenarios import canonical_parameter, row_deviation
+from openecon.model import canonical_parameter
+from openecon.scenarios import row_deviation
 
 
 # instance-file spelling -> canonical parameter path
