@@ -15,6 +15,10 @@ result line), so a checkout older than this script can be measured too.
 `env.dont_write_bytecode` records whether PYTHONDONTWRITEBYTECODE is set
 for perfbench's children, which inherit this process's environment: if it
 is, every cold CLI process compiles openecon from source.
+`src_split` counts the lines of ROOT's src/openecon/*.py by kind with the
+tokenize module: a docstring line lies inside a string token that is a
+statement on its own (blank lines inside it included), a code line holds
+any other token, a comment line only a comment, and a blank line nothing.
 Standard library only.  Runs one process at a time: perfbench pins itself
 and its children to one CPU.
 """
@@ -28,6 +32,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 from time import perf_counter
 
@@ -53,6 +58,30 @@ def src_tree(root: Path) -> str | None:
             if proc.returncode != 0:
                 return None
         return proc.stdout.strip()
+
+
+def src_split(root: Path) -> dict[str, int]:
+    """Code, docstring, comment and blank lines of root/src/openecon/*.py."""
+    counts = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    starts = (tokenize.ENCODING, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+    ends = (tokenize.NEWLINE, tokenize.ENDMARKER)
+    for path in sorted((root / "src" / "openecon").glob("*.py")):
+        with open(path, "rb") as fh:
+            tokens = [t for t in tokenize.tokenize(fh.readline)
+                      if t.type not in (tokenize.NL, tokenize.COMMENT)]
+        docstring, code = set(), set()
+        for i, tok in enumerate(tokens):
+            if tok.type in starts or tok.type == tokenize.ENDMARKER:
+                continue
+            alone = (tok.type == tokenize.STRING and tokens[i - 1].type in starts
+                     and tokens[i + 1].type in ends)
+            (docstring if alone else code).update(range(tok.start[0], tok.end[0] + 1))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            kind = ("code" if lineno in code else "docstring" if lineno in docstring
+                    else "blank" if not line.strip() else "comment")
+            counts[kind] += 1
+    return counts
 
 
 def perfbench(root: Path, workload: str, seconds: float, trace: int,
@@ -123,6 +152,7 @@ def main(argv=None) -> int:
         print(f"{workload}: {record['workloads'][workload]['end_to_end']}",
               file=sys.stderr)
     record["repo.src_lines"] = traced["metrics"]["repo.src_lines"]["value"]
+    record["src_split"] = src_split(root)
     record["tier1"] = tier1(root)
 
     out = Path(f"BENCH_{args.pr}.json")

@@ -9,6 +9,7 @@ cross-scenario directional checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import reference
@@ -68,10 +69,14 @@ def apply_scenario(base: ModelInstance, s: Scenario) -> ModelInstance:
 
 
 def report_row(eq: Equilibrium, instance: ModelInstance) -> dict[str, float]:
-    """The standard result rows (levels and ratios) for one equilibrium."""
+    """The standard result rows (levels and ratios) for one equilibrium.
+
+    Raises DomainError naming the first row, in reference.ROW_ORDER, that
+    has no finite value, such as w0/r at r = 0.
+    """
     if eq.r == 0:
         raise DomainError(f"row w0/r is undefined at r={eq.r}")
-    return {
+    rows = {
         "tb0": eq.tb0,
         "r": eq.r,
         "r_year": annualize_rate(eq.r, instance.years_per_period),
@@ -89,6 +94,11 @@ def report_row(eq: Equilibrium, instance: ModelInstance) -> dict[str, float]:
         "w0_r": eq.w0 / eq.r,
         "w1": eq.w1,
     }
+    for key in reference.ROW_KEYS:
+        if not math.isfinite(rows[key]):
+            raise DomainError(f"row {reference.ROW_LABELS[key]} is not finite "
+                              f"at r={eq.r}")
+    return rows
 
 
 def row_deviation(computed: float, expected: float) -> float:

@@ -197,6 +197,32 @@ class TestTable:
         assert out.splitlines()[-1] == "w1,nan,0.16868"
         assert err == "z: error: row w0/r is undefined at r=0.0\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("instance, scenarios, bad, good, message", [
+        ("A1 = 1e-320\n", "[a]\nrate = 0.5\n", "a", [],
+         "row w0/(w1/(1+r)) is not finite at r=0.5"),
+        ("", "[tiny]\nrate = 1e-310\n[good]\nrate = 0.4821\n", "tiny", ["good"],
+         "row w0/r is not finite at r=1e-310"),
+    ], ids=["tiny_a1", "tiny_rate"])
+    def test_non_finite_row_fails_its_scenario_alone(self, tmp_path, fmt, instance,
+                                                     scenarios, bad, good, message):
+        """A row that overflows fails its scenario by name, never inf with exit 0."""
+        (tmp_path / "calib.txt").write_text(instance)
+        (tmp_path / "scen.txt").write_text(scenarios)
+        code, out, err = run(["table", "--format", fmt,
+                              "--instance-file", str(tmp_path / "calib.txt"),
+                              "--scenario-file", str(tmp_path / "scen.txt")])
+        assert (code, err) == (1, f"{bad}: error: {message}\n")
+        assert "inf" not in out
+        if fmt == "json":
+            results = json.loads(out)["scenarios"]
+            assert [(r["name"], r["error"]) for r in results] == [
+                (bad, message)] + [(name, None) for name in good]
+            assert [bool(r["rows"]) for r in results] == [False] + [True] * len(good)
+        else:
+            assert out.splitlines()[0] == ",".join(["row", bad, *good])
+            assert out.splitlines()[-1].split(",")[:2] == ["w1", "nan"]
+
     @pytest.mark.parametrize("years", ["1e-300", "5e-324"])
     def test_overflowing_per_year_rate_fails_each_scenario(self, tmp_path, years):
         path = tmp_path / "tiny.txt"
@@ -545,7 +571,10 @@ def fuzz_files(tmp_path_factory):
                               "bracket = 0.4821, 2.0\n[r]\nrate = 0.5\n",
              "bad_scenarios.txt": "[x]\nrate = nan\n",
              "zero_rate.txt": "[z]\nrate = 0\n[b]\nrate = 0.4821\n",
-             "tiny_years.txt": "years_per_period = 1e-300\n"}
+             "tiny_years.txt": "years_per_period = 1e-300\n",
+             "tiny_a1.txt": "A1 = 1e-320\n",
+             "a_scenario.txt": "[a]\nrate = 0.5\n",
+             "tiny_rate.txt": "[tiny]\nrate = 1e-310\n[good]\nrate = 0.4821\n"}
     for name, text in texts.items():
         (root / name).write_text(text)
     return [str(root / name) for name in texts]

@@ -72,6 +72,42 @@ class TestBalancedTrade:
             resolve_rate(baseline, spec)
 
 
+def test_headline_claim_on_sampled_economies():
+    """The paper's claim, on the model: a higher discount rate rho or a
+    higher expected efficiency a1 raises the balanced-trade rate r*, and a
+    higher a1 raises the future wage w1, on every sampled economy where the
+    closure resolves before and after the x1.15 change.  The present wage
+    w0 does not follow "wages rise" (see README).  The resolve counts are
+    pinned, so a change in the closure's coverage shows here."""
+    spec = ClosureSpec("balanced_trade")
+
+    def balanced(instance):
+        try:
+            r, _ = resolve_rate(instance, spec)
+        except (BracketError, InfeasibleError):
+            return None
+        return solve_at_rate(instance, r)
+
+    rng = np.random.default_rng(12345)
+    resolved = {"base": 0, "rho": 0, "a1": 0}
+    for _ in range(435):
+        instance = sample_instance(rng)
+        base = balanced(instance)
+        if base is None:
+            continue
+        resolved["base"] += 1
+        for name in ("rho", "a1"):
+            up = balanced(model.with_parameters(
+                instance, {name: getattr(instance, name) * 1.15}))
+            if up is None:
+                continue
+            resolved[name] += 1
+            assert up.r > base.r, (name, instance)
+            if name == "a1":
+                assert up.w1 > base.w1, instance
+    assert resolved == {"base": 300, "rho": 293, "a1": 273}
+
+
 class TestTradeShareTarget:
     def test_round_trip_to_published_rate(self, baseline):
         eq = solve_at_rate(baseline, 0.4821)

@@ -40,6 +40,18 @@ class TestInstanceRoundTrip:
         assert format_instance(baseline) == BASELINE_TEXT
         assert parse_instance(BASELINE_TEXT) == baseline
 
+    def test_parameter_table(self, baseline):
+        """One row per ModelInstance field; no two rows share a spelling,
+        whatever its case; rows in the order format_instance writes."""
+        assert (sorted(field for _, field, _, _ in PARAMETERS)
+                == sorted(ModelInstance.__dataclass_fields__))
+        names = [name for spelling, field, _, _ in PARAMETERS
+                 for name in {spelling.lower(), field.lower()}]
+        assert len(names) == len(set(names))
+        assert [line.split(" = ")[0] for line in BASELINE_TEXT.splitlines()] \
+            == [spelling for spelling, _, _, _ in PARAMETERS]
+        assert format_instance(baseline) == BASELINE_TEXT
+
     def test_bit_identical_equilibria(self, baseline):
         tweaked = replace(baseline, k0=12345.6789, gamma=1.7000000000000002)
         recovered = parse_instance(format_instance(tweaked))
@@ -96,6 +108,22 @@ class TestInstanceRoundTrip:
         with pytest.raises(DomainError) as info:
             parse_instance(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("K0 = -1\nfoo = 1\n", ParseError, "line 2: unknown parameter 'foo'"),
+        ("K0 = -1\nalpha = x\n", ParseError,
+         "line 2: alpha = 'x' is not a number"),
+        ("alpha = 3\ngamma = -1\n", DomainError,
+         "line 1: alpha must lie in (0, 1)"),
+        ("gamma = inf\nalpha = 3\n", DomainError, "line 1: gamma must be finite"),
+        ("tax0 = inf\n", DomainError, "line 1: t0 must be finite"),
+    ])
+    def test_precedence(self, text, error, message):
+        """Every line parses before any value is checked; values are then
+        checked alone, in line order, each rule before its finiteness."""
+        with pytest.raises(ValueError) as info:
+            parse_instance(text)
+        assert (type(info.value), str(info.value)) == (error, message)
 
 
 class TestScenarioFiles:

@@ -491,6 +491,9 @@ class TestValidation:
         with pytest.raises(DomainError) as info:
             model.with_parameters(BASE, {name: value})
         assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            model.check_parameter(name, value)
+        assert str(info.value) == message
 
     def test_first_bad_field_in_check_order(self):
         # gamma is checked before alpha, whatever order the values come in
