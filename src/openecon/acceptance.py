@@ -91,8 +91,8 @@ def _criterion_1(shared: Shared) -> CriterionResult:
     report, elapsed = shared.report, shared.seconds
     cells = sum(len(r.deviations) for r in report.results)
     failed = [f"{r.name}:{key}" for r in report.results for key in r.failed_rows]
-    base = next(r for r in report.results if r.name == "baseline").rows
-    high_a1 = next(r for r in report.results if r.name == "higher_a1").rows
+    rows = {r.name: r.rows for r in report.results}
+    base, high_a1 = rows["baseline"], rows["higher_a1"]
     anchors_ok = (
         abs(base["y0"] / 96492.12 - 1) <= 2e-3
         and abs(base["C0"] / 77935.89 - 1) <= 2e-3
@@ -107,9 +107,8 @@ def _criterion_1(shared: Shared) -> CriterionResult:
 
 
 def _criterion_2(shared: Shared) -> CriterionResult:
-    report = shared.report
-    base = next(r for r in report.results if r.name == "baseline").rows
-    gamma = next(r for r in report.results if r.name == "higher_gamma").rows
+    rows = {r.name: r.rows for r in shared.report.results}
+    base, gamma = rows["baseline"], rows["higher_gamma"]
     production = ("y0", "y1", "l0", "i0", "w0", "w1", "r_year")
     equal = all(gamma[key] == base[key] for key in production)
     differ = all(gamma[key] != base[key] for key in ("C0", "C1", "tb0"))

@@ -14,7 +14,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import configio, schedules
-from .closure import (BracketError, ClosureSpec, ConvergenceError,
+from .closure import (KINDS, BracketError, ClosureSpec, ConvergenceError,
                       resolve_rate)
 from .model import DomainError, InfeasibleError, solve_at_rate
 from .scenarios import paper_suite, run_suite
@@ -37,9 +37,7 @@ def _add_common(parser):
 def _add_rate_or_closure(parser):
     parser.add_argument("--rate", type=float,
                         help="per-period real interest rate")
-    parser.add_argument("--closure",
-                        choices=("fixed", "balanced_trade",
-                                 "trade_share_target", "welfare_sweep"),
+    parser.add_argument("--closure", choices=KINDS,
                         help="rate selection rule instead of an explicit rate")
     parser.add_argument("--bracket", metavar="LO,HI",
                         help="search bracket for root-finding closures")
@@ -184,21 +182,10 @@ def cmd_table(args, out, err) -> int:
     report = run_suite(instance, scenario_list)
 
     if args.format == "json":
-        payload = {"scenarios": [], "sign_checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in report.sign_checks]}
-        for result in report.results:
-            payload["scenarios"].append({
-                "name": result.name,
-                "rate": result.rate,
-                "rows": result.rows,
-                "reference": (result.reference.values
-                              if result.reference else None),
-                "deviations": result.deviations,
-                "failed_rows": result.failed_rows,
-                "error": result.error,
-            })
-        out.write(configio.to_json(payload))
+        scenarios = [{**vars(r), "reference": r.reference and r.reference.values}
+                     for r in report.results]
+        out.write(configio.to_json({"scenarios": scenarios, "sign_checks":
+                                    [vars(c) for c in report.sign_checks]}))
     else:
         # one column per scenario, one row per result label
         header = ["row"] + [r.name for r in report.results]

@@ -18,6 +18,7 @@ from .model import (_FIELDS, DomainError, ModelInstance, _values_at_rate,
                     solve_rates, with_parameters)
 
 DEFAULT_BRACKET = (0.01, 2.0)
+KINDS = ("fixed", "balanced_trade", "trade_share_target", "welfare_sweep")
 _Y0, _L0, _W0, _C0, _TB0, _WELFARE = map(
     _FIELDS.index, ("y0", "l0", "w0", "c0", "tb0", "welfare"))
 
@@ -34,8 +35,7 @@ class ConvergenceError(RuntimeError):
 class ClosureSpec:
     """How to choose r.
 
-    kind is one of {"fixed", "balanced_trade", "trade_share_target",
-    "welfare_sweep"}.  fixed_rate feeds `fixed`; target_share is the
+    kind is one of KINDS.  fixed_rate feeds `fixed`; target_share is the
     desired tb0/y0 for `trade_share_target`; grid feeds `welfare_sweep`.
     """
 
@@ -48,8 +48,7 @@ class ClosureSpec:
     grid: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "balanced_trade", "trade_share_target",
-                             "welfare_sweep"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown closure kind {self.kind!r}")
         lo, hi = self.bracket
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -143,41 +142,36 @@ def resolve_rate(instance: ModelInstance,
     if spec.kind == "fixed":
         return spec.fixed_rate, diag
 
-    lo, hi = spec.bracket
+    if spec.kind == "welfare_sweep":
+        # Argmax over the grid, ties break to the lowest rate; the first bad
+        # point raises as its scalar solve does, so welfare is finite.  The
+        # argmax is a grid end, not an interior optimum: with phi calibrated
+        # at the balanced-trade rate r*, utility has a minimum at r* (the
+        # economy gains from trade on either side), and under the baseline's
+        # phi it falls with r throughout.
+        rates = sorted(spec.grid)
+        columns, errors = solve_rates(instance, rates)
+        if errors:
+            _values_at_rate(instance, rates[errors[0][0]])
+        welfare = columns["welfare"]
+        best = int(welfare.argmax())           # the first of equal maxima
+        diag.evaluations = len(rates)
+        diag.history = list(zip(rates, welfare.tolist()))
+        diag.residual = float(welfare[best])
+        return rates[best], diag
 
     if spec.kind == "balanced_trade":
         def objective(r):
             values = _values_at_rate(instance, r)
             return values[_TB0], abs(values[_TB0]) <= spec.tolerance * values[_Y0]
-
-        r_star = _find_root(objective, lo, hi, spec.max_iterations, diag)
-        return r_star, diag
-
-    if spec.kind == "trade_share_target":
+    else:                                      # trade_share_target
         def objective(r):
             values = _values_at_rate(instance, r)
             f = values[_TB0] / values[_Y0] - spec.target_share
             return f, abs(f) <= spec.tolerance
 
-        r_star = _find_root(objective, lo, hi, spec.max_iterations, diag)
-        return r_star, diag
-
-    # welfare_sweep: argmax over the grid, ties break to the lowest rate; the
-    # first bad point raises as its scalar solve does, so welfare is finite.
-    # The argmax is a grid end, not an interior optimum: with phi calibrated
-    # at the balanced-trade rate r*, utility has a minimum at r* (the economy
-    # gains from trade on either side), and under the baseline's phi it
-    # falls with r throughout.
-    rates = sorted(spec.grid)
-    columns, errors = solve_rates(instance, rates)
-    if errors:
-        _values_at_rate(instance, rates[errors[0][0]])
-    welfare = columns["welfare"]
-    best = int(welfare.argmax())           # the first of equal maxima
-    diag.evaluations = len(rates)
-    diag.history = list(zip(rates, welfare.tolist()))
-    diag.residual = float(welfare[best])
-    return rates[best], diag
+    lo, hi = spec.bracket
+    return _find_root(objective, lo, hi, spec.max_iterations, diag), diag
 
 
 def calibrated_labor_weight(instance: ModelInstance, r: float) -> float:

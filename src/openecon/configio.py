@@ -119,39 +119,38 @@ def read_instance(path: str) -> ModelInstance:
 # Scenario files
 # ---------------------------------------------------------------------------
 
-_CLOSURE_KEYS = ("closure", "bracket", "target", "closure_tol",
-                 "max_iterations", "sweep_grid")
+def _as_numbers(lineno: int, key: str, value: str) -> tuple[float, ...]:
+    """Comma-separated numbers; a bracket has exactly two."""
+    parts = value.split(",")
+    if key == "bracket" and len(parts) != 2:
+        raise ParseError(f"line {lineno}: bracket must be 'lo,hi'")
+    return tuple(_as_float(lineno, key, part.strip()) for part in parts)
+
+
+# A section's closure keys, read in this order: file key -> (ClosureSpec
+# field, reader of (lineno, key, value)).
+_CLOSURE_KEYS = {
+    "closure": ("kind", lambda lineno, key, value: value),
+    "bracket": ("bracket", _as_numbers),
+    "target": ("target_share", _as_float),
+    "closure_tol": ("tolerance", _as_float),
+    "max_iterations": ("max_iterations", _as_int),
+    "sweep_grid": ("grid", _as_numbers),
+}
 
 
 def _build_closure(entries: dict[str, tuple[int, str, str]],
                    rate: float | None) -> ClosureSpec:
     """A section's ClosureSpec; `entries` maps each key to (lineno, key,
     value).  A value's error names its own line, the spec's the closure line."""
-    def numbers(key):
-        lineno, key, value = entries[key]
-        parts = value.split(",")
-        if key == "bracket" and len(parts) != 2:
-            raise ParseError(f"line {lineno}: bracket must be 'lo,hi'")
-        return tuple(_as_float(lineno, key, part.strip()) for part in parts)
-
-    lineno, _, kind = entries["closure"]
-    kwargs = {}
-    if "bracket" in entries:
-        kwargs["bracket"] = numbers("bracket")
-    if "target" in entries:
-        kwargs["target_share"] = _as_float(*entries["target"])
-    if "closure_tol" in entries:
-        kwargs["tolerance"] = _as_float(*entries["closure_tol"])
-    if "max_iterations" in entries:
-        kwargs["max_iterations"] = _as_int(*entries["max_iterations"])
-    if "sweep_grid" in entries:
-        kwargs["grid"] = numbers("sweep_grid")
-    if kind == "fixed":
+    kwargs = {field: read(*entries[key])
+              for key, (field, read) in _CLOSURE_KEYS.items() if key in entries}
+    if kwargs["kind"] == "fixed":
         kwargs["fixed_rate"] = rate
     try:
-        return ClosureSpec(kind=kind, **kwargs)
+        return ClosureSpec(**kwargs)
     except ValueError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
+        raise ParseError(f"line {entries['closure'][0]}: {exc}") from None
 
 
 def parse_scenarios(text: str) -> list[Scenario]:

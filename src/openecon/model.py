@@ -26,6 +26,8 @@ MIN_GROSS_RETURN = 1e-9
 _RATE_RULE = "inadmissible rate r={} (need r > -1 and delta + r > 0)"
 
 _OUTPUT_INPUTS = "output requires positive capital, efficiency and hours"
+_L1_RULE = "aggregate future hours L1 must be positive"
+_OVERFLOW = "numerical overflow at r={}"
 
 
 class DomainError(ValueError):
@@ -245,11 +247,10 @@ def _reject(failed, error: type, message: str, *args) -> None:
 _FLOATS = _Ops(operator.pow, math.log, _clamp, _reject)
 
 
-def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray, np.ndarray]:
-    """Ops over rate arrays of `shape`, their mask of vouched points, and the
-    mask of points the rate check rejects."""
+def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray]:
+    """Ops over rate arrays of `shape`, and their mask of vouched points."""
     import numpy as np
-    vouched, inadmissible = np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    vouched = np.ones(shape, dtype=bool)
 
     def log(c):
         libm_log = np.frompyfunc(math.log, 1, 1)
@@ -262,21 +263,21 @@ def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray, np.ndarray]:
 
     def reject(failed, error, message, *args):
         vouched[failed] = False
-        if message == _RATE_RULE:
-            inadmissible[failed] = True
 
-    return _Ops(np.float_power, log, clamp, reject), vouched, inadmissible
+    return _Ops(np.float_power, log, clamp, reject), vouched
 
 
 # ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def _check_rate(instance: ModelInstance, r, reject) -> None:
-    """check_rate's test on a float or a rate array, through `reject`."""
+def _check_rate(instance: ModelInstance, r, reject):
+    """check_rate's test on a float or a rate array, through `reject`;
+    returns the points it rejects (False for a passing float)."""
     bad = (r <= -1.0) | (instance.delta + r <= MIN_GROSS_RETURN) | (r != r)
     if bad is not False:
         reject(bad, DomainError, _RATE_RULE, r)
+    return bad
 
 
 def check_rate(instance: ModelInstance, r: float) -> None:
@@ -298,7 +299,7 @@ def capital_demand(instance: ModelInstance, L1: float, r: float) -> float:
     """
     check_rate(instance, r)
     if L1 <= 0:
-        raise DomainError("aggregate future hours L1 must be positive")
+        raise DomainError(_L1_RULE)
     return _capital_demand(instance, L1, r, operator.pow)
 
 
@@ -376,7 +377,7 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     L1 = n1 * l1
     w1 = (1.0 - a) * a1 * power(a / (instance.delta + r), a / (1.0 - a))
     if (bad := L1 <= 0) is not False:
-        reject(bad, DomainError, "aggregate future hours L1 must be positive")
+        reject(bad, DomainError, _L1_RULE)
     k1 = _capital_demand(instance, L1, r, power)
     if (bad := k1 <= 0) is not False:
         reject(bad, DomainError, _OUTPUT_INPUTS)
@@ -422,7 +423,7 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     total = (0.0 * c0 + 0.0 * c1 + 0.0 * C1 + 0.0 * tb0 + 0.0 * s0n
              + 0.0 * s1x + 0.0 * welfare)
     if (bad := total != 0) is not False:
-        reject(bad, DomainError, "numerical overflow at r={}", r)
+        reject(bad, DomainError, _OVERFLOW, r)
 
     return (r, y0, y1, k0, k1, L0, L1, l0, l1, w0, w1, c0, c1, C0,
             C1, x0, x1, tax0, tax1, t0, T1, tb0, tb1, i0, q, s0n, s1x,
@@ -436,7 +437,7 @@ def _values_at_rate(instance: ModelInstance, r: float) -> tuple:
     try:
         return _system(instance, r, _FLOATS)
     except OverflowError:      # where Python's float ** exceeds the double range
-        raise DomainError(f"numerical overflow at r={r}") from None
+        raise DomainError(_OVERFLOW.format(r)) from None
 
 
 def solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
@@ -461,8 +462,9 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
     """
     import numpy as np
     r = np.array(rates, dtype=float)
-    ops, vouched, inadmissible = _array_ops(r.shape)
+    ops, vouched = _array_ops(r.shape)
     with np.errstate(all="ignore"):
+        inadmissible = _check_rate(instance, r, ops.reject)
         values = _system(instance, r, ops)
         columns = {k: v if isinstance(v, np.ndarray) else np.full_like(r, v)
                    for k, v in zip(_FIELDS, values)}

@@ -58,13 +58,14 @@ class Scenario:
 def apply_scenario(base: ModelInstance, s: Scenario) -> ModelInstance:
     """Return a new instance with the scenario's changes; base is untouched.
 
-    Perturbations scale the value after any override of the same path.
+    Overrides replace a parameter's value, perturbations scale its value in
+    `base`; a Scenario names no parameter in both.
     """
     values = {canonical_parameter(path): value
               for path, value in s.overrides.items()}
     for path, factor in s.perturbations.items():
         path = canonical_parameter(path)
-        values[path] = values.get(path, getattr(base, path)) * factor
+        values[path] = getattr(base, path) * factor
     return with_parameters(base, values)
 
 

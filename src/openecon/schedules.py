@@ -30,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .model import (_RATE_RULE, ModelInstance, _array_ops, _capital_demand,
-                    _check_rate, _euler_factor, solve_at_rate, solve_rates)
+from .model import (_OVERFLOW, _RATE_RULE, ModelInstance, _array_ops,
+                    _capital_demand, _check_rate, _euler_factor, solve_at_rate,
+                    solve_rates)
 
 if TYPE_CHECKING:          # annotations only
     import numpy as np
@@ -97,9 +98,9 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
         ref = solve_at_rate(instance, r_ref)
         inc0 = ref.w0 * ref.l0 + ref.x0 - ref.tax0
         inc1 = ref.w1 * ref.l1 + ref.x1 - ref.tax1
-        ops, ok, inadmissible = _array_ops(grid.shape)
+        ops, ok = _array_ops(grid.shape)
         with np.errstate(all="ignore"):
-            _check_rate(instance, grid, ops.reject)
+            inadmissible = _check_rate(instance, grid, ops.reject)
             R = 1.0 + grid
             k1 = _capital_demand(instance, ref.L1, grid, ops.power)
             growth = _euler_factor(instance, grid, ops.power)
@@ -109,7 +110,7 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
             s1x = ref.tb1 / R
         ok &= np.isfinite(i0) & np.isfinite(s0n) & np.isfinite(s1x)
         errors = [(int(j), (_RATE_RULE if inadmissible[j] else
-                            "numerical overflow at r={}").format(grid[j]))
+                            _OVERFLOW).format(grid[j]))
                   for j in np.flatnonzero(~ok)]
         i0, s0n, s1x = (np.where(ok, v, np.nan) for v in (i0, s0n, s1x))
 
