@@ -14,9 +14,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import configio, schedules
-from .closure import (KINDS, BracketError, ClosureSpec, ConvergenceError,
-                      resolve_rate)
-from .model import DomainError, InfeasibleError, solve_at_rate
+from .closure import KINDS, ClosureSpec, ConvergenceError, resolve_rate
+from .model import solve_at_rate
 from .scenarios import paper_suite, run_suite
 from .reference import ROW_KEYS, ROW_LABELS, baseline_instance
 
@@ -117,6 +116,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _closure_from_args(args) -> ClosureSpec | None:
     if not args.closure:
         return None
+    if args.rate is not None and args.closure != "fixed":
+        raise configio.ParseError(
+            f"--rate does not apply to --closure {args.closure}")
     kwargs = {}
     if args.bracket:
         kwargs["bracket"] = tuple(_parse_fields(args.bracket, "--bracket",
@@ -265,8 +267,7 @@ def main(argv=None, out=None, err=None) -> int:
         if out is sys.stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return 1
-    except (DomainError, InfeasibleError, BracketError, ConvergenceError,
-            configio.ParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ValueError, ConvergenceError, OSError, KeyError) as exc:
         err.write(f"error: {exc}\n")
         return 2
     return status

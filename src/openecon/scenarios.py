@@ -32,8 +32,8 @@ class Scenario:
     """A named variation of a baseline instance, solved at a given rate.
 
     overrides set parameters to absolute values; perturbations multiply
-    them.  A parameter may appear in at most one of the two.  Either `rate`
-    or `closure` must be set.
+    them.  A parameter may appear in at most one of the two.  Exactly one
+    of `rate` and `closure` must be set.
     """
 
     name: str
@@ -53,6 +53,8 @@ class Scenario:
             raise ValueError(f"parameters in both overrides and perturbations: {dup}")
         if self.rate is None and self.closure is None:
             raise ValueError(f"scenario {self.name!r} needs a rate or a closure")
+        if self.rate is not None and self.closure is not None:
+            raise ValueError(f"scenario {self.name!r} has both a rate and a closure")
 
 
 def apply_scenario(base: ModelInstance, s: Scenario) -> ModelInstance:
@@ -225,8 +227,10 @@ def run_suite(base: ModelInstance, scenarios: list[Scenario]) -> SuiteReport:
         try:
             result = _run_one(base, s)
         except (ValueError, KeyError, ConvergenceError) as exc:
+            # a KeyError's str() is the repr of its message
+            message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
             result = ScenarioResult(name=s.name, rate=s.rate, rows={},
-                                    reference=s.reference, error=str(exc))
+                                    reference=s.reference, error=message)
         results.append(result)
         if result.error is None:
             if not s.overrides and not s.perturbations:

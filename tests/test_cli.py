@@ -85,6 +85,23 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [["solve", "--rate", "0.5",
+                                       "--instance-file"],
+                                      ["table", "--scenario-file"]])
+    def test_unreadable_file_exits_2(self, tmp_path, argv):
+        code, out, err = run(argv + [str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--closure", "balanced_trade", "--bracket", "0.4821,2.0"],
+        ["solve", "--closure", "trade_share_target", "--target", "-0.1"],
+        ["sweep", "--closure", "welfare_sweep", "--grid=0.3,0.6,4"]])
+    def test_rate_beside_a_rate_rule_exits_2(self, argv):
+        code, out, err = run(argv + ["--rate", "0.5"])
+        assert (code, out) == (2, "")
+        assert err == f"error: --rate does not apply to --closure {argv[2]}\n"
+
     @pytest.mark.parametrize("spelling", [p[0] for p in PARAMETERS])
     def test_non_finite_parameter_exits_2(self, tmp_path, spelling):
         path = tmp_path / "calib.txt"
@@ -277,6 +294,8 @@ class TestTable:
         ("closure = welfare_sweep\nsweep_grid = nan, inf",
          "line 2: grid rates must be finite"),
         ("perturb.gamma = 1.1", "line 1: scenario 'x' needs a rate or a closure"),
+        ("rate = 0.5\nclosure = balanced_trade",
+         "line 1: scenario 'x' has both a rate and a closure"),
     ])
     def test_bad_closure_spec_names_closure_line(self, tmp_path, lines, message):
         """ClosureSpec errors name the closure line, Scenario errors the
@@ -577,7 +596,7 @@ def fuzz_files(tmp_path_factory):
              "tiny_rate.txt": "[tiny]\nrate = 1e-310\n[good]\nrate = 0.4821\n"}
     for name, text in texts.items():
         (root / name).write_text(text)
-    return [str(root / name) for name in texts]
+    return [str(root / name) for name in texts] + [str(root)]
 
 
 @st.composite

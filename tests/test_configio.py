@@ -194,6 +194,22 @@ class TestScenarioFiles:
             parse_scenarios("[x]\nperturb.gamma = 1.1\n")
 
     @pytest.mark.parametrize("text, message", [
+        ("[x]\nrate = 0.5\nclosure = balanced_trade\n",
+         "line 1: scenario 'x' has both a rate and a closure"),
+        ("[a]\nrate = 0.5\n# swept\n[b]\nclosure = welfare_sweep\n"
+         "sweep_grid = 0.3, 0.5\nrate = 0.4\n",
+         "line 4: scenario 'b' has both a rate and a closure"),
+    ])
+    def test_section_with_rate_and_closure(self, text, message):
+        """A closure other than fixed picks the rate, so a rate beside it
+        is an error on the header line; `fixed` carries the rate."""
+        with pytest.raises(ParseError) as info:
+            parse_scenarios(text)
+        assert str(info.value) == message
+        (s,) = parse_scenarios("[f]\nrate = 0.5\nclosure = fixed\n")
+        assert (s.rate, s.closure.fixed_rate) == (None, 0.5)
+
+    @pytest.mark.parametrize("text, message", [
         ("[x]\nrate = 0.5\nrate = 0.6\n", "line 3: key 'rate' repeats line 2"),
         ("[x]\nclosure = balanced_trade\nbracket = 0.1, 1\nbracket = 0.2, 1\n",
          "line 4: key 'bracket' repeats line 3"),

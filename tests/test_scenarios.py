@@ -57,6 +57,10 @@ class TestApplyScenario:
             Scenario("bad")
         Scenario("ok", closure=ClosureSpec("fixed", fixed_rate=0.5))
 
+    def test_rate_and_closure_are_exclusive(self):
+        with pytest.raises(ValueError, match="has both a rate and a closure"):
+            Scenario("bad", rate=0.5, closure=ClosureSpec("balanced_trade"))
+
     def test_unknown_parameter(self, baseline):
         with pytest.raises(KeyError):
             apply_scenario(baseline, Scenario("u", rate=0.5,
@@ -113,7 +117,7 @@ class TestSuite:
         report = run_suite(baseline, scenarios)
         assert len(report.results) == 2
         assert report.results[0].passed
-        assert report.results[1].error is not None
+        assert report.results[1].error == "unknown parameter 'nope'"
         assert not report.passed
 
     def test_two_bad_values_name_the_first_checked(self, baseline):
