@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import openecon
 from openecon.cli import main
+from openecon.closure import KINDS
 from openecon.model import PARAMETERS
 
 SRC = str(Path(openecon.__file__).resolve().parents[1])
@@ -294,8 +295,6 @@ class TestTable:
         ("closure = welfare_sweep\nsweep_grid = nan, inf",
          "line 2: grid rates must be finite"),
         ("perturb.gamma = 1.1", "line 1: scenario 'x' needs a rate or a closure"),
-        ("rate = 0.5\nclosure = balanced_trade",
-         "line 1: scenario 'x' has both a rate and a closure"),
     ])
     def test_bad_closure_spec_names_closure_line(self, tmp_path, lines, message):
         """ClosureSpec errors name the closure line, Scenario errors the
@@ -559,8 +558,7 @@ FLOATS = ["nan", "inf", "-inf", "5e-324", "-5e-324", "0", "-0.0", "-1",
 FILES = ["/nonexistent/instance.txt"]   # the fuzz_files fixture adds more
 FUZZ_VALUES = {
     "--rate": FLOATS, "--target": FLOATS, "--tol": FLOATS,
-    "--closure": ["fixed", "balanced_trade", "trade_share_target",
-                  "welfare_sweep"],
+    "--closure": list(KINDS),
     "--bracket": ["0.4821,2.0", "0.01,0.02", "2.0,0.01", "nan,1", "0.5",
                   "a,b", "0.1,0.2,0.3", "0.01,inf", "-1.5,5e-324", ","],
     "--grid": ["0.3,0.6,4", "-1.5,1,6", "0.3,1.2,11", "0.1,1,5.5", "0.1,1",

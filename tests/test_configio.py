@@ -202,10 +202,12 @@ class TestScenarioFiles:
     ])
     def test_section_with_rate_and_closure(self, text, message):
         """A closure other than fixed picks the rate, so a rate beside it
-        is an error on the header line; `fixed` carries the rate."""
+        is an error on the header line."""
         with pytest.raises(ParseError) as info:
             parse_scenarios(text)
         assert str(info.value) == message
+
+    def test_fixed_closure_carries_the_rate(self):
         (s,) = parse_scenarios("[f]\nrate = 0.5\nclosure = fixed\n")
         assert (s.rate, s.closure.fixed_rate) == (None, 0.5)
 
