@@ -119,14 +119,12 @@ def _closure_from_args(args) -> ClosureSpec | None:
     if args.rate is not None and args.closure != "fixed":
         raise configio.ParseError(
             f"--rate does not apply to --closure {args.closure}")
-    kwargs = {}
+    kwargs = {"fixed_rate": args.rate}      # None for every other kind
     if args.bracket:
         kwargs["bracket"] = tuple(_parse_fields(args.bracket, "--bracket",
                                                 "LO,HI", (float, float)))
     if args.tol is not None:
         kwargs["tolerance"] = args.tol
-    if args.closure == "fixed":
-        kwargs["fixed_rate"] = args.rate
     if args.closure == "trade_share_target":
         kwargs["target_share"] = args.target
     if args.closure == "welfare_sweep":
