@@ -7,8 +7,9 @@ Each command of COMMANDS runs in-process through openecon.cli.main, from
 the repository root, so that file paths in messages are the relative paths
 written here.  The corpus records its argv, exit code, stderr verbatim, and
 stdout verbatim, or as sha256 and length when it is longer than 4 KB.  An
-exception that escapes main is recorded as `raised`.  The only masked text
-is criterion 1's run time in `check`.  tests/test_golden.py replays every
+argparse usage error keeps only stderr's last line, since its usage lines
+wrap to the terminal width.  An exception that escapes main is recorded as
+`raised`.  The only masked text is criterion 1's run time in `check`.  tests/test_golden.py replays every
 entry and compares it with the file; an edit to the file is an output
 change and must be declared as one.
 """
@@ -45,23 +46,25 @@ def _with_instance(name: str, *argv: str) -> list[str]:
 
 GRID_2000 = "--grid=-1.5,2,2000"
 COMMANDS = [
-    # solve at a rate, and every closure kind
+    # solve at a rate; every closure kind and bad closure inputs
     ["solve", "--rate", "0.4821"],
     ["solve", "--rate", "0.4821", "--format", "json"],
     ["solve", "--rate", "-2.0"],
     ["solve", "--rate", "nan", "--format", "json"],
     ["solve"],
-    ["solve", "--closure", "balanced_trade"],
-    ["solve", "--closure", "balanced_trade", "--format", "json"],
-    ["solve", "--closure", "trade_share_target", "--target", "-0.1"],
-    ["solve", "--closure", "trade_share_target", "--target=-0.1",
+    ["sweep", "--closure", "balanced_trade"],
+    ["sweep", "--closure", "balanced_trade", "--format", "json"],
+    ["sweep", "--closure", "trade_share_target", "--target", "-0.1"],
+    ["sweep", "--closure", "trade_share_target", "--target=-0.1",
      "--format", "json"],
-    ["solve", "--closure", "trade_share_target"],
-    ["solve", "--closure", "trade_share_target", "--target=nan"],
-    ["solve", "--closure", "fixed", "--rate", "0.5", "--format", "json"],
-    ["solve", "--closure", "fixed"],
-    ["solve", "--closure", "balanced_trade", "--tol", "nan"],
-    ["solve", "--closure", "balanced_trade", "--bracket", "0.01,inf"],
+    ["sweep", "--closure", "trade_share_target"],
+    ["sweep", "--closure", "trade_share_target", "--target=nan"],
+    ["sweep", "--closure", "fixed", "--rate", "0.5", "--format", "json"],
+    ["sweep", "--closure", "fixed"],
+    ["sweep", "--closure", "balanced_trade", "--tol", "nan"],
+    ["sweep", "--closure", "balanced_trade", "--bracket", "0.01,inf"],
+    ["sweep", "--closure", "balanced_trade", "--target", "0.1"],
+    ["sweep", "--closure", "balanced_trade", "--grid=0.3,0.6,4"],
     # a rate beside a closure other than fixed
     ["solve", "--rate", "0.5", "--closure", "balanced_trade",
      "--bracket", "0.4821,2.0"],
@@ -90,6 +93,7 @@ COMMANDS = [
     ["table", "--tol", "nan"],
     _table("paper.txt"),
     _table("paper.txt", "--format", "json"),
+    _table("paper.txt", "--tol", "1e-12"),
     _table("closures.txt"),
     _table("closures.txt", "--format", "json"),
     _table("set_k0_negative.txt"),
@@ -100,6 +104,7 @@ COMMANDS = [
     _table("reversed_bracket.txt"),
     _table("bad_target.txt"),
     _table("missing_target.txt"),
+    _table("target_beside_balanced_trade.txt"),
     _table("bad_tolerance.txt"),
     _table("bad_max_iterations.txt"),
     _table("negative_max_iterations.txt"),
@@ -160,11 +165,12 @@ def record(argv: list[str]) -> dict:
     """Run `argv` through cli.main and describe what it wrote and returned."""
     out, err = io.StringIO(), io.StringIO()
     entry: dict = {"argv": argv}
+    stderr_lines = slice(None)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             entry["exit"] = main(argv, out=out, err=err)
-        except SystemExit as exc:
-            entry["exit"] = exc.code
+        except SystemExit as exc:       # an argparse usage error
+            entry["exit"], stderr_lines = exc.code, slice(-1, None)
         except Exception as exc:        # recorded, so a change shows
             entry["raised"] = f"{type(exc).__name__}: {exc}"
     stdout = out.getvalue()
@@ -174,7 +180,7 @@ def record(argv: list[str]) -> dict:
         stdout = {"sha256": hashlib.sha256(stdout.encode()).hexdigest(),
                   "length": len(stdout)}
     entry["stdout"] = stdout
-    entry["stderr"] = err.getvalue()
+    entry["stderr"] = "".join(err.getvalue().splitlines(True)[stderr_lines])
     return entry
 
 
