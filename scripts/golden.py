@@ -65,12 +65,12 @@ COMMANDS = [
     ["sweep", "--closure", "balanced_trade", "--bracket", "0.01,inf"],
     ["sweep", "--closure", "balanced_trade", "--target", "0.1"],
     ["sweep", "--closure", "balanced_trade", "--grid=0.3,0.6,4"],
-    # a rate beside a closure other than fixed
+    # a rate beside a closure
     ["solve", "--rate", "0.5", "--closure", "balanced_trade",
      "--bracket", "0.4821,2.0"],
     ["sweep", "--rate", "0.5", "--closure", "welfare_sweep",
      "--grid=0.3,0.6,4"],
-    # sweep: the four kinds and bad brackets
+    # sweep: each kind, the removed `fixed` and bad brackets
     ["sweep", "--closure", "balanced_trade", "--bracket", "0.4821,2.0"],
     ["sweep", "--closure", "balanced_trade", "--bracket", "0.4821,2.0",
      "--format", "json"],

@@ -33,17 +33,17 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_rate_or_closure(parser):
-    parser.add_argument("--rate", type=float,
-                        help="per-period real interest rate")
-    parser.add_argument("--closure", choices=KINDS,
-                        help="rate selection rule instead of an explicit rate")
+def _add_closure(parser):
+    parser.add_argument("--closure", choices=KINDS, required=True,
+                        help="rate selection rule")
     parser.add_argument("--bracket", metavar="LO,HI",
                         help="search bracket for root-finding closures")
     parser.add_argument("--target", type=float,
                         help="tb0/y0 target for trade_share_target")
     parser.add_argument("--tol", type=float,
                         help="tolerance override")
+    parser.add_argument("--grid", metavar="START,STOP,POINTS",
+                        help="rate grid for welfare_sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one equilibrium at a rate")
     _add_common(p)
-    _add_rate_or_closure(p)
+    p.add_argument("--rate", type=float, required=True,
+                   help="per-period real interest rate")
 
     p = sub.add_parser("table", help="run the comparative-statics suite")
     _add_common(p)
@@ -66,9 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="resolve a closure rule, then solve")
     _add_common(p)
-    _add_rate_or_closure(p)
-    p.add_argument("--grid", metavar="START,STOP,POINTS",
-                   help="rate grid for welfare_sweep")
+    _add_closure(p)
 
     p = sub.add_parser("schedules", help="saving/investment curves on a rate grid")
     _add_common(p)
@@ -83,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(args):
-    if getattr(args, "instance_file", None):
+    if args.instance_file:
         return configio.read_instance(args.instance_file)
     return baseline_instance()
 
@@ -113,35 +112,16 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _closure_from_args(args) -> ClosureSpec | None:
-    if not args.closure:
-        return None
-    if args.rate is not None and args.closure != "fixed":
-        raise configio.ParseError(
-            f"--rate does not apply to --closure {args.closure}")
-    kwargs = {"fixed_rate": args.rate}      # None for every other kind
+def _closure_from_args(args) -> ClosureSpec:
+    kwargs = {"target_share": args.target}
     if args.bracket:
         kwargs["bracket"] = tuple(_parse_fields(args.bracket, "--bracket",
                                                 "LO,HI", (float, float)))
     if args.tol is not None:
         kwargs["tolerance"] = args.tol
-    if args.closure == "trade_share_target":
-        kwargs["target_share"] = args.target
-    if args.closure == "welfare_sweep":
-        grid = getattr(args, "grid", None)
-        if grid is None:
-            raise configio.ParseError("welfare_sweep needs --grid")
-        kwargs["grid"] = tuple(_parse_grid(grid))
+    if args.grid:
+        kwargs["grid"] = tuple(_parse_grid(args.grid))
     return ClosureSpec(kind=args.closure, **kwargs)
-
-
-def _pick_rate(instance, args):
-    spec = _closure_from_args(args)
-    if spec is not None:
-        return resolve_rate(instance, spec)
-    if args.rate is None:
-        raise configio.ParseError("either --rate or --closure is required")
-    return args.rate, None
 
 
 def _emit_equilibrium(eq, fmt, out, diagnostics=None):
@@ -164,10 +144,8 @@ def _emit_equilibrium(eq, fmt, out, diagnostics=None):
 
 
 def cmd_solve(args, out, err) -> int:
-    instance = _load_instance(args)
-    rate, diag = _pick_rate(instance, args)
-    eq = solve_at_rate(instance, rate)
-    _emit_equilibrium(eq, args.format, out, diag)
+    eq = solve_at_rate(_load_instance(args), args.rate)
+    _emit_equilibrium(eq, args.format, out)
     return 0
 
 
@@ -208,9 +186,10 @@ def cmd_table(args, out, err) -> int:
 
 
 def cmd_sweep(args, out, err) -> int:
-    if not args.closure:
-        raise configio.ParseError("sweep requires --closure")
-    return cmd_solve(args, out, err)
+    instance = _load_instance(args)
+    rate, diag = resolve_rate(instance, _closure_from_args(args))
+    _emit_equilibrium(solve_at_rate(instance, rate), args.format, out, diag)
+    return 0
 
 
 def cmd_schedules(args, out, err) -> int:

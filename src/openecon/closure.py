@@ -2,11 +2,11 @@
 
 The model never pins down r on its own (one equation of the system is
 redundant), so these are selection strategies, each returning a rate plus
-diagnostics.  `fixed` passes a rate through untouched; `balanced_trade` and
-`trade_share_target` find a root of the present trade balance by ITP
-(interpolate, truncate, project), one scalar solve per step and no record;
-`welfare_sweep` evaluates its grid in one model.solve_rates call and picks
-the highest lifetime utility.  Only that branch loads numpy.
+diagnostics.  `balanced_trade` and `trade_share_target` find a root of the
+present trade balance by ITP (interpolate, truncate, project), one scalar
+solve per step and no record; `welfare_sweep` evaluates its grid in one
+model.solve_rates call and picks the highest lifetime utility.  Only that
+branch loads numpy.  A given rate needs no rule: solve at it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .model import (_FIELDS, DomainError, ModelInstance, _values_at_rate,
                     solve_rates, with_parameters)
 
 DEFAULT_BRACKET = (0.01, 2.0)
-KINDS = ("fixed", "balanced_trade", "trade_share_target", "welfare_sweep")
+KINDS = ("balanced_trade", "trade_share_target", "welfare_sweep")
 _Y0, _L0, _W0, _C0, _TB0, _WELFARE = map(
     _FIELDS.index, ("y0", "l0", "w0", "c0", "tb0", "welfare"))
 
@@ -35,12 +35,12 @@ class ConvergenceError(RuntimeError):
 class ClosureSpec:
     """How to choose r.
 
-    kind is one of KINDS.  fixed_rate feeds `fixed`; target_share is the
-    desired tb0/y0 for `trade_share_target`; grid feeds `welfare_sweep`.
+    kind is one of KINDS.  target_share is the desired tb0/y0 for
+    `trade_share_target`, and grid feeds `welfare_sweep`; no other kind
+    takes either.
     """
 
     kind: str
-    fixed_rate: float | None = None
     target_share: float | None = None
     bracket: tuple[float, float] = DEFAULT_BRACKET
     tolerance: float = 1e-10
@@ -59,14 +59,16 @@ class ClosureSpec:
             raise ValueError("tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.kind == "fixed" and self.fixed_rate is None:
-            raise ValueError("fixed closure needs fixed_rate")
         if self.kind == "trade_share_target" and self.target_share is None:
             raise ValueError("trade_share_target closure needs target_share")
+        if self.kind != "trade_share_target" and self.target_share is not None:
+            raise ValueError(f"{self.kind} closure takes no target_share")
         if self.target_share is not None and not math.isfinite(self.target_share):
             raise ValueError("target_share must be finite")
         if self.kind == "welfare_sweep" and not self.grid:
             raise ValueError("welfare_sweep closure needs a rate grid")
+        if self.kind != "welfare_sweep" and self.grid:
+            raise ValueError(f"{self.kind} closure takes no rate grid")
         if not all(map(math.isfinite, self.grid)):
             raise ValueError("grid rates must be finite")
 
@@ -138,9 +140,6 @@ def resolve_rate(instance: ModelInstance,
                  spec: ClosureSpec) -> tuple[float, ClosureDiagnostics]:
     """Select a rate according to `spec` and report how it was found."""
     diag = ClosureDiagnostics(kind=spec.kind)
-
-    if spec.kind == "fixed":
-        return spec.fixed_rate, diag
 
     if spec.kind == "welfare_sweep":
         # Argmax over the grid, ties break to the lowest rate; the first bad

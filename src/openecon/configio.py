@@ -139,14 +139,11 @@ _CLOSURE_KEYS = {
 }
 
 
-def _build_closure(entries: dict[str, tuple[int, str, str]],
-                   rate: float | None) -> ClosureSpec:
+def _build_closure(entries: dict[str, tuple[int, str, str]]) -> ClosureSpec:
     """A section's ClosureSpec; `entries` maps each key to (lineno, key,
     value).  A value's error names its own line, the spec's the closure line."""
     kwargs = {field: read(*entries[key])
               for key, (field, read) in _CLOSURE_KEYS.items() if key in entries}
-    if kwargs["kind"] == "fixed":
-        kwargs["fixed_rate"] = rate
     try:
         return ClosureSpec(**kwargs)
     except ValueError as exc:
@@ -196,9 +193,7 @@ def parse_scenarios(text: str) -> list[Scenario]:
             elif key not in _CLOSURE_KEYS:
                 raise ParseError(f"line {lineno}: unknown scenario key {key!r}")
         if "closure" in entries:
-            closure = _build_closure(entries, rate)
-            if closure.kind == "fixed":
-                rate = None  # the closure carries the rate
+            closure = _build_closure(entries)
         try:
             scenarios.append(Scenario(name=name, rate=rate, overrides=overrides,
                                       perturbations=perturbations, closure=closure))

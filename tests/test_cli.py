@@ -31,6 +31,15 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def usage_error(argv):
+    """The last stderr line of an argparse usage error, which exits 2."""
+    err = StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    return err.getvalue().splitlines()[-1]
+
+
 class TestSolve:
     def test_json_at_published_rate(self):
         code, out, err = run(["solve", "--rate", "0.4821", "--format", "json"])
@@ -66,10 +75,9 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error:") and "overflow" in err
 
-    def test_rate_or_closure_required(self):
-        code, _, err = run(["solve"])
-        assert code == 2
-        assert "rate" in err
+    def test_rate_required(self):
+        assert usage_error(["solve"]) == (
+            "openecon solve: error: the following arguments are required: --rate")
 
     def test_instance_file(self, tmp_path):
         path = tmp_path / "calib.txt"
@@ -94,14 +102,16 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--closure", "balanced_trade", "--bracket", "0.4821,2.0"],
-        ["solve", "--closure", "trade_share_target", "--target", "-0.1"],
-        ["sweep", "--closure", "welfare_sweep", "--grid=0.3,0.6,4"]])
-    def test_rate_beside_a_rate_rule_exits_2(self, argv):
-        code, out, err = run(argv + ["--rate", "0.5"])
-        assert (code, out) == (2, "")
-        assert err == f"error: --rate does not apply to --closure {argv[2]}\n"
+    @pytest.mark.parametrize("argv, extra", [
+        (["solve", "--rate", "0.5"], ["--closure", "balanced_trade"]),
+        (["sweep", "--closure", "trade_share_target", "--target", "-0.1"],
+         ["--rate", "0.5"]),
+        (["sweep", "--closure", "welfare_sweep", "--grid=0.3,0.6,4"],
+         ["--rate", "0.5"])])
+    def test_rate_beside_a_rate_rule_exits_2(self, argv, extra):
+        """solve takes a rate and sweep a rule; neither takes the other."""
+        assert usage_error(argv + extra) == (
+            "openecon: error: unrecognized arguments: " + " ".join(extra))
 
     @pytest.mark.parametrize("spelling", [p[0] for p in PARAMETERS])
     def test_non_finite_parameter_exits_2(self, tmp_path, spelling):
@@ -128,27 +138,6 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == "error: line 2: parameter 'a1' repeats line 1\n"
 
-    @pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"],
-                                        ["--bracket", "0.01,inf"]])
-    def test_non_finite_closure_input_exits_2(self, option):
-        code, out, err = run(["solve", "--closure", "balanced_trade",
-                              "--format", "csv"] + option)
-        assert (code, out) == (2, "")
-        assert "finite" in err
-
-    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
-    def test_non_finite_target_exits_2(self, target):
-        code, out, err = run(["solve", "--closure", "trade_share_target",
-                              f"--target={target}", "--format", "json"])
-        assert (code, out) == (2, "")
-        assert err == "error: target_share must be finite\n"
-
-    @pytest.mark.parametrize("bracket", ["0.5", "a,b", "0.1,0.2,0.3"])
-    def test_malformed_bracket_exits_2(self, bracket):
-        code, out, err = run(["solve", "--closure", "balanced_trade",
-                              "--bracket", bracket])
-        assert (code, out) == (2, "")
-        assert err == "error: --bracket must be LO,HI\n"
 
 
 class TestTable:
@@ -317,15 +306,37 @@ class TestSweep:
         assert "converged" not in payload["closure"]
 
     def test_requires_closure(self):
-        code, _, err = run(["sweep", "--rate", "0.5"])
-        assert code == 2
-        assert "closure" in err
+        assert usage_error(["sweep"]) == (
+            "openecon sweep: error: the following arguments are required: "
+            "--closure")
 
     def test_bad_bracket_exits_2(self):
         code, _, err = run(["sweep", "--closure", "balanced_trade",
                             "--bracket", "0.8,1.2"])
         assert code == 2
         assert "sign" in err
+
+    @pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"],
+                                        ["--bracket", "0.01,inf"]])
+    def test_non_finite_closure_input_exits_2(self, option):
+        code, out, err = run(["sweep", "--closure", "balanced_trade",
+                              "--format", "csv"] + option)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_exits_2(self, target):
+        code, out, err = run(["sweep", "--closure", "trade_share_target",
+                              f"--target={target}", "--format", "json"])
+        assert (code, out) == (2, "")
+        assert err == "error: target_share must be finite\n"
+
+    @pytest.mark.parametrize("bracket", ["0.5", "a,b", "0.1,0.2,0.3"])
+    def test_malformed_bracket_exits_2(self, bracket):
+        code, out, err = run(["sweep", "--closure", "balanced_trade",
+                              "--bracket", bracket])
+        assert (code, out) == (2, "")
+        assert err == "error: --bracket must be LO,HI\n"
 
 
 class TestSchedules:
@@ -568,11 +579,11 @@ FUZZ_VALUES = {
     "--instance-file": FILES, "--scenario-file": FILES,
 }
 COMMON_OPTIONS = ["--instance-file", "--format"]
-RATE_OPTIONS = ["--rate", "--closure", "--bracket", "--target", "--tol"]
 FUZZ_OPTIONS = {
-    "solve": COMMON_OPTIONS + RATE_OPTIONS,
+    "solve": COMMON_OPTIONS + ["--rate"],
     "table": COMMON_OPTIONS + ["--scenario-file", "--tol"],
-    "sweep": COMMON_OPTIONS + RATE_OPTIONS + ["--grid"],
+    "sweep": COMMON_OPTIONS + ["--closure", "--bracket", "--target", "--tol",
+                               "--grid"],
     "schedules": COMMON_OPTIONS + ["--rate", "--grid", "--mode"],
 }
 

@@ -1,4 +1,4 @@
-"""Closure rules: fixed pass-through, root finding, sweeps, stationarity."""
+"""Closure rules: root finding, sweeps, stationarity."""
 
 import math
 from dataclasses import replace
@@ -18,25 +18,6 @@ from reference_model import lifetime_utility
 
 # balanced_trade on the baseline over (0.4821, 2.0), as plain bisection found it
 BISECTION_RATE = 0.7483044201658339
-
-
-class TestFixed:
-    def test_identity(self, baseline):
-        r, diag = resolve_rate(baseline, ClosureSpec("fixed", fixed_rate=0.4821))
-        assert r == 0.4821
-        assert diag.evaluations == 0
-
-    def test_never_touches_model(self, baseline, monkeypatch):
-        def boom(*a, **k):
-            raise AssertionError("fixed closure must not solve the model")
-
-        monkeypatch.setattr(closure_mod, "_values_at_rate", boom)
-        r, _ = resolve_rate(baseline, ClosureSpec("fixed", fixed_rate=0.7))
-        assert r == 0.7
-
-    def test_requires_rate(self):
-        with pytest.raises(ValueError):
-            ClosureSpec("fixed")
 
 
 class TestBalancedTrade:
@@ -149,6 +130,26 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ClosureSpec("magic")
+
+    def test_a_given_rate_is_no_closure(self):
+        """A given rate is solved at directly: `fixed` is no kind, and no
+        ClosureSpec field holds a rate."""
+        with pytest.raises(ValueError, match="^unknown closure kind 'fixed'$"):
+            ClosureSpec("fixed")
+        with pytest.raises(TypeError):
+            ClosureSpec("balanced_trade", fixed_rate=0.5)
+
+    @pytest.mark.parametrize("kind", ["balanced_trade", "welfare_sweep"])
+    def test_target_beside_another_kind(self, kind):
+        with pytest.raises(ValueError,
+                           match=f"^{kind} closure takes no target_share$"):
+            ClosureSpec(kind, target_share=0.1, grid=(0.3, 0.5))
+
+    @pytest.mark.parametrize("kind, target", [("balanced_trade", None),
+                                              ("trade_share_target", 0.1)])
+    def test_grid_beside_another_kind(self, kind, target):
+        with pytest.raises(ValueError, match=f"^{kind} closure takes no rate grid$"):
+            ClosureSpec(kind, target_share=target, grid=(0.3, 0.5))
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):

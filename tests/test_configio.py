@@ -201,15 +201,27 @@ class TestScenarioFiles:
          "line 4: scenario 'b' has both a rate and a closure"),
     ])
     def test_section_with_rate_and_closure(self, text, message):
-        """A closure other than fixed picks the rate, so a rate beside it
-        is an error on the header line."""
+        """A closure picks the rate, so a rate beside it is an error on the
+        header line."""
         with pytest.raises(ParseError) as info:
             parse_scenarios(text)
         assert str(info.value) == message
 
-    def test_fixed_closure_carries_the_rate(self):
-        (s,) = parse_scenarios("[f]\nrate = 0.5\nclosure = fixed\n")
-        assert (s.rate, s.closure.fixed_rate) == (None, 0.5)
+    @pytest.mark.parametrize("text, message", [
+        ("[f]\nrate = 0.5\nclosure = fixed\n",
+         "line 3: unknown closure kind 'fixed'"),
+        ("[x]\nclosure = balanced_trade\ntarget = 0.3\n",
+         "line 2: balanced_trade closure takes no target_share"),
+        ("[x]\n# searched\nclosure = trade_share_target\ntarget = 0.1\n"
+         "sweep_grid = 0.3, 0.5\n",
+         "line 3: trade_share_target closure takes no rate grid"),
+    ])
+    def test_closure_error_names_the_closure_line(self, text, message):
+        """`closure = fixed` is an unknown kind; a given rate is `rate =`
+        alone.  A key that the kind does not read is refused."""
+        with pytest.raises(ParseError) as info:
+            parse_scenarios(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("text, message", [
         ("[x]\nrate = 0.5\nrate = 0.6\n", "line 3: key 'rate' repeats line 2"),

@@ -55,7 +55,7 @@ class TestApplyScenario:
     def test_needs_rate_or_closure(self):
         with pytest.raises(ValueError):
             Scenario("bad")
-        Scenario("ok", closure=ClosureSpec("fixed", fixed_rate=0.5))
+        Scenario("ok", closure=ClosureSpec("balanced_trade"))
 
     def test_rate_and_closure_are_exclusive(self):
         with pytest.raises(ValueError, match="has both a rate and a closure"):
