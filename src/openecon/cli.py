@@ -7,7 +7,6 @@ success/pass, 1 on a tolerance failure, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -125,7 +124,7 @@ def _closure_from_args(args) -> ClosureSpec:
 
 
 def _emit_equilibrium(eq, fmt, out, diagnostics=None):
-    payload = dataclasses.asdict(eq)
+    payload = vars(eq)
     if fmt == "json":
         if diagnostics is not None:
             payload = {"equilibrium": payload, "closure": {
@@ -150,6 +149,8 @@ def cmd_solve(args, out, err) -> int:
 
 
 def cmd_table(args, out, err) -> int:
+    if args.scenario_file and args.tol is not None:
+        raise configio.ParseError("--tol does not apply to --scenario-file")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         raise configio.ParseError("--tol must be finite and positive")
     instance = _load_instance(args)

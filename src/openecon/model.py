@@ -468,19 +468,18 @@ def solve_rates(instance: ModelInstance, rates) -> tuple[dict[str, np.ndarray],
         values = _system(instance, r, ops)
         columns = {k: v if isinstance(v, np.ndarray) else np.full_like(r, v)
                    for k, v in zip(_FIELDS, values)}
+        # before the fill below: columns["r"] is r itself
+        bad = np.flatnonzero(inadmissible)
+        errors = list(zip(bad.tolist(), map(_RATE_RULE.format, r[bad].tolist())))
         flagged = np.flatnonzero(~vouched)
         for column in columns.values():
             column[flagged] = False if column.dtype == bool else np.nan
-        errors = []
-        for j in flagged:
-            if inadmissible[j]:
-                errors.append((int(j), _RATE_RULE.format(float(rates[j]))))
-                continue
+        for j in np.flatnonzero(~vouched & ~inadmissible).tolist():
             try:
                 values = _values_at_rate(instance, rates[j])
             except (DomainError, InfeasibleError) as exc:
-                errors.append((int(j), str(exc)))
+                errors.append((j, str(exc)))
                 continue
             for column, value in zip(columns.values(), values):
                 column[j] = value
-    return columns, errors
+    return columns, sorted(errors)

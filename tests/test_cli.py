@@ -170,6 +170,16 @@ class TestTable:
         assert (code, out) == (2, "")
         assert err == "error: --tol must be finite and positive\n"
 
+    def test_tol_beside_scenario_file_exits_2(self, tmp_path):
+        """A scenario file carries no reference rows, so --tol has none to
+        loosen or tighten."""
+        path = tmp_path / "scen.txt"
+        path.write_text("[only]\nrate = 0.4821\n")
+        code, out, err = run(["table", "--scenario-file", str(path),
+                              "--tol", "1e-12"])
+        assert (code, out) == (2, "")
+        assert err == "error: --tol does not apply to --scenario-file\n"
+
     def test_scenario_file(self, tmp_path):
         path = tmp_path / "scen.txt"
         path.write_text("[only]\nrate = 0.4821\nperturb.gamma = 1.15\n")
