@@ -9,9 +9,9 @@ written here.  The corpus records its argv, exit code, stderr verbatim, and
 stdout verbatim, or as sha256 and length when it is longer than 4 KB.  An
 argparse usage error keeps only stderr's last line, since its usage lines
 wrap to the terminal width.  An exception that escapes main is recorded as
-`raised`.  The only masked text is criterion 1's run time in `check`.  tests/test_golden.py replays every
-entry and compares it with the file; an edit to the file is an output
-change and must be declared as one.
+`raised`.  The only masked text is criterion 1's run time in `check`.
+tests/test_golden.py replays every entry and compares it with the file; an
+edit to the file is an output change and must be declared as one.
 """
 
 from __future__ import annotations
