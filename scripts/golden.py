@@ -65,6 +65,9 @@ COMMANDS = [
     ["sweep", "--closure", "balanced_trade", "--bracket", "0.01,inf"],
     ["sweep", "--closure", "balanced_trade", "--target", "0.1"],
     ["sweep", "--closure", "balanced_trade", "--grid=0.3,0.6,4"],
+    ["sweep", "--closure", "welfare_sweep", "--grid=0.3,0.6,4",
+     "--bracket", "0.1,0.2"],
+    ["sweep", "--closure", "welfare_sweep", "--grid=0.3,0.6,4", "--tol", "5"],
     # a rate beside a closure
     ["solve", "--rate", "0.5", "--closure", "balanced_trade",
      "--bracket", "0.4821,2.0"],
@@ -116,6 +119,8 @@ COMMANDS = [
     _table("tiny_rate.txt", "--format", "json"),
     _table("failing_closure.txt", "--format", "json"),
     _table("no_convergence.txt"),
+    _table("no_convergence_tol.txt"),
+    _table("welfare_with_root_keys.txt"),
     _table("missing_rate.txt"),
     _table("rate_and_closure.txt", "--format", "json"),
     _table("unknown_key.txt"),
@@ -155,6 +160,7 @@ COMMANDS = [
                    "--mode", "partial", "--format", "json"),
     ["schedules", "--rate", "nan"],
     ["schedules", "--grid=0.3,0.6,1"],
+    ["schedules", "--grid=0.3,0.6,3", "--rate", "5"],
     # the cli_cold mix of the benchmark
     ["schedules", "--grid=0.05,1.2,2000", "--format", "json"],
     ["check"],
