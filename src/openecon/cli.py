@@ -112,15 +112,11 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _closure_from_args(args) -> ClosureSpec:
-    kwargs = {"target_share": args.target}
-    if args.bracket:
-        kwargs["bracket"] = tuple(_parse_fields(args.bracket, "--bracket",
-                                                "LO,HI", (float, float)))
-    if args.tol is not None:
-        kwargs["tolerance"] = args.tol
-    if args.grid:
-        kwargs["grid"] = tuple(_parse_grid(args.grid))
-    return ClosureSpec(kind=args.closure, **kwargs)
+    return ClosureSpec(
+        kind=args.closure, target_share=args.target, tolerance=args.tol,
+        bracket=None if args.bracket is None else tuple(_parse_fields(
+            args.bracket, "--bracket", "LO,HI", (float, float))),
+        grid=() if args.grid is None else tuple(_parse_grid(args.grid)))
 
 
 def _emit_equilibrium(eq, fmt, out, diagnostics=None):

@@ -18,7 +18,15 @@ from .model import (_FIELDS, DomainError, ModelInstance, _values_at_rate,
                     solve_rates, with_parameters)
 
 DEFAULT_BRACKET = (0.01, 2.0)
-KINDS = ("balanced_trade", "trade_share_target", "welfare_sweep")
+MAX_ITERATIONS = 200
+# kind -> {each input it reads: its default, or None where it must be given}
+_ROOT_FINDING = {"bracket": DEFAULT_BRACKET, "tolerance": 1e-10}
+_INPUTS = {
+    "balanced_trade": _ROOT_FINDING,
+    "trade_share_target": {"target_share": None, **_ROOT_FINDING},
+    "welfare_sweep": {"grid": None},
+}
+KINDS = tuple(_INPUTS)
 _Y0, _L0, _W0, _C0, _TB0, _WELFARE = map(
     _FIELDS.index, ("y0", "l0", "w0", "c0", "tb0", "welfare"))
 
@@ -28,47 +36,51 @@ class BracketError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Root finding did not reach tolerance within max_iterations."""
+    """Root finding did not reach tolerance within MAX_ITERATIONS steps."""
 
 
 @dataclass(frozen=True)
 class ClosureSpec:
     """How to choose r.
 
-    kind is one of KINDS.  target_share is the desired tb0/y0 for
-    `trade_share_target`, and grid feeds `welfare_sweep`; no other kind
-    takes either.
+    kind is one of KINDS, and _INPUTS states the inputs it reads and their
+    defaults; target_share is the desired tb0/y0.  An input is unset when
+    None (grid when empty), and a given one that its kind does not read is
+    refused.
     """
 
     kind: str
     target_share: float | None = None
-    bracket: tuple[float, float] = DEFAULT_BRACKET
-    tolerance: float = 1e-10
-    max_iterations: int = 200
+    bracket: tuple[float, float] | None = None
+    tolerance: float | None = None
     grid: tuple[float, ...] = ()
+    max_iterations = MAX_ITERATIONS      # a class constant, not an input
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown closure kind {self.kind!r}")
-        lo, hi = self.bracket
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("bracket ends must be finite")
-        if not lo < hi:
-            raise ValueError("bracket must satisfy r_lo < r_hi")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        inputs = _INPUTS[self.kind]
+        for name in ("target_share", "bracket", "tolerance", "grid"):
+            value = getattr(self, name)
+            noun = "rate grid" if name == "grid" else name
+            if (len(value) if name == "grid" else value is not None):
+                if name not in inputs:
+                    raise ValueError(f"{self.kind} closure takes no {noun}")
+            elif name in inputs:
+                if inputs[name] is None:
+                    article = "a " if name == "grid" else ""
+                    raise ValueError(f"{self.kind} closure needs {article}{noun}")
+                object.__setattr__(self, name, inputs[name])
+        if self.bracket is not None:
+            lo, hi = self.bracket
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("bracket ends must be finite")
+            if not lo < hi:
+                raise ValueError("bracket must satisfy r_lo < r_hi")
+        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.kind == "trade_share_target" and self.target_share is None:
-            raise ValueError("trade_share_target closure needs target_share")
-        if self.kind != "trade_share_target" and self.target_share is not None:
-            raise ValueError(f"{self.kind} closure takes no target_share")
         if self.target_share is not None and not math.isfinite(self.target_share):
             raise ValueError("target_share must be finite")
-        if self.kind == "welfare_sweep" and not self.grid:
-            raise ValueError("welfare_sweep closure needs a rate grid")
-        if self.kind != "welfare_sweep" and self.grid:
-            raise ValueError(f"{self.kind} closure takes no rate grid")
         if not all(map(math.isfinite, self.grid)):
             raise ValueError("grid rates must be finite")
 
@@ -169,8 +181,7 @@ def resolve_rate(instance: ModelInstance,
             f = values[_TB0] / values[_Y0] - spec.target_share
             return f, abs(f) <= spec.tolerance
 
-    lo, hi = spec.bracket
-    return _find_root(objective, lo, hi, spec.max_iterations, diag), diag
+    return _find_root(objective, *spec.bracket, MAX_ITERATIONS, diag), diag
 
 
 def calibrated_labor_weight(instance: ModelInstance, r: float) -> float:

@@ -58,13 +58,6 @@ def _as_float(lineno: int, key: str, value: str) -> float:
         raise ParseError(f"line {lineno}: {key} = {value!r} is not a number") from None
 
 
-def _as_int(lineno: int, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {key} = {value!r} is not an integer") from None
-
-
 def _once(seen: dict[str, int], name: str, lineno: int, what: str) -> None:
     """Record `name` as given on `lineno`; a second time names both lines."""
     if name in seen:
@@ -134,7 +127,6 @@ _CLOSURE_KEYS = {
     "bracket": ("bracket", _as_numbers),
     "target": ("target_share", _as_float),
     "closure_tol": ("tolerance", _as_float),
-    "max_iterations": ("max_iterations", _as_int),
     "sweep_grid": ("grid", _as_numbers),
 }
 

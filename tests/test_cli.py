@@ -273,7 +273,7 @@ class TestTable:
         ("target = a", "target = 'a' is not a number"),
         ("closure_tol = ?", "closure_tol = '?' is not a number"),
         ("sweep_grid = 0.1, zz", "sweep_grid = 'zz' is not a number"),
-        ("max_iterations = 1.5", "max_iterations = '1.5' is not an integer"),
+        ("max_iterations = 50", "unknown scenario key 'max_iterations'"),
         ("rate = x", "rate = 'x' is not a number"),
         ("rate = nan", "rate must be finite"),
         ("set.A1 = y", "set.A1 = 'y' is not a number"),
@@ -289,15 +289,20 @@ class TestTable:
         assert err == f"error: line 4: {message}\n"
 
     @pytest.mark.parametrize("lines, message", [
-        ("closure = balanced_trade\nmax_iterations = -5",
-         "line 2: max_iterations must be at least 1"),
+        ("closure = welfare_sweep\nsweep_grid = 0.3, 0.6\nbracket = 0.1, 0.2",
+         "line 2: welfare_sweep closure takes no bracket"),
+        ("closure = welfare_sweep\nsweep_grid = 0.3, 0.6\nclosure_tol = 5",
+         "line 2: welfare_sweep closure takes no tolerance"),
+        ("closure = welfare_sweep\nsweep_grid = 0.3, 0.6\nmax_iterations = 3",
+         "line 4: unknown scenario key 'max_iterations'"),
         ("closure = welfare_sweep\nsweep_grid = nan, inf",
          "line 2: grid rates must be finite"),
         ("perturb.gamma = 1.1", "line 1: scenario 'x' needs a rate or a closure"),
     ])
     def test_bad_closure_spec_names_closure_line(self, tmp_path, lines, message):
         """ClosureSpec errors name the closure line, Scenario errors the
-        header line, and both stop the run before any solve."""
+        header line and an unknown key its own line; each stops the run
+        before any solve."""
         path = tmp_path / "scen.txt"
         path.write_text(f"[x]\n{lines}\n")
         code, out, err = run(["table", "--format", "json",
@@ -340,6 +345,15 @@ class TestSweep:
                               f"--target={target}", "--format", "json"])
         assert (code, out) == (2, "")
         assert err == "error: target_share must be finite\n"
+
+    @pytest.mark.parametrize("option, noun", [
+        (["--bracket", "0.1,0.2"], "bracket"), (["--tol", "5"], "tolerance"),
+        (["--tol", "0"], "tolerance")])
+    def test_root_finding_option_beside_welfare_sweep_exits_2(self, option, noun):
+        code, out, err = run(["sweep", "--closure", "welfare_sweep",
+                              "--grid=0.3,0.6,4", *option])
+        assert (code, out) == (2, "")
+        assert err == f"error: welfare_sweep closure takes no {noun}\n"
 
     @pytest.mark.parametrize("bracket", ["0.5", "a,b", "0.1,0.2,0.3"])
     def test_malformed_bracket_exits_2(self, bracket):

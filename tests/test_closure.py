@@ -48,7 +48,7 @@ class TestBalancedTrade:
 
     def test_convergence_error(self, baseline):
         spec = ClosureSpec("balanced_trade", bracket=(0.4821, 2.0),
-                           tolerance=1e-10, max_iterations=3)
+                           tolerance=1e-300)
         with pytest.raises(ConvergenceError):
             resolve_rate(baseline, spec)
 
@@ -156,7 +156,8 @@ class TestSpecValidation:
             ClosureSpec("balanced_trade", bracket=(1.0, 0.5))
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^tolerance must be finite and positive$"):
             ClosureSpec("balanced_trade", tolerance=0.0)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
@@ -175,10 +176,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^target_share must be finite$"):
             ClosureSpec("trade_share_target", target_share=target)
 
-    @pytest.mark.parametrize("max_iterations", [0, -5])
-    def test_max_iterations_below_one(self, max_iterations):
-        with pytest.raises(ValueError, match="^max_iterations must be at least 1$"):
-            ClosureSpec("balanced_trade", max_iterations=max_iterations)
+    def test_max_iterations_is_a_constant(self):
+        assert ClosureSpec("balanced_trade").max_iterations == 200
+        assert ClosureSpec.max_iterations == closure_mod.MAX_ITERATIONS == 200
+        with pytest.raises(TypeError):
+            ClosureSpec("balanced_trade", max_iterations=50)
+
+    @pytest.mark.parametrize("field, value, noun", [
+        ("bracket", (0.1, 0.2), "bracket"), ("tolerance", 5.0, "tolerance"),
+        ("tolerance", 0.0, "tolerance")])
+    def test_root_finding_input_beside_welfare_sweep(self, field, value, noun):
+        with pytest.raises(ValueError,
+                           match=f"^welfare_sweep closure takes no {noun}$"):
+            ClosureSpec("welfare_sweep", grid=(0.3, 0.5), **{field: value})
+
+    @pytest.mark.parametrize("kind, target", [("balanced_trade", None),
+                                              ("trade_share_target", 0.1)])
+    def test_unset_inputs_take_their_defaults(self, kind, target):
+        spec = ClosureSpec(kind, target_share=target)
+        assert (spec.bracket, spec.tolerance, spec.grid) == ((0.01, 2.0), 1e-10, ())
+
+    def test_welfare_sweep_reads_only_its_grid(self):
+        spec = ClosureSpec("welfare_sweep", grid=(0.3, 0.5))
+        assert (spec.bracket, spec.tolerance, spec.target_share) == (None,) * 3
 
     @pytest.mark.parametrize("grid", [(0.3, math.nan), (math.inf,),
                                       (-math.inf, 0.5)])

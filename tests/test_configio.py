@@ -215,10 +215,19 @@ class TestScenarioFiles:
         ("[x]\n# searched\nclosure = trade_share_target\ntarget = 0.1\n"
          "sweep_grid = 0.3, 0.5\n",
          "line 3: trade_share_target closure takes no rate grid"),
+        ("[x]\nclosure = welfare_sweep\nsweep_grid = 0.3, 0.5\n"
+         "bracket = 0.1, 0.2\n",
+         "line 2: welfare_sweep closure takes no bracket"),
+        ("[x]\nclosure = welfare_sweep\nsweep_grid = 0.3, 0.5\nclosure_tol = 5\n",
+         "line 2: welfare_sweep closure takes no tolerance"),
+        ("[x]\nclosure = welfare_sweep\nsweep_grid = 0.3, 0.5\n"
+         "max_iterations = 3\n",
+         "line 4: unknown scenario key 'max_iterations'"),
     ])
     def test_closure_error_names_the_closure_line(self, text, message):
         """`closure = fixed` is an unknown kind; a given rate is `rate =`
-        alone.  A key that the kind does not read is refused."""
+        alone.  A key that the kind does not read is refused on the closure
+        line, and `max_iterations` is no key, refused on its own line."""
         with pytest.raises(ParseError) as info:
             parse_scenarios(text)
         assert str(info.value) == message
@@ -292,7 +301,7 @@ scenario_lines = (
     | lines(st.just("rate"), values)
     | lines(st.just("closure"), st.sampled_from(CLOSURE_KINDS))
     | lines(st.sampled_from(["bracket", "sweep_grid"]), value_lists)
-    | lines(st.sampled_from(["target", "closure_tol", "max_iterations"]), values))
+    | lines(st.sampled_from(["target", "closure_tol"]), values))
 random_lines = st.text(max_size=12)
 
 

@@ -129,7 +129,7 @@ class TestSuite:
 
     def test_convergence_failure_does_not_abort(self, baseline):
         slow = Scenario("slow", closure=ClosureSpec("balanced_trade",
-                                                    max_iterations=3))
+                                                    tolerance=1e-300))
         report = run_suite(baseline, [slow] + paper_suite()[:1])
         assert len(report.results) == 2
         assert "no convergence" in report.results[0].error
