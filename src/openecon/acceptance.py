@@ -238,8 +238,7 @@ def _criterion_8(shared: Shared) -> CriterionResult:
 
 def _criterion_9(shared: Shared) -> CriterionResult:
     base = baseline_instance()
-    spec = ClosureSpec(kind="balanced_trade", bracket=(0.4821, 2.0),
-                       tolerance=1e-10)
+    spec = ClosureSpec(kind="balanced_trade", bracket=(0.4821, 2.0))
     r_star, diag = resolve_rate(base, spec)
     eq = solve_at_rate(base, r_star)
     balances_ok = (abs(eq.tb0) <= 1e-10 * eq.y0

@@ -70,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedules", help="saving/investment curves on a rate grid")
     _add_common(p)
-    p.add_argument("--rate", type=float, default=0.4821,
-                   help="reference rate (default 0.4821)")
+    p.add_argument("--rate", type=float,
+                   help="reference rate: centres the default grid and anchors "
+                        "partial mode (default 0.4821)")
     p.add_argument("--grid", metavar="START,STOP,POINTS",
                    help="rate grid (default 41 points around the reference rate)")
     p.add_argument("--mode", choices=("full", "partial"), default="full")
@@ -190,14 +191,16 @@ def cmd_sweep(args, out, err) -> int:
 
 
 def cmd_schedules(args, out, err) -> int:
-    if not math.isfinite(args.rate):
+    rate = 0.4821 if args.rate is None else args.rate
+    if not math.isfinite(rate):
         raise configio.ParseError("--rate must be finite")
+    if args.mode == "full" and args.grid is not None and args.rate is not None:
+        raise configio.ParseError("--rate does not apply to --mode full with --grid")
     instance = _load_instance(args)
-    grid = (_parse_grid(args.grid) if args.grid
-            else schedules.default_grid(args.rate))
+    grid = (schedules.default_grid(rate) if args.grid is None
+            else _parse_grid(args.grid))
     mode = "full_equilibrium" if args.mode == "full" else "partial"
-    curve = schedules.compute_schedules(instance, grid, mode=mode,
-                                        r_ref=args.rate)
+    curve = schedules.compute_schedules(instance, grid, mode=mode, r_ref=rate)
     for index, message in curve.errors:
         err.write(f"grid point {index} (r={curve.grid[index]:.6g}) skipped: "
                   f"{message}\n")

@@ -379,6 +379,20 @@ class TestSchedules:
         assert payload["mode"] == "partial"
         assert len(payload["points"]) == 41
 
+    def test_rate_beside_a_full_mode_grid_exits_2(self):
+        """Full mode solves every grid point, so --rate only centres the
+        default grid; beside --grid it would be dropped."""
+        for mode in ([], ["--mode", "full"]):
+            code, out, err = run(["schedules", "--grid=0.3,0.6,3",
+                                  "--rate", "5", *mode])
+            assert (code, out) == (2, "")
+            assert err == "error: --rate does not apply to --mode full with --grid\n"
+        default = run(["schedules"])
+        assert run(["schedules", "--rate", "0.4821"]) == default
+        assert run(["schedules", "--rate", "0.6"])[1] != default[1]
+        partial = ["schedules", "--mode", "partial", "--grid=0.3,0.6,3"]
+        assert run([*partial, "--rate", "0.5"])[1] != run(partial)[1]
+
     @pytest.mark.parametrize("grid", ["nan,1,3", "0,inf,3", "-inf,0,3"])
     def test_non_finite_grid_exits_2(self, grid):
         code, out, err = run(["schedules", f"--grid={grid}"])
@@ -414,9 +428,9 @@ class TestSchedules:
         code, out, err = run(["solve", "--rate", "-0.0999", *instance])
         assert (code, out) == (2, "")
         assert err == "error: numerical overflow at r=-0.0999\n"
-        for mode in ("full", "partial"):
+        for mode in (["full"], ["partial", "--rate", "1"]):
             code, out, err = run(["schedules", "--grid=-0.0999,1,3",
-                                  "--mode", mode, "--rate", "1", *instance])
+                                  "--mode", *mode, *instance])
             assert code == 0
             assert out.splitlines()[1] == "-0.0999,nan,nan,nan,nan"
             assert err.splitlines()[0] == ("grid point 0 (r=-0.0999) skipped: "
