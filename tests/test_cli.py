@@ -355,7 +355,7 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"error: welfare_sweep closure takes no {noun}\n"
 
-    @pytest.mark.parametrize("bracket", ["0.5", "a,b", "0.1,0.2,0.3"])
+    @pytest.mark.parametrize("bracket", ["0.5", "a,b", "0.1,0.2,0.3", ""])
     def test_malformed_bracket_exits_2(self, bracket):
         code, out, err = run(["sweep", "--closure", "balanced_trade",
                               "--bracket", bracket])
@@ -400,7 +400,7 @@ class TestSchedules:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize("grid", ["a,1,5", "0.1,1,5.5", "0.1,1"])
+    @pytest.mark.parametrize("grid", ["a,1,5", "0.1,1,5.5", "0.1,1", ""])
     def test_malformed_grid_exits_2(self, grid):
         for argv in (["schedules"], ["sweep", "--closure", "welfare_sweep"]):
             code, out, err = run([*argv, f"--grid={grid}"])

@@ -182,12 +182,11 @@ class TestSpecValidation:
         with pytest.raises(TypeError):
             ClosureSpec("balanced_trade", max_iterations=50)
 
-    @pytest.mark.parametrize("field, value, noun", [
-        ("bracket", (0.1, 0.2), "bracket"), ("tolerance", 5.0, "tolerance"),
-        ("tolerance", 0.0, "tolerance")])
-    def test_root_finding_input_beside_welfare_sweep(self, field, value, noun):
+    @pytest.mark.parametrize("field, value", [
+        ("bracket", (0.1, 0.2)), ("tolerance", 5.0), ("tolerance", 0.0)])
+    def test_root_finding_input_beside_welfare_sweep(self, field, value):
         with pytest.raises(ValueError,
-                           match=f"^welfare_sweep closure takes no {noun}$"):
+                           match=f"^welfare_sweep closure takes no {field}$"):
             ClosureSpec("welfare_sweep", grid=(0.3, 0.5), **{field: value})
 
     @pytest.mark.parametrize("kind, target", [("balanced_trade", None),
