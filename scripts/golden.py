@@ -121,6 +121,7 @@ COMMANDS = [
     _table("no_convergence.txt"),
     _table("no_convergence_tol.txt"),
     _table("welfare_with_root_keys.txt"),
+    _table("lower_rho.txt"),
     _table("missing_rate.txt"),
     _table("rate_and_closure.txt", "--format", "json"),
     _table("unknown_key.txt"),
