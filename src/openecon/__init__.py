@@ -6,8 +6,8 @@ from .model import (DomainError, Equilibrium, InfeasibleError, ModelInstance,
 from .closure import (BracketError, ClosureDiagnostics, ClosureSpec,
                       ConvergenceError, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
-from .scenarios import (ReferenceRow, Scenario, apply_scenario, paper_suite,
-                        report_row, run_suite)
+from .scenarios import (Scenario, apply_scenario, paper_suite, report_row,
+                        run_suite)
 from .schedules import ScheduleCurve, compute_schedules, slope_check
 from .reference import baseline_instance
 
@@ -16,8 +16,7 @@ __all__ = [
     "annualize_rate", "capital_demand", "solve_at_rate", "solve_rates",
     "BracketError", "ClosureDiagnostics", "ClosureSpec", "ConvergenceError",
     "calibrated_labor_weight", "resolve_rate", "welfare_stationarity_check",
-    "ReferenceRow", "Scenario", "apply_scenario", "paper_suite",
-    "report_row", "run_suite",
+    "Scenario", "apply_scenario", "paper_suite", "report_row", "run_suite",
     "ScheduleCurve", "compute_schedules", "slope_check",
     "baseline_instance",
 ]

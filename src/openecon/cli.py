@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from . import configio, schedules
 from .closure import KINDS, ClosureSpec, ConvergenceError, resolve_rate
 from .model import solve_at_rate
-from .scenarios import paper_suite, run_suite
+from .scenarios import REFERENCE_TOLERANCE, paper_suite, run_suite
 from .reference import ROW_KEYS, ROW_LABELS, baseline_instance
 
 if TYPE_CHECKING:          # annotations only
@@ -39,8 +39,6 @@ def _add_closure(parser):
                         help="search bracket for root-finding closures")
     parser.add_argument("--target", type=float,
                         help="tb0/y0 target for trade_share_target")
-    parser.add_argument("--tol", type=float,
-                        help="tolerance override")
     parser.add_argument("--grid", metavar="START,STOP,POINTS",
                         help="rate grid for welfare_sweep")
 
@@ -61,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--scenario-file", metavar="PATH",
                    help="scenario definitions (default: embedded suite)")
-    p.add_argument("--tol", type=float,
-                   help="reference tolerance override (default 2e-3)")
 
     p = sub.add_parser("sweep", help="resolve a closure rule, then solve")
     _add_common(p)
@@ -114,7 +110,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _closure_from_args(args) -> ClosureSpec:
     return ClosureSpec(
-        kind=args.closure, target_share=args.target, tolerance=args.tol,
+        kind=args.closure, target_share=args.target,
         bracket=None if args.bracket is None else tuple(_parse_fields(
             args.bracket, "--bracket", "LO,HI", (float, float))),
         grid=() if args.grid is None else tuple(_parse_grid(args.grid)))
@@ -146,22 +142,17 @@ def cmd_solve(args, out, err) -> int:
 
 
 def cmd_table(args, out, err) -> int:
-    if args.scenario_file and args.tol is not None:
-        raise configio.ParseError("--tol does not apply to --scenario-file")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        raise configio.ParseError("--tol must be finite and positive")
     instance = _load_instance(args)
     if args.scenario_file:
         scenario_list = configio.read_scenarios(args.scenario_file)
     else:
-        scenario_list = paper_suite(2e-3 if args.tol is None else args.tol)
+        scenario_list = paper_suite()
     report = run_suite(instance, scenario_list)
 
     if args.format == "json":
-        scenarios = [{**vars(r), "reference": r.reference and r.reference.values}
-                     for r in report.results]
-        out.write(configio.to_json({"scenarios": scenarios, "sign_checks":
-                                    [vars(c) for c in report.sign_checks]}))
+        out.write(configio.to_json({
+            "scenarios": [vars(r) for r in report.results],
+            "sign_checks": [vars(c) for c in report.sign_checks]}))
     else:
         # one column per scenario, one row per result label
         header = ["row"] + [r.name for r in report.results]
@@ -176,7 +167,7 @@ def cmd_table(args, out, err) -> int:
         for key in result.failed_rows:
             err.write(f"{result.name}: row {ROW_LABELS[key]} deviates by "
                       f"{result.deviations[key]:.3g} "
-                      f"(tolerance {result.reference.tolerance:g})\n")
+                      f"(tolerance {REFERENCE_TOLERANCE:g})\n")
     for check in report.sign_checks:
         if not check.passed:
             err.write(f"sign check failed: {check.name}: {check.detail}\n")

@@ -14,13 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import (_FIELDS, DomainError, ModelInstance, _values_at_rate,
-                    solve_rates, with_parameters)
+from .model import (_FIELDS, ModelInstance, _values_at_rate, solve_rates,
+                    with_parameters)
 
 DEFAULT_BRACKET = (0.01, 2.0)
 MAX_ITERATIONS = 200
+TOLERANCE = 1e-10      # root finding's bound on |tb0|/y0 or |tb0/y0 - target|
+STEP = 1e-4            # welfare_stationarity_check's finite-difference step
 # kind -> {each input it reads: its default, or None where it must be given}
-_ROOT_FINDING = {"bracket": DEFAULT_BRACKET, "tolerance": 1e-10}
+_ROOT_FINDING = {"bracket": DEFAULT_BRACKET}
 _INPUTS = {
     "balanced_trade": _ROOT_FINDING,
     "trade_share_target": {"target_share": None, **_ROOT_FINDING},
@@ -36,7 +38,7 @@ class BracketError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Root finding did not reach tolerance within MAX_ITERATIONS steps."""
+    """Root finding did not reach TOLERANCE within MAX_ITERATIONS steps."""
 
 
 @dataclass(frozen=True)
@@ -46,21 +48,21 @@ class ClosureSpec:
     kind is one of KINDS, and _INPUTS states the inputs it reads and their
     defaults; target_share is the desired tb0/y0.  An input is unset when
     None (grid when empty), and a given one that its kind does not read is
-    refused.
+    refused.  The tolerance and the step cap are constants, not inputs.
     """
 
     kind: str
     target_share: float | None = None
     bracket: tuple[float, float] | None = None
-    tolerance: float | None = None
     grid: tuple[float, ...] = ()
-    max_iterations = MAX_ITERATIONS      # a class constant, not an input
+    tolerance = TOLERANCE                # class constants, not inputs
+    max_iterations = MAX_ITERATIONS
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown closure kind {self.kind!r}")
         inputs = _INPUTS[self.kind]
-        for name in ("target_share", "bracket", "tolerance", "grid"):
+        for name in ("target_share", "bracket", "grid"):
             value = getattr(self, name)
             noun = "rate grid" if name == "grid" else name
             if (len(value) if name == "grid" else value is not None):
@@ -77,8 +79,6 @@ class ClosureSpec:
                 raise ValueError("bracket ends must be finite")
             if not lo < hi:
                 raise ValueError("bracket must satisfy r_lo < r_hi")
-        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and positive")
         if self.target_share is not None and not math.isfinite(self.target_share):
             raise ValueError("target_share must be finite")
         if not all(map(math.isfinite, self.grid)):
@@ -174,12 +174,12 @@ def resolve_rate(instance: ModelInstance,
     if spec.kind == "balanced_trade":
         def objective(r):
             values = _values_at_rate(instance, r)
-            return values[_TB0], abs(values[_TB0]) <= spec.tolerance * values[_Y0]
+            return values[_TB0], abs(values[_TB0]) <= TOLERANCE * values[_Y0]
     else:                                      # trade_share_target
         def objective(r):
             values = _values_at_rate(instance, r)
             f = values[_TB0] / values[_Y0] - spec.target_share
-            return f, abs(f) <= spec.tolerance
+            return f, abs(f) <= TOLERANCE
 
     return _find_root(objective, *spec.bracket, MAX_ITERATIONS, diag), diag
 
@@ -197,9 +197,8 @@ def calibrated_labor_weight(instance: ModelInstance, r: float) -> float:
             / values[_L0] ** instance.theta)
 
 
-def welfare_stationarity_check(instance: ModelInstance, r_star: float,
-                               h: float = 1e-4) -> float:
-    """Central finite difference of welfare in r at r_star.
+def welfare_stationarity_check(instance: ModelInstance, r_star: float) -> float:
+    """Central finite difference of welfare in r at r_star, with step STEP.
 
     Uses the labor weight calibrated at r_star (see
     :func:`calibrated_labor_weight`) so the household's hours choice is a
@@ -207,9 +206,7 @@ def welfare_stationarity_check(instance: ModelInstance, r_star: float,
     zero when trade balances at r_star and strictly negative when the
     economy borrows in the present period.
     """
-    if h <= 0 or h >= r_star + 1.0:
-        raise DomainError("step h must be positive and small relative to r_star")
     phi = calibrated_labor_weight(instance, r_star)
     calibrated = with_parameters(instance, {"phi": phi})
-    return (_values_at_rate(calibrated, r_star + h)[_WELFARE]
-            - _values_at_rate(calibrated, r_star - h)[_WELFARE]) / (2.0 * h)
+    return (_values_at_rate(calibrated, r_star + STEP)[_WELFARE]
+            - _values_at_rate(calibrated, r_star - STEP)[_WELFARE]) / (2.0 * STEP)

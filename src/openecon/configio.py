@@ -126,7 +126,6 @@ _CLOSURE_KEYS = {
     "closure": ("kind", lambda lineno, key, value: value),
     "bracket": ("bracket", _as_numbers),
     "target": ("target_share", _as_float),
-    "closure_tol": ("tolerance", _as_float),
     "sweep_grid": ("grid", _as_numbers),
 }
 

@@ -18,13 +18,8 @@ from .model import (_CANONICAL, DomainError, Equilibrium, ModelInstance,
                     annualize_rate, canonical_parameter, solve_at_rate,
                     with_parameters)
 
-
-@dataclass(frozen=True)
-class ReferenceRow:
-    """Expected values for the standard result rows, keyed as in ROW_KEYS."""
-
-    values: dict[str, float]
-    tolerance: float = 2e-3
+# A reference row fails when row_deviation exceeds this.
+REFERENCE_TOLERANCE = 2e-3
 
 
 @dataclass(frozen=True)
@@ -41,7 +36,7 @@ class Scenario:
     overrides: dict[str, float] = field(default_factory=dict)
     perturbations: dict[str, float] = field(default_factory=dict)
     closure: ClosureSpec | None = None
-    reference: ReferenceRow | None = None
+    reference: dict[str, float] | None = None   # ROW_KEYS key -> expected
 
     def __post_init__(self):
         # unknown names are left as they are; apply_scenario rejects them
@@ -116,7 +111,7 @@ class ScenarioResult:
     name: str
     rate: float | None             # None where the closure failed
     rows: dict[str, float]
-    reference: ReferenceRow | None
+    reference: dict[str, float] | None
     deviations: dict[str, float] = field(default_factory=dict)
     failed_rows: list[str] = field(default_factory=list)
     error: str | None = None
@@ -153,10 +148,10 @@ def _run_one(base: ModelInstance, s: Scenario) -> ScenarioResult:
     result = ScenarioResult(name=s.name, rate=rate, rows=rows,
                             reference=s.reference)
     if s.reference is not None:
-        for key, expected in s.reference.values.items():
+        for key, expected in s.reference.items():
             dev = row_deviation(rows[key], expected)
             result.deviations[key] = dev
-            if dev > s.reference.tolerance:
+            if dev > REFERENCE_TOLERANCE:
                 result.failed_rows.append(key)
     return result
 
@@ -241,7 +236,7 @@ def run_suite(base: ModelInstance, scenarios: list[Scenario]) -> SuiteReport:
     return SuiteReport(results=results, sign_checks=_sign_checks(by_param))
 
 
-def paper_suite(tolerance: float = 2e-3) -> list[Scenario]:
+def paper_suite() -> list[Scenario]:
     """The embedded five-scenario comparative-statics suite with references."""
     scenarios = []
     for name, param, factor, rate in reference.SUITE_DESIGN:
@@ -249,7 +244,6 @@ def paper_suite(tolerance: float = 2e-3) -> list[Scenario]:
             name=name,
             rate=rate,
             perturbations={} if param is None else {param: factor},
-            reference=ReferenceRow(values=dict(reference.REFERENCE_TABLE[name]),
-                                   tolerance=tolerance),
+            reference=dict(reference.REFERENCE_TABLE[name]),
         ))
     return scenarios

@@ -107,8 +107,7 @@ def test_calibrated_welfare_has_a_minimum_at_balanced_trade():
     welfare argmax over a grid is one of its ends.  The second difference
     is positive and scales as h^2 (about 0.0438 h^2)."""
     base = baseline_instance()
-    spec = ClosureSpec(kind="balanced_trade", bracket=(0.4821, 2.0),
-                       tolerance=1e-10)
+    spec = ClosureSpec(kind="balanced_trade", bracket=(0.4821, 2.0))
     r_star, _ = resolve_rate(base, spec)
     calibrated = replace(base, phi=calibrated_labor_weight(base, r_star))
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import openecon
 from openecon.cli import main
+from openecon import closure, reference
 from openecon.closure import KINDS
 from openecon.model import PARAMETERS
 
@@ -159,26 +160,18 @@ class TestTable:
         assert len(payload["sign_checks"]) == 4
         assert all(c["passed"] for c in payload["sign_checks"])
 
-    def test_tight_tolerance_fails_to_stderr(self):
-        code, out, err = run(["table", "--tol", "1e-9"])
+    def test_reference_mismatch_fails_to_stderr(self, monkeypatch):
+        monkeypatch.setitem(reference.REFERENCE_TABLE["baseline"], "y0", 1e5)
+        code, out, err = run(["table"])
         assert code == 1
-        assert "deviates" in err
+        assert err == "baseline: row Y0 deviates by 0.0351 (tolerance 0.002)\n"
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_bad_tolerance_exits_2(self, tol):
-        code, out, err = run(["table", f"--tol={tol}"])
-        assert (code, out) == (2, "")
-        assert err == "error: --tol must be finite and positive\n"
-
-    def test_tol_beside_scenario_file_exits_2(self, tmp_path):
-        """A scenario file carries no reference rows, so --tol has none to
-        loosen or tighten."""
-        path = tmp_path / "scen.txt"
-        path.write_text("[only]\nrate = 0.4821\n")
-        code, out, err = run(["table", "--scenario-file", str(path),
-                              "--tol", "1e-12"])
-        assert (code, out) == (2, "")
-        assert err == "error: --tol does not apply to --scenario-file\n"
+    @pytest.mark.parametrize("argv", [["table", "--tol", "1e-9"],
+                                      ["sweep", "--closure", "balanced_trade",
+                                       "--tol", "1e-9"]])
+    def test_tolerance_is_no_option(self, argv):
+        assert usage_error(argv) == (
+            "openecon: error: unrecognized arguments: --tol 1e-9")
 
     def test_scenario_file(self, tmp_path):
         path = tmp_path / "scen.txt"
@@ -271,7 +264,7 @@ class TestTable:
     @pytest.mark.parametrize("line, message", [
         ("bracket = x, 2", "bracket = 'x' is not a number"),
         ("target = a", "target = 'a' is not a number"),
-        ("closure_tol = ?", "closure_tol = '?' is not a number"),
+        ("closure_tol = 1e-8", "unknown scenario key 'closure_tol'"),
         ("sweep_grid = 0.1, zz", "sweep_grid = 'zz' is not a number"),
         ("max_iterations = 50", "unknown scenario key 'max_iterations'"),
         ("rate = x", "rate = 'x' is not a number"),
@@ -291,8 +284,6 @@ class TestTable:
     @pytest.mark.parametrize("lines, message", [
         ("closure = welfare_sweep\nsweep_grid = 0.3, 0.6\nbracket = 0.1, 0.2",
          "line 2: welfare_sweep closure takes no bracket"),
-        ("closure = welfare_sweep\nsweep_grid = 0.3, 0.6\nclosure_tol = 5",
-         "line 2: welfare_sweep closure takes no tolerance"),
         ("closure = welfare_sweep\nsweep_grid = 0.3, 0.6\nmax_iterations = 3",
          "line 4: unknown scenario key 'max_iterations'"),
         ("closure = welfare_sweep\nsweep_grid = nan, inf",
@@ -331,13 +322,17 @@ class TestSweep:
         assert code == 2
         assert "sign" in err
 
-    @pytest.mark.parametrize("option", [["--tol", "inf"], ["--tol", "nan"],
-                                        ["--bracket", "0.01,inf"]])
-    def test_non_finite_closure_input_exits_2(self, option):
+    def test_non_finite_closure_input_exits_2(self):
         code, out, err = run(["sweep", "--closure", "balanced_trade",
-                              "--format", "csv"] + option)
+                              "--format", "csv", "--bracket", "0.01,inf"])
         assert (code, out) == (2, "")
         assert "finite" in err
+
+    def test_convergence_error_exits_2(self, monkeypatch):
+        monkeypatch.setattr(closure, "MAX_ITERATIONS", 1)
+        code, out, err = run(["sweep", "--closure", "balanced_trade"])
+        assert (code, out) == (2, "")
+        assert err == "error: no convergence after 1 root-finding steps\n"
 
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
     def test_non_finite_target_exits_2(self, target):
@@ -346,14 +341,11 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == "error: target_share must be finite\n"
 
-    @pytest.mark.parametrize("option, noun", [
-        (["--bracket", "0.1,0.2"], "bracket"), (["--tol", "5"], "tolerance"),
-        (["--tol", "0"], "tolerance")])
-    def test_root_finding_option_beside_welfare_sweep_exits_2(self, option, noun):
+    def test_root_finding_option_beside_welfare_sweep_exits_2(self):
         code, out, err = run(["sweep", "--closure", "welfare_sweep",
-                              "--grid=0.3,0.6,4", *option])
+                              "--grid=0.3,0.6,4", "--bracket", "0.1,0.2"])
         assert (code, out) == (2, "")
-        assert err == f"error: welfare_sweep closure takes no {noun}\n"
+        assert err == "error: welfare_sweep closure takes no bracket\n"
 
     @pytest.mark.parametrize("bracket", ["0.5", "a,b", "0.1,0.2,0.3", ""])
     def test_malformed_bracket_exits_2(self, bracket):
@@ -606,7 +598,7 @@ FLOATS = ["nan", "inf", "-inf", "5e-324", "-5e-324", "0", "-0.0", "-1",
           "-2.0", "0.4821", "0.75", "1e308", "1e-12", "10", "x", ""]
 FILES = ["/nonexistent/instance.txt"]   # the fuzz_files fixture adds more
 FUZZ_VALUES = {
-    "--rate": FLOATS, "--target": FLOATS, "--tol": FLOATS,
+    "--rate": FLOATS, "--target": FLOATS,
     "--closure": list(KINDS),
     "--bracket": ["0.4821,2.0", "0.01,0.02", "2.0,0.01", "nan,1", "0.5",
                   "a,b", "0.1,0.2,0.3", "0.01,inf", "-1.5,5e-324", ","],
@@ -619,9 +611,8 @@ FUZZ_VALUES = {
 COMMON_OPTIONS = ["--instance-file", "--format"]
 FUZZ_OPTIONS = {
     "solve": COMMON_OPTIONS + ["--rate"],
-    "table": COMMON_OPTIONS + ["--scenario-file", "--tol"],
-    "sweep": COMMON_OPTIONS + ["--closure", "--bracket", "--target", "--tol",
-                               "--grid"],
+    "table": COMMON_OPTIONS + ["--scenario-file"],
+    "sweep": COMMON_OPTIONS + ["--closure", "--bracket", "--target", "--grid"],
     "schedules": COMMON_OPTIONS + ["--rate", "--grid", "--mode"],
 }
 

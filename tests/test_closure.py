@@ -36,7 +36,7 @@ class TestBalancedTrade:
 
     def test_iteration_bound(self, baseline):
         lo, hi = 0.4821, 2.0
-        spec = ClosureSpec("balanced_trade", bracket=(lo, hi), tolerance=1e-10)
+        spec = ClosureSpec("balanced_trade", bracket=(lo, hi))
         _, diag = resolve_rate(baseline, spec)
         bound = math.ceil(math.log2((hi - lo) / 1e-10)) + 2
         assert diag.iterations <= bound
@@ -46,10 +46,11 @@ class TestBalancedTrade:
         with pytest.raises(BracketError):
             resolve_rate(baseline, spec)
 
-    def test_convergence_error(self, baseline):
-        spec = ClosureSpec("balanced_trade", bracket=(0.4821, 2.0),
-                           tolerance=1e-300)
-        with pytest.raises(ConvergenceError):
+    def test_convergence_error(self, baseline, monkeypatch):
+        monkeypatch.setattr(closure_mod, "MAX_ITERATIONS", 1)
+        spec = ClosureSpec("balanced_trade", bracket=(0.4821, 2.0))
+        with pytest.raises(ConvergenceError,
+                           match="^no convergence after 1 root-finding steps$"):
             resolve_rate(baseline, spec)
 
 
@@ -155,16 +156,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ClosureSpec("balanced_trade", bracket=(1.0, 0.5))
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError,
-                           match="^tolerance must be finite and positive$"):
-            ClosureSpec("balanced_trade", tolerance=0.0)
-
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
-    def test_non_finite_tolerance(self, tolerance):
-        with pytest.raises(ValueError, match="finite"):
-            ClosureSpec("balanced_trade", tolerance=tolerance)
-
     @pytest.mark.parametrize("bracket", [(0.01, math.inf), (-math.inf, 2.0),
                                          (math.nan, 2.0), (0.01, math.nan)])
     def test_non_finite_bracket(self, bracket):
@@ -182,12 +173,16 @@ class TestSpecValidation:
         with pytest.raises(TypeError):
             ClosureSpec("balanced_trade", max_iterations=50)
 
-    @pytest.mark.parametrize("field, value", [
-        ("bracket", (0.1, 0.2)), ("tolerance", 5.0), ("tolerance", 0.0)])
-    def test_root_finding_input_beside_welfare_sweep(self, field, value):
+    def test_tolerance_is_a_constant(self):
+        assert ClosureSpec("balanced_trade").tolerance == 1e-10
+        assert ClosureSpec.tolerance == closure_mod.TOLERANCE == 1e-10
+        with pytest.raises(TypeError):
+            ClosureSpec("balanced_trade", tolerance=1e-8)
+
+    def test_root_finding_input_beside_welfare_sweep(self):
         with pytest.raises(ValueError,
-                           match=f"^welfare_sweep closure takes no {field}$"):
-            ClosureSpec("welfare_sweep", grid=(0.3, 0.5), **{field: value})
+                           match="^welfare_sweep closure takes no bracket$"):
+            ClosureSpec("welfare_sweep", grid=(0.3, 0.5), bracket=(0.1, 0.2))
 
     @pytest.mark.parametrize("kind, target", [("balanced_trade", None),
                                               ("trade_share_target", 0.1)])
@@ -197,7 +192,7 @@ class TestSpecValidation:
 
     def test_welfare_sweep_reads_only_its_grid(self):
         spec = ClosureSpec("welfare_sweep", grid=(0.3, 0.5))
-        assert (spec.bracket, spec.tolerance, spec.target_share) == (None,) * 3
+        assert (spec.bracket, spec.target_share) == (None, None)
 
     @pytest.mark.parametrize("grid", [(0.3, math.nan), (math.inf,),
                                       (-math.inf, 0.5)])
@@ -254,9 +249,15 @@ class TestWelfareStationarity:
         assert phi * eq.l0 ** baseline.theta == pytest.approx(
             eq.c0 ** (-baseline.gamma) * eq.w0, rel=1e-12)
 
-    def test_bad_step(self, baseline):
-        with pytest.raises(ValueError):
-            welfare_stationarity_check(baseline, 0.5, h=0.0)
+    def test_step_is_a_constant(self, baseline):
+        assert closure_mod.STEP == 1e-4
+        with pytest.raises(TypeError):
+            welfare_stationarity_check(baseline, 0.5, 1e-4)
+
+    def test_rate_within_a_step_of_minus_one(self, baseline):
+        """The probe at r_star - STEP meets the rate rule r > -1."""
+        with pytest.raises(DomainError, match=r"^inadmissible rate r=-1\.00005 "):
+            welfare_stationarity_check(baseline, -0.99995)
 
     def test_matches_oracle_difference_bit_for_bit(self):
         """The check reads the kernel's welfare under the calibrated weight;
@@ -274,7 +275,7 @@ class TestWelfareStationarity:
                 eq = solve_at_rate(instance, x)
                 return lifetime_utility(eq.c0, eq.l0, eq.c1, eq.l1, calibrated)
 
-            assert welfare_stationarity_check(instance, r, h) == \
+            assert welfare_stationarity_check(instance, r) == \
                 (u(r + h) - u(r - h)) / (2.0 * h)
 
 

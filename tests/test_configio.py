@@ -167,12 +167,10 @@ class TestScenarioFiles:
         (s,) = parse_scenarios(
             "[bt]\n"
             "closure = balanced_trade\n"
-            "bracket = 0.4821, 2.0\n"
-            "closure_tol = 1e-8\n")
+            "bracket = 0.4821, 2.0\n")
         assert s.rate is None
         assert s.closure.kind == "balanced_trade"
         assert s.closure.bracket == (0.4821, 2.0)
-        assert s.closure.tolerance == 1e-8
 
     def test_sweep_grid(self):
         (s,) = parse_scenarios(
@@ -218,8 +216,6 @@ class TestScenarioFiles:
         ("[x]\nclosure = welfare_sweep\nsweep_grid = 0.3, 0.5\n"
          "bracket = 0.1, 0.2\n",
          "line 2: welfare_sweep closure takes no bracket"),
-        ("[x]\nclosure = welfare_sweep\nsweep_grid = 0.3, 0.5\nclosure_tol = 5\n",
-         "line 2: welfare_sweep closure takes no tolerance"),
         ("[x]\nclosure = welfare_sweep\nsweep_grid = 0.3, 0.5\n"
          "max_iterations = 3\n",
          "line 4: unknown scenario key 'max_iterations'"),
@@ -301,7 +297,7 @@ scenario_lines = (
     | lines(st.just("rate"), values)
     | lines(st.just("closure"), st.sampled_from(CLOSURE_KINDS))
     | lines(st.sampled_from(["bracket", "sweep_grid"]), value_lists)
-    | lines(st.sampled_from(["target", "closure_tol"]), values))
+    | lines(st.just("target"), values))
 random_lines = st.text(max_size=12)
 
 

@@ -6,8 +6,9 @@ import pytest
 
 from openecon import (ClosureSpec, DomainError, Scenario, apply_scenario,
                       paper_suite, report_row, run_suite, solve_at_rate)
+from openecon import closure, reference
 from openecon.model import canonical_parameter
-from openecon.scenarios import row_deviation
+from openecon.scenarios import REFERENCE_TOLERANCE, row_deviation
 
 
 # instance-file spelling -> canonical parameter path
@@ -127,9 +128,9 @@ class TestSuite:
         (result,) = run_suite(baseline, [s]).results
         assert result.error == "gamma, theta, rho, phi must all be positive"
 
-    def test_convergence_failure_does_not_abort(self, baseline):
-        slow = Scenario("slow", closure=ClosureSpec("balanced_trade",
-                                                    tolerance=1e-300))
+    def test_convergence_failure_does_not_abort(self, baseline, monkeypatch):
+        monkeypatch.setattr(closure, "MAX_ITERATIONS", 1)
+        slow = Scenario("slow", closure=ClosureSpec("balanced_trade"))
         report = run_suite(baseline, [slow] + paper_suite()[:1])
         assert len(report.results) == 2
         assert "no convergence" in report.results[0].error
@@ -154,9 +155,14 @@ class TestSuite:
         assert abs(result.rows["tb0"]) <= 1e-6 * result.rows["y0"]
 
     def test_reference_mismatch_is_collected(self, baseline):
-        from openecon import ReferenceRow
-        s = Scenario("off", rate=0.4821,
-                     reference=ReferenceRow(values={"y0": 1.0}))
+        s = Scenario("off", rate=0.4821, reference={"y0": 1.0})
         report = run_suite(baseline, [s])
         assert report.results[0].failed_rows == ["y0"]
         assert not report.passed
+
+    def test_reference_tolerance_is_a_constant(self):
+        assert REFERENCE_TOLERANCE == 2e-3
+        assert [s.reference for s in paper_suite()] == [
+            reference.REFERENCE_TABLE[s.name] for s in paper_suite()]
+        with pytest.raises(TypeError):
+            paper_suite(2e-3)
