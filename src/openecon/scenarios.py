@@ -157,7 +157,8 @@ def _run_one(base: ModelInstance, s: Scenario) -> ScenarioResult:
 
 
 def _sign_checks(by_param: dict[str | None, ScenarioResult]) -> list[SignCheck]:
-    """Directional comparisons of each one-parameter scenario vs baseline."""
+    """Directional comparisons vs baseline of each scenario that raises one
+    parameter."""
     base = by_param.get(None)
     if base is None:
         return []
@@ -231,18 +232,20 @@ def run_suite(base: ModelInstance, scenarios: list[Scenario]) -> SuiteReport:
             if not s.overrides and not s.perturbations:
                 by_param.setdefault(None, result)
             elif not s.overrides and len(s.perturbations) == 1:
-                (param,) = s.perturbations
-                by_param.setdefault(canonical_parameter(param), result)
+                # each sign check states what a higher value does
+                ((param, factor),) = s.perturbations.items()
+                if factor > 1:
+                    by_param.setdefault(canonical_parameter(param), result)
     return SuiteReport(results=results, sign_checks=_sign_checks(by_param))
 
 
 def paper_suite() -> list[Scenario]:
     """The embedded five-scenario comparative-statics suite with references."""
     scenarios = []
-    for name, param, factor, rate in reference.SUITE_DESIGN:
+    for name, param, factor in reference.SUITE_DESIGN:
         scenarios.append(Scenario(
             name=name,
-            rate=rate,
+            rate=reference.REFERENCE_TABLE[name]["r"],
             perturbations={} if param is None else {param: factor},
             reference=dict(reference.REFERENCE_TABLE[name]),
         ))

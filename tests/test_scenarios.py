@@ -154,6 +154,17 @@ class TestSuite:
         assert result.rate == pytest.approx(0.748304, abs=1e-4)
         assert abs(result.rows["tb0"]) <= 1e-6 * result.rows["y0"]
 
+    def test_sign_checks_read_only_raised_parameters(self, baseline):
+        """Each check states what a higher value does, so a scenario that
+        lowers its parameter is not checked against it."""
+        scenarios = [Scenario("base", rate=0.4821),
+                     Scenario("lower_rho", rate=0.45, perturbations={"rho": 0.8}),
+                     Scenario("higher_a1", rate=0.4979,
+                              perturbations={"a1": 1.15})]
+        report = run_suite(baseline, scenarios)
+        assert [c.name.split(":")[0] for c in report.sign_checks] == ["higher a1"]
+        assert report.passed
+
     def test_reference_mismatch_is_collected(self, baseline):
         s = Scenario("off", rate=0.4821, reference={"y0": 1.0})
         report = run_suite(baseline, [s])
