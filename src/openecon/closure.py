@@ -55,7 +55,7 @@ class ClosureSpec:
     target_share: float | None = None
     bracket: tuple[float, float] | None = None
     grid: tuple[float, ...] = ()
-    tolerance = TOLERANCE                # class constants, not inputs
+    tolerance = TOLERANCE                # unannotated: constants, not fields
     max_iterations = MAX_ITERATIONS
 
     def __post_init__(self):
