@@ -166,10 +166,17 @@ class TestTable:
         assert code == 1
         assert err == "baseline: row Y0 deviates by 0.0351 (tolerance 0.002)\n"
 
-    @pytest.mark.parametrize("argv", [["table", "--tol", "1e-9"],
-                                      ["sweep", "--closure", "balanced_trade",
-                                       "--tol", "1e-9"]])
+    @pytest.mark.parametrize("argv", [
+        ["table", "--tol", "1e-9"],
+        ["table", "--scenario-file", "scen.txt", "--tol", "1e-9"],
+        ["sweep", "--closure", "balanced_trade", "--tol", "1e-9"],
+        ["sweep", "--closure", "trade_share_target", "--target", "0.1",
+         "--tol", "1e-9"],
+        ["sweep", "--closure", "welfare_sweep", "--grid=0.3,0.6,4",
+         "--tol", "1e-9"]])
     def test_tolerance_is_no_option(self, argv):
+        """Both tolerances are constants, so --tol is refused by every
+        command and closure kind before any file is read."""
         assert usage_error(argv) == (
             "openecon: error: unrecognized arguments: --tol 1e-9")
 
@@ -286,6 +293,8 @@ class TestTable:
          "line 2: welfare_sweep closure takes no bracket"),
         ("closure = welfare_sweep\nsweep_grid = 0.3, 0.6\nmax_iterations = 3",
          "line 4: unknown scenario key 'max_iterations'"),
+        ("closure = welfare_sweep\nsweep_grid = 0.3, 0.6\nclosure_tol = 5",
+         "line 4: unknown scenario key 'closure_tol'"),
         ("closure = welfare_sweep\nsweep_grid = nan, inf",
          "line 2: grid rates must be finite"),
         ("perturb.gamma = 1.1", "line 1: scenario 'x' needs a rate or a closure"),
@@ -322,11 +331,14 @@ class TestSweep:
         assert code == 2
         assert "sign" in err
 
-    def test_non_finite_closure_input_exits_2(self):
+    @pytest.mark.parametrize("option", ["--bracket=0.01,inf",
+                                        "--bracket=nan,2.0",
+                                        "--bracket=-inf,2.0"])
+    def test_non_finite_closure_input_exits_2(self, option):
         code, out, err = run(["sweep", "--closure", "balanced_trade",
-                              "--format", "csv", "--bracket", "0.01,inf"])
+                              "--format", "csv", option])
         assert (code, out) == (2, "")
-        assert "finite" in err
+        assert err == "error: bracket ends must be finite\n"
 
     def test_convergence_error_exits_2(self, monkeypatch):
         monkeypatch.setattr(closure, "MAX_ITERATIONS", 1)
@@ -341,11 +353,14 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == "error: target_share must be finite\n"
 
-    def test_root_finding_option_beside_welfare_sweep_exits_2(self):
+    @pytest.mark.parametrize("option, noun", [
+        (["--bracket", "0.1,0.2"], "bracket"),
+        (["--target", "0.1"], "target_share")])
+    def test_root_finding_option_beside_welfare_sweep_exits_2(self, option, noun):
         code, out, err = run(["sweep", "--closure", "welfare_sweep",
-                              "--grid=0.3,0.6,4", "--bracket", "0.1,0.2"])
+                              "--grid=0.3,0.6,4", *option])
         assert (code, out) == (2, "")
-        assert err == "error: welfare_sweep closure takes no bracket\n"
+        assert err == f"error: welfare_sweep closure takes no {noun}\n"
 
     @pytest.mark.parametrize("bracket", ["0.5", "a,b", "0.1,0.2,0.3", ""])
     def test_malformed_bracket_exits_2(self, bracket):

@@ -105,6 +105,19 @@ class TestTradeShareTarget:
             ClosureSpec("trade_share_target")
 
 
+@pytest.mark.parametrize("spec", [
+    ClosureSpec("balanced_trade"),
+    ClosureSpec("trade_share_target", target_share=-0.1)])
+def test_root_meets_the_tolerance(baseline, spec):
+    """A root-finding rate leaves at most TOLERANCE of tb0/y0 off its
+    target, and the diagnostics report what is left."""
+    r, diag = resolve_rate(baseline, spec)
+    eq = solve_at_rate(baseline, r)
+    miss = eq.tb0 / eq.y0 - (spec.target_share or 0.0)
+    assert abs(miss) <= closure_mod.TOLERANCE
+    assert diag.residual == (eq.tb0 if spec.target_share is None else miss)
+
+
 class TestWelfareSweep:
     def test_tie_breaks_to_lowest_rate(self, baseline, monkeypatch):
         def flat(instance, rates):

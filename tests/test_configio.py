@@ -219,11 +219,15 @@ class TestScenarioFiles:
         ("[x]\nclosure = welfare_sweep\nsweep_grid = 0.3, 0.5\n"
          "max_iterations = 3\n",
          "line 4: unknown scenario key 'max_iterations'"),
+        ("[x]\nclosure = balanced_trade\nbracket = 0.4821, 2.0\n"
+         "closure_tol = 1e-8\n",
+         "line 4: unknown scenario key 'closure_tol'"),
     ])
     def test_closure_error_names_the_closure_line(self, text, message):
         """`closure = fixed` is an unknown kind; a given rate is `rate =`
         alone.  A key that the kind does not read is refused on the closure
-        line, and `max_iterations` is no key, refused on its own line."""
+        line; `max_iterations` and `closure_tol` are no keys, each refused on
+        its own line."""
         with pytest.raises(ParseError) as info:
             parse_scenarios(text)
         assert str(info.value) == message

@@ -171,6 +171,17 @@ class TestSuite:
         assert report.results[0].failed_rows == ["y0"]
         assert not report.passed
 
+    @pytest.mark.parametrize("miss, passed", [(0.9 * REFERENCE_TOLERANCE, True),
+                                              (1.1 * REFERENCE_TOLERANCE, False)])
+    def test_reference_row_passes_within_the_tolerance(self, baseline, miss,
+                                                        passed):
+        (plain,) = run_suite(baseline, [Scenario("x", rate=0.4821)]).results
+        s = Scenario("x", rate=0.4821,
+                     reference={"y0": plain.rows["y0"] / (1.0 - miss)})
+        (result,) = run_suite(baseline, [s]).results
+        assert result.deviations["y0"] == pytest.approx(miss, rel=1e-9)
+        assert result.passed is passed
+
     def test_reference_tolerance_is_a_constant(self):
         assert REFERENCE_TOLERANCE == 2e-3
         assert [s.reference for s in paper_suite()] == [
