@@ -136,6 +136,11 @@ COMMANDS = [
     _with_instance("two_bad.txt", "solve", "--rate", "0.5"),
     _with_instance("huge_n0.txt", "solve", "--rate", "0.4821"),
     _with_instance("huge_n0.txt", "schedules", "--grid=0.3,0.6,4"),
+    _with_instance("huge_n0.txt", "schedules", "--grid=0.3,0.6,4",
+                   "--format", "json"),
+    _with_instance("large_population.txt", "schedules", "--grid=0.3,0.6,4",
+                   "--format", "json"),
+    _with_instance("large_population.txt", "schedules", "--grid=0.3,0.6,4"),
     _with_instance("huge_n0.txt", "sweep", "--closure", "welfare_sweep",
                    "--grid=0.3,0.6,4"),
     _with_instance("nan_income.txt", "solve", "--rate", "0.5"),
@@ -156,6 +161,8 @@ COMMANDS = [
     ["schedules", "--mode", "partial", "--format", "json"],
     ["schedules", GRID_2000],
     ["schedules", GRID_2000, "--mode", "partial"],
+    ["schedules", GRID_2000, "--format", "json"],
+    ["schedules", GRID_2000, "--mode", "partial", "--format", "json"],
     _with_instance("partial_overflow.txt", "schedules",
                    "--grid=-0.09999999,10,3", "--rate", "10",
                    "--mode", "partial", "--format", "json"),
