@@ -7,6 +7,7 @@ success/pass, 1 on a tolerance failure, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -43,7 +44,11 @@ def _add_closure(parser):
                         help="rate grid for welfare_sweep")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, and argparse looks up sys.stdout and sys.stderr when it
+    writes."""
     parser = argparse.ArgumentParser(
         prog="openecon",
         description="Two-period open-economy equilibrium with the interest "
@@ -195,14 +200,13 @@ def cmd_schedules(args, out, err) -> int:
     for index, message in curve.errors:
         err.write(f"grid point {index} (r={curve.grid[index]:.6g}) skipped: "
                   f"{message}\n")
-    header = ["r", "I0", "S0N", "S1X", "residual"]
-    columns = [v.tolist() for v in (curve.grid, curve.i0, curve.s0n,
-                                    curve.s1x, curve.residual)]
+    points = configio.Records({"r": curve.grid, "I0": curve.i0,
+                               "S0N": curve.s0n, "S1X": curve.s1x,
+                               "residual": curve.residual})
     if args.format == "json":
-        points = configio.Records(dict(zip(header, columns)))
         out.write(configio.to_json({"mode": curve.mode, "points": points}))
     else:
-        out.write(configio.to_csv([header, *zip(*columns)]))
+        out.write(configio.to_csv(points))
     return 0
 
 

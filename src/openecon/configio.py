@@ -9,8 +9,9 @@ and either `rate = r` or a `closure = kind` block selects the rate.  A
 parameter, key or section given twice is an error naming both lines.
 
 Numeric output is deterministic: JSON carries 15 significant digits, CSV
-carries 6.  Float columns such as schedule points reach to_json as a Records
-and are written column by column, with null for NaN and infinities; JSON is
+carries 6.  Float columns such as schedule points reach to_json and to_csv
+as a Records, lists or float arrays, and are written with one %-pass over
+all of their rows, with null in JSON for NaN and infinities; JSON is
 strict, so a non-finite float anywhere else raises ValueError.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 
 from .closure import ClosureSpec
 from .model import (PARAMETERS, DomainError, ModelInstance,
@@ -216,11 +216,12 @@ def csv_number(x: float) -> str:
 
 
 class Records:
-    """Rows of floats held as columns: key -> list of floats, one per row.
-    to_json writes them as it writes the rows as dicts, but with null for a
-    value that json_number makes NaN or infinite."""
+    """Rows of floats held as columns: key -> list or float array of values,
+    one per row.  to_json writes them as it writes the rows as dicts, but
+    with null for a value that json_number makes NaN or infinite; to_csv
+    writes the keys, in their order, as the header."""
 
-    def __init__(self, columns: dict[str, list[float]]):
+    def __init__(self, columns: dict):
         if len(set(map(len, columns.values()))) > 1:
             raise ValueError("Records columns must have one length")
         self.columns = columns
@@ -228,39 +229,83 @@ class Records:
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
+    def table(self, keys):
+        """The columns of `keys` as one float array, a row per record."""
+        import numpy as np
+        return np.array([self.columns[k] for k in keys], dtype=float).T
+
 
 def to_json(payload) -> str:
     """Serialize with stable key order and 15-significant-digit floats.
 
     The text is json.dumps(payload, indent=2, sort_keys=True) with every float
     passed through json_number.  A Records, as the payload or a dict value,
-    is written column by column, with null for NaN and infinities (RFC 8259
-    has no NaN); elsewhere they raise ValueError.
+    is written with one %-pass over all of its rows, with null for NaN and
+    infinities (RFC 8259 has no NaN); elsewhere they raise ValueError.
     """
-    return _dumps(payload, "") + "\n"
+    parts: list[str] = []
+    _dump(payload, "", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _dumps(node, indent: str) -> str:
-    """The JSON text of `node` as it appears nested at `indent`."""
+def _dump(node, indent: str, parts: list[str]) -> None:
+    """Append to `parts` the JSON text of `node` as it appears nested at
+    `indent`; the text of a Records is one part, joined only once."""
     inner = indent + "  "
     if isinstance(node, dict) and node and all(isinstance(k, str) for k in node):
-        items = [f"{inner}{json.dumps(k)}: {_dumps(node[k], inner)}"
-                 for k in sorted(node)]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(node, Records):
-        if not len(node):
-            return "[]"
+        opener = "{\n"
+        for k in sorted(node):
+            parts.append(f"{opener}{inner}{json.dumps(k)}: ")
+            _dump(node[k], inner, parts)
+            opener = ",\n"
+        parts.append("\n" + indent + "}")
+    elif isinstance(node, Records) and len(node):
         keys = sorted(node.columns)
-        template = (inner + "{\n"
-                    + ",\n".join(f"{inner}  " + json.dumps(k).replace("%", "%%")
-                                 + ": %s" for k in keys)
+        names = [json.dumps(k).replace("%", "%%") for k in keys]
+
+        def template(spec):
+            return (inner + "{\n" + ",\n".join(f"{inner}  {name}: {spec}"
+                                               for name in names)
                     + "\n" + inner + "}")
-        rows = map(template.__mod__,
-                   zip(*(_json_floats(node.columns[k]) for k in keys)))
-        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
-    # json's indented text nests at `indent` by prefixing each later line
-    return json.dumps(_rounded(node), indent=2, sort_keys=True,
-                      allow_nan=False).replace("\n", "\n" + indent)
+
+        table = node.table(keys)
+        plain = _plain_values(table).all(axis=1).tolist()
+        values = table.ravel().tolist()
+        odd = [i for i, ok in enumerate(plain) if not ok]
+        if odd:
+            # the other rows' values, through _json_floats in one call
+            width = len(keys)
+            texts = _json_floats(table[odd].ravel().tolist())
+            for n, i in enumerate(odd):
+                values[i * width:(i + 1) * width] = \
+                    texts[n * width:(n + 1) * width]
+        floats, texts = template("%.15g"), template("%s")
+        rows = ",\n".join([floats if ok else texts for ok in plain])
+        parts += ["[\n", rows % tuple(values), "\n" + indent + "]"]
+    elif isinstance(node, Records):
+        parts.append("[]")
+    else:
+        # json's indented text nests at `indent` by prefixing each later line
+        parts.append(json.dumps(_rounded(node), indent=2, sort_keys=True,
+                                allow_nan=False).replace("\n", "\n" + indent))
+
+
+def _plain_values(table):
+    """Where the "%.15g" text of a value of `table` is already
+    json.dumps(json_number(x)); a row of these takes the "%.15g" template.
+
+    For a normal double, 15 digits round-trip, so float.__repr__ gives the
+    same digits; it differs only in layout.  It adds ".0" to an integer and
+    writes exponent 15 in full where %.15g switches to an exponent.  A value
+    whose distance from an integer exceeds 1e-14 of it cannot round to an
+    integer at 15 digits, and is below 5e13, since that distance is at most
+    0.5; NaN and infinities fail the test too."""
+    import numpy as np
+    size = np.abs(table)
+    with np.errstate(invalid="ignore"):
+        return ((size >= 1e-290)
+                & (np.abs(table - np.rint(table)) > 1e-14 * size))
 
 
 def _rounded(node):
@@ -290,17 +335,16 @@ def _json_floats(column: list[float]) -> list[str]:
             else "null" for t in texts]
 
 
-def to_csv(rows: list[list]) -> str:
+def to_csv(rows) -> str:
     """Render rows of strings/numbers as simple comma-separated text.
 
-    Rows after the first that are all floats, of one width, are written with
-    one %-template per row, which gives csv_number's text."""
-    body = rows[1:]
-    if (set(map(type, chain.from_iterable(body))) == {float}
-            and len(set(map(len, body))) == 1):
-        template = ",".join(["%.6g"] * len(body[0]))
-        return "\n".join([_csv_row(rows[0]),
-                          *map(template.__mod__, map(tuple, body))]) + "\n"
+    A Records is written as its keys, then one "%.6g" pass over its rows,
+    which gives csv_number's text."""
+    if isinstance(rows, Records):
+        keys = list(rows.columns)
+        line = ",".join(["%.6g"] * len(keys)) + "\n"
+        template = _csv_row(keys).replace("%", "%%") + "\n" + line * len(rows)
+        return template % tuple(rows.table(keys).ravel().tolist())
     return "\n".join(map(_csv_row, rows)) + "\n"
 
 

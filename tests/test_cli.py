@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import openecon
-from openecon.cli import main
+from openecon.cli import build_parser, main
 from openecon import closure, reference
 from openecon.closure import KINDS
 from openecon.model import PARAMETERS
@@ -603,6 +603,42 @@ print(json.dumps([loaded, numpy_at_import, curve.i0.tolist()]))
         loaded, numpy_at_import, i0 = result
         assert loaded and not numpy_at_import
         assert len(i0) == 3 and all(math.isfinite(v) for v in i0)
+
+
+# argv[1]: the commands, each run through cli.main in this one process,
+# with argparse's SystemExit taken as the exit code.
+MAIN_SCRIPT = """
+import contextlib, io, json, sys
+from openecon import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv, out=out, err=err)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+class TestParserReuse:
+    """cli.main builds its parser once per process and reuses it."""
+
+    def test_usage_error_then_valid_calls(self):
+        """A usage error, then valid calls, give each call the bytes it
+        gives alone in a fresh process."""
+        calls = [["solve", "--rate"], ["solve", "--rate", "0.4821"],
+                 ["schedules", "--mode", "half"],
+                 ["schedules", "--grid=0.3,0.6,4", "--format", "json"],
+                 ["solve", "--rate", "0.5", "--format", "json"]]
+        together = run_fresh(MAIN_SCRIPT, json.dumps(calls))
+        alone = [run_fresh(MAIN_SCRIPT, json.dumps([argv]))[0]
+                 for argv in calls]
+        assert together == alone
+        assert [code for code, _, _ in together] == [2, 0, 2, 0, 0]
+        assert build_parser() is build_parser()
 
 
 # The fuzzer's vocabulary: every subcommand with its options, and values at

@@ -522,6 +522,61 @@ def test_records_match_row_dicts(data, names, size):
     assert to_json(Records(columns)) == reference_to_json(rows)
 
 
+def ulps_from(x, steps):
+    """The double `steps` representable values above x (below if negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# Values at the edges of to_json's screen of the values it may write with
+# "%.15g" alone: a few ulps from integers, from +-1e15, from +-1e-290 and
+# from the subnormals; on either side of its 1e-14 distance from an
+# integer; signed zeros and non-finite values; and plain values to mix with
+# them in a row.
+edge_anchors = (st.integers(-10**6, 10**6).map(float)
+                | st.integers(-2**60, 2**60).map(float)
+                | st.sampled_from([1e15, -1e15, 1e-290, -1e-290, 1e16,
+                                   999999999999999.5, 0.5, 1e-308,
+                                   2.2250738585072014e-308, 5e-324]))
+edge_floats = (st.builds(ulps_from, edge_anchors, st.integers(-4, 4))
+               | st.builds(lambda m, e, k: m * 10.0**e * (1 + k * 1e-15),
+                           st.integers(1, 99), st.integers(0, 13),
+                           st.integers(-30, 30))
+               | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+               | st.floats(-1e6, 1e6))
+SCHEDULE_KEYS = ["r", "I0", "S0N", "S1X", "residual"]
+
+
+@given(data=st.data(), width=st.integers(1, 5), size=st.integers(1, 8),
+       arrays=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_records_at_the_screen_edges(data, width, size, arrays):
+    columns = {k: data.draw(st.lists(edge_floats, min_size=size,
+                                     max_size=size))
+               for k in SCHEDULE_KEYS[:width]}
+    rows = [{k: v if math.isfinite(json_number(v)) else None
+             for k, v in zip(columns, values)}
+            for values in zip(*columns.values())]
+    records = Records({k: np.array(v) if arrays else v
+                       for k, v in columns.items()})
+    assert to_json({"mode": "full_equilibrium", "points": records}) == \
+        reference_to_json({"mode": "full_equilibrium", "points": rows})
+
+
+@given(data=st.data(), names=st.lists(column_keys, max_size=5, unique=True),
+       size=st.integers(0, 8), arrays=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_records_csv_matches_cell_loop(data, names, size, arrays):
+    columns = {k: data.draw(st.lists(column_floats | edge_floats,
+                                     min_size=size, max_size=size))
+               for k in names}
+    records = Records({k: np.array(v) if arrays else v
+                       for k, v in columns.items()})
+    rows = [list(values) for values in zip(*columns.values())]
+    assert to_csv(records) == reference_to_csv([names, *rows])
+
+
 def test_records_columns_must_match():
     with pytest.raises(ValueError, match="one length"):
         Records({"a": [1.0], "b": []})
