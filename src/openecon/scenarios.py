@@ -50,6 +50,10 @@ class Scenario:
             raise ValueError(f"scenario {self.name!r} needs a rate or a closure")
         if self.rate is not None and self.closure is not None:
             raise ValueError(f"scenario {self.name!r} has both a rate and a closure")
+        for key in self.reference or ():
+            if key not in reference.ROW_KEYS:
+                raise ValueError(f"scenario {self.name!r} has an unknown "
+                                 f"reference row {key!r}")
 
 
 def apply_scenario(base: ModelInstance, s: Scenario) -> ModelInstance:

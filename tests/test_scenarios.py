@@ -62,6 +62,12 @@ class TestApplyScenario:
         with pytest.raises(ValueError, match="has both a rate and a closure"):
             Scenario("bad", rate=0.5, closure=ClosureSpec("balanced_trade"))
 
+    @pytest.mark.parametrize("key", ["Y0", "welfare", "w0/r"])
+    def test_unknown_reference_row_is_named(self, key):
+        with pytest.raises(ValueError, match=f"unknown reference row '{key}'"):
+            Scenario("x", rate=0.5, reference={"y0": 1.0, key: 1.0})
+        Scenario("x", rate=0.5, reference=dict.fromkeys(reference.ROW_KEYS, 1.0))
+
     def test_unknown_parameter(self, baseline):
         with pytest.raises(KeyError):
             apply_scenario(baseline, Scenario("u", rate=0.5,
