@@ -335,7 +335,7 @@ def _json_floats(column: list[float]) -> list[str]:
             else "null" for t in texts]
 
 
-def to_csv(rows) -> str:
+def to_csv(rows: list[list] | Records) -> str:
     """Render rows of strings/numbers as simple comma-separated text.
 
     A Records is written as its keys, then one "%.6g" pass over its rows,
