@@ -86,7 +86,7 @@ def canonical_parameter(name: str) -> str:
         raise KeyError(f"unknown parameter {name!r}") from None
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class ModelInstance:
     """A complete parameterization of the two-period economy.
 
@@ -106,7 +106,8 @@ class ModelInstance:
     k0, years_per_period : initial capital, years per period (> 0)
 
     The range rules of PARAMETERS run in field order, then one check that
-    every field is finite; the first failure raises DomainError.
+    every field is finite; the first failure raises DomainError.  Slotted,
+    so an instance has no __dict__: its fields read at slot speed.
     """
 
     gamma: float
@@ -128,16 +129,7 @@ class ModelInstance:
     years_per_period: float = 16.0
 
     def __post_init__(self):
-        values = _parameter_values(self)
-        for field, value in zip(_PARAMETER_NAMES, values):
-            rule, message = _RULES[field]
-            if rule is not None and rule(value):
-                raise DomainError(message)
-        # A NaN or inf makes the sum one; a sum that overflows costs the loop.
-        if not math.isfinite(sum(values)):
-            for field, value in zip(_PARAMETER_NAMES, values):
-                if not math.isfinite(value):
-                    raise DomainError(f"{field} must be finite")
+        _check(tuple(zip(_PARAMETER_NAMES, _parameter_values(self))))
 
     @property
     def beta(self) -> float:
@@ -148,27 +140,58 @@ class ModelInstance:
 _PARAMETER_NAMES = tuple(ModelInstance.__dataclass_fields__)
 _parameter_values = operator.attrgetter(*_PARAMETER_NAMES)
 _RULES = {field: (rule, message) for _, field, rule, message in PARAMETERS}
+_INDEX = {field: i for i, field in enumerate(_PARAMETER_NAMES)}
+# Each slot's descriptor setter, which bypasses the frozen __setattr__.
+_SETTERS = tuple(ModelInstance.__dict__[field].__set__
+                 for field in _PARAMETER_NAMES)
+
+
+def _check(pairs) -> None:
+    """Raise the DomainError of the first (field, value) pair, in the order
+    given, that a range rule of PARAMETERS rejects, else of the first value
+    that is not finite.  Every rule reads one field."""
+    for field, value in pairs:
+        rule, message = _RULES[field]
+        if rule is not None and rule(value):
+            raise DomainError(message)
+    for field, value in pairs:
+        if not math.isfinite(value):
+            raise DomainError(f"{field} must be finite")
 
 
 def check_parameter(field: str, value: float) -> None:
     """Raise the DomainError that `value` in `field`, with valid values
     elsewhere, gives a new instance.  Builds no instance."""
-    rule, message = _RULES[field]
-    if rule is not None and rule(value):
-        raise DomainError(message)
-    if not math.isfinite(value):
-        raise DomainError(f"{field} must be finite")
+    _check(((field, value),))
+
+
+def _field_order(item: tuple[str, float]) -> int:
+    try:
+        return _INDEX[item[0]]
+    except KeyError:
+        raise TypeError(f"ModelInstance has no field {item[0]!r}") from None
 
 
 def with_parameters(instance: ModelInstance,
                     values: dict[str, float]) -> ModelInstance:
     """`instance` with each field named in `values` set, checked as any new
-    instance is; `instance` itself if `values` is empty."""
+    instance is; `instance` itself if `values` is empty.
+
+    Only the fields in `values` are checked, in field order: the rest have
+    passed in `instance`, so the first error is the one a full build raises.
+    The copy is filled through the slot setters, with no __init__ call.
+    """
     if not values:
         return instance
-    fields = dict(zip(_PARAMETER_NAMES, _parameter_values(instance)))
-    fields.update(values)
-    return ModelInstance(**fields)
+    changed = sorted(values.items(), key=_field_order)
+    _check(changed)
+    fields = list(_parameter_values(instance))
+    for field, value in changed:
+        fields[_INDEX[field]] = value
+    copy = object.__new__(ModelInstance)
+    for setter, value in zip(_SETTERS, fields):
+        setter(copy, value)
+    return copy
 
 
 @dataclass(frozen=True)

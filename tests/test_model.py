@@ -6,11 +6,16 @@ same values on the kernel's Equilibrium fields.
 """
 
 import ast
+import copy
 import math
-from dataclasses import replace
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openecon import (DomainError, InfeasibleError, ModelInstance,
                       annualize_rate, baseline_instance, capital_demand,
@@ -515,3 +520,90 @@ class TestValidation:
         assert model.with_parameters(BASE, {}) is BASE
         with pytest.raises(DomainError, match="^k0 must be finite$"):
             model.with_parameters(changed, {"k0": math.nan})
+
+
+FIELDS = list(ModelInstance.__dataclass_fields__)
+
+
+def assert_same_instance(instance, twin):
+    """instance, built by with_parameters, behaves as twin, built by the
+    dataclass's generated __init__: equality, hash, repr, replace, copies,
+    pickling and frozen fields; neither has a __dict__, which would slow
+    every field read in the kernel."""
+    assert type(instance) is ModelInstance
+    assert instance == twin and twin == instance
+    assert hash(instance) == hash(twin)
+    assert repr(instance) == repr(twin)
+    assert replace(instance, rho=0.6) == replace(twin, rho=0.6)
+    for other in (copy.copy(instance), pickle.loads(pickle.dumps(instance))):
+        assert type(other) is ModelInstance
+        assert repr(other) == repr(twin)
+    with pytest.raises(FrozenInstanceError):
+        instance.rho = 0.6
+    with pytest.raises(FrozenInstanceError):
+        del instance.k0
+    assert instance == twin
+    for record in (instance, twin):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(TypeError):
+            vars(record)
+        with pytest.raises(TypeError):
+            weakref.ref(record)
+
+
+class TestCopy:
+    """with_parameters copies the record and checks only what it changes."""
+
+    @pytest.mark.parametrize("values", [
+        {"phi": 1.3}, {"rho": 0.6, "a1": 1.2}, {"k0": 2.0, "gamma": 3.0},
+        dict(zip(FIELDS, (getattr(BASE, f) * 0.99 for f in FIELDS))),
+    ])
+    def test_same_record_as_replace(self, values):
+        assert_same_instance(model.with_parameters(BASE, values),
+                             replace(BASE, **values))
+
+    def test_unknown_field_is_a_type_error(self):
+        for values in ({"sigma": 1.0}, {"rho": 0.6, "sigma": 1.0},
+                       {"sigma": 1.0, "rho": -1.0}):
+            with pytest.raises(TypeError):
+                replace(BASE, **values)
+            with pytest.raises(TypeError, match="^ModelInstance has no field 'sigma'$"):
+                model.with_parameters(BASE, values)
+
+    def test_copy_solves_as_the_built_record(self):
+        values = {"rho": 0.6, "a1": 1.2}
+        assert (model._values_at_rate(model.with_parameters(BASE, values), 0.5)
+                == model._values_at_rate(replace(BASE, **values), 0.5))
+
+
+# Valid in every field, each rule's boundary, and the non-finite values.
+EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]
+parameter_values = st.one_of(st.sampled_from(EDGES), st.floats(0.01, 0.99),
+                             st.floats())
+changes = st.dictionaries(st.sampled_from(FIELDS), parameter_values)
+
+
+def built(fn, *args, **kwargs):
+    """repr of the record fn builds, or the type and message it raises."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (DomainError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@given(values=changes)
+@settings(max_examples=400, deadline=None)
+def test_with_parameters_is_replace(values):
+    """The same record, or the same DomainError message, whatever fields
+    change, in whatever order the dict gives them."""
+    assert built(model.with_parameters, BASE, values) \
+        == built(replace, BASE, **values)
+
+
+@given(values=changes, at=st.integers(0, 17))
+@settings(max_examples=100, deadline=None)
+def test_unknown_field_raises_type_error_from_both(values, at):
+    items = list(values.items())
+    items.insert(min(at, len(items)), ("sigma", 1.0))
+    assert built(replace, BASE, **dict(items))[0] is TypeError
+    assert built(model.with_parameters, BASE, dict(items))[0] is TypeError
