@@ -17,7 +17,6 @@ strict, so a non-finite float anywhere else raises ValueError.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .closure import ClosureSpec
@@ -83,10 +82,13 @@ def parse_instance(text: str) -> ModelInstance:
         path = _parameter(lineno, key)
         _once(lines, path, lineno, "parameter")
         values[path] = _as_float(lineno, key, value)
-    # Every rule reads one field: the first line at fault fails alone.
-    for path, value in values.items():
-        _check_alone(lines[path], path, value)
-    return with_parameters(baseline_instance(), values)
+    try:
+        return with_parameters(baseline_instance(), values)
+    except DomainError:
+        # Every rule reads one field: the first line at fault fails alone.
+        for path, value in values.items():
+            _check_alone(lines[path], path, value)
+        raise
 
 
 def _check_alone(lineno: int, path: str, value: float) -> None:
@@ -251,9 +253,13 @@ def to_json(payload) -> str:
 
 def _dump(node, indent: str, parts: list[str]) -> None:
     """Append to `parts` the JSON text of `node` as it appears nested at
-    `indent`; the text of a Records is one part, joined only once."""
+    `indent`; the text of a Records is one part, joined only once.  Only a
+    dict that holds a dict or a Records is walked key by key; any other
+    subtree is one json.dumps call."""
+    import json
     inner = indent + "  "
-    if isinstance(node, dict) and node and all(isinstance(k, str) for k in node):
+    if (isinstance(node, dict) and all(isinstance(k, str) for k in node)
+            and any(isinstance(v, (dict, Records)) for v in node.values())):
         opener = "{\n"
         for k in sorted(node):
             parts.append(f"{opener}{inner}{json.dumps(k)}: ")
@@ -326,6 +332,7 @@ def _json_floats(column: list[float]) -> list[str]:
     digits may not round-trip) and exponent 308 (which may round to inf) take
     the float round trip.  Texts with no "." or "e" left are integers, or
     nan, inf and json's Infinity."""
+    import json
     text = "%.15g\n" * len(column) % tuple(column)
     texts = text.split()
     if "e+15\n" in text or "e+308" in text or "e-3" in text:

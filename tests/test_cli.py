@@ -579,7 +579,8 @@ print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules}))
 
 
 class TestStartUp:
-    """The scalar commands neither load nor need numpy."""
+    """The scalar commands neither load nor need numpy, and CSV output
+    loads no json."""
 
     def test_scalar_commands_leave_numpy_unloaded(self):
         result = run_fresh(SCALAR_SCRIPT, "load", json.dumps(SCALAR_COMMANDS))
@@ -589,6 +590,18 @@ class TestStartUp:
     def test_scalar_commands_run_without_numpy(self):
         result = run_fresh(SCALAR_SCRIPT, "block", json.dumps(SCALAR_COMMANDS))
         assert result["runs"] == [list(run(argv)) for argv in SCALAR_COMMANDS]
+
+    def test_csv_sweep_leaves_json_unloaded(self):
+        """Only the JSON writers import json."""
+        proc = subprocess.run([sys.executable, "-c", """
+import io, sys
+from openecon import cli
+code = cli.main(["sweep", "--closure", "balanced_trade"],
+                out=io.StringIO(), err=io.StringIO())
+print(code, "json" in sys.modules)
+"""], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
 
     def test_package_still_binds_schedules(self):
         result = run_fresh("""
