@@ -150,13 +150,17 @@ def _check(pairs) -> None:
     """Raise the DomainError of the first (field, value) pair, in the order
     given, that a range rule of PARAMETERS rejects, else of the first value
     that is not finite.  Every rule reads one field."""
+    total = 0.0
     for field, value in pairs:
         rule, message = _RULES[field]
         if rule is not None and rule(value):
             raise DomainError(message)
-    for field, value in pairs:
-        if not math.isfinite(value):
-            raise DomainError(f"{field} must be finite")
+        total += value
+    # A NaN or inf makes the sum one; a sum that overflows costs the loop.
+    if not math.isfinite(total):
+        for field, value in pairs:
+            if not math.isfinite(value):
+                raise DomainError(f"{field} must be finite")
 
 
 def check_parameter(field: str, value: float) -> None:
@@ -166,6 +170,8 @@ def check_parameter(field: str, value: float) -> None:
 
 
 def _field_order(item: tuple[str, float]) -> int:
+    """Sort key of a (field, value) item: the field's place in field order.
+    An unknown field raises TypeError, as the generated __init__ does."""
     try:
         return _INDEX[item[0]]
     except KeyError:
