@@ -89,6 +89,14 @@ COMMANDS = [
     ["sweep", "--closure", "balanced_trade", "--bracket", "2.0,0.01"],
     ["sweep", "--closure", "balanced_trade", "--bracket", "0.5"],
     ["sweep", "--closure", "balanced_trade", "--bracket=-1.5,0.02"],
+    # a root at a bracket end: at lo, at hi, and an exact target share
+    ["sweep", "--closure", "balanced_trade",
+     "--bracket", "0.748304420352405,2.0", "--format", "json"],
+    ["sweep", "--closure", "balanced_trade",
+     "--bracket", "0.01,0.748304420352405"],
+    ["sweep", "--closure", "trade_share_target",
+     "--target=-0.1549353087588655", "--bracket", "0.4821,2.0",
+     "--format", "json"],
     # table: the paper suite and scenario files
     ["table"],
     ["table", "--format", "json"],

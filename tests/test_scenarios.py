@@ -8,7 +8,8 @@ from openecon import (ClosureSpec, DomainError, Scenario, apply_scenario,
                       paper_suite, report_row, run_suite, solve_at_rate)
 from openecon import closure, reference
 from openecon.model import canonical_parameter
-from openecon.scenarios import REFERENCE_TOLERANCE, row_deviation
+from openecon.scenarios import (REFERENCE_TOLERANCE, ScenarioResult,
+                                 _sign_checks, row_deviation)
 
 
 # instance-file spelling -> canonical parameter path
@@ -194,3 +195,51 @@ class TestSuite:
             reference.REFERENCE_TABLE[s.name] for s in paper_suite()]
         with pytest.raises(TypeError):
             paper_suite(2e-3)
+
+
+# parameter raised -> the direction labels its sign check states, in order
+DIRECTIONS = {
+    "gamma": ["i0 unchanged", "|dtb0| < 0.5% of y0"],
+    "theta": ["r up", "w0 down", "y0 up", "l0 up"],
+    "rho": ["r up", "l0 up", "y0 up", "i0 down", "C0 down", "deficit down"],
+    "a1": ["r up", "i0 up", "C0 up", "w0 up", "w1 up", "l0 down", "y0 down",
+           "deficit up"],
+}
+
+
+def _violate(rows, base, label):
+    """Move the one row of `rows` that `label` reads so that it fails."""
+    if label == "|dtb0| < 0.5% of y0":
+        rows["tb0"] = base["tb0"] + 0.01 * base["y0"]
+    elif label.endswith(" unchanged"):
+        key = label.split()[0]
+        rows[key] = base[key] * 1.01
+    else:                        # a strict "up" or "down" fails at equality
+        key = label.split()[0]
+        key = "tb0" if key == "deficit" else key
+        rows[key] = base[key]
+
+
+class TestSignCheckDirections:
+    @pytest.mark.parametrize("param, label", [
+        (param, label) for param, labels in DIRECTIONS.items()
+        for label in labels])
+    def test_one_moved_row_fails_only_its_direction(self, baseline, param,
+                                                    label):
+        """Each direction is checked on its own: with only the row it reads
+        moved, its check names it alone and every other check passes."""
+        report = run_suite(baseline, paper_suite())
+        by_param = {
+            suite_param: ScenarioResult(result.name, result.rate,
+                                        dict(result.rows), None)
+            for (_, suite_param, _), result in zip(reference.SUITE_DESIGN,
+                                                   report.results)}
+        _violate(by_param[param].rows, by_param[None].rows, label)
+        checks = _sign_checks(by_param)
+        assert len(checks) == len(DIRECTIONS)
+        for check, checked in zip(checks, DIRECTIONS):
+            if checked == param:
+                assert not check.passed
+                assert check.detail == f"violated: {label}"
+            else:
+                assert check.passed and check.detail == "all directions hold"
