@@ -12,7 +12,7 @@ branch loads numpy.  A given rate needs no rule: solve at it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (_FIELDS, ModelInstance, _values_at_rate, solve_rates,
                     with_parameters)
@@ -85,16 +85,19 @@ class ClosureSpec:
             raise ValueError("grid rates must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureDiagnostics:
+    """How resolve_rate found its rate: `evaluations` solves, `iterations`
+    of them root-finding steps, and `residual`, the objective at the rate
+    (for welfare_sweep, the lifetime utility there)."""
+
     kind: str
-    iterations: int = 0
-    evaluations: int = 0
-    residual: float = 0.0
-    history: list[tuple[float, float]] = field(default_factory=list)
+    iterations: int
+    evaluations: int
+    residual: float
 
 
-def _find_root(objective, lo, hi, max_iterations, diag):
+def _find_root(objective, lo, hi):
     """ITP root finding on a sign change; `objective(r)` returns (value, done).
 
     Each step takes the regula falsi point, truncates it toward the midpoint
@@ -102,17 +105,18 @@ def _find_root(objective, lo, hi, max_iterations, diag):
     step (Oliveira & Takahashi, ACM TOMS 47(1), 2020): the bracket is at most
     2^(2-j) times its first width after j steps, as for bisection with two
     steps to spare, and smooth objectives converge superlinearly.
+
+    Returns (root, objective value there, iterations, evaluations): a root
+    at a bracket end takes no step and one or two evaluations, one found by
+    step j takes j steps and j + 2 evaluations.  Steps are capped at
+    MAX_ITERATIONS as it reads at the call.
     """
     f_lo, done = objective(lo)
-    diag.evaluations += 1
     if done:
-        diag.residual = f_lo
-        return lo
+        return lo, f_lo, 0, 1
     f_hi, done = objective(hi)
-    diag.evaluations += 1
     if done:
-        diag.residual = f_hi
-        return hi
+        return hi, f_hi, 0, 2
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise BracketError(
             f"objective has the same sign at both bracket ends "
@@ -124,7 +128,7 @@ def _find_root(objective, lo, hi, max_iterations, diag):
     # instead of 12.
     width = hi - lo
     kappa1 = 0.5 / width
-    for j in range(max_iterations):
+    for j in range(MAX_ITERATIONS):
         mid = 0.5 * (lo + hi)
         regula = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
         sigma = mid - regula
@@ -134,25 +138,19 @@ def _find_root(objective, lo, hi, max_iterations, diag):
         if abs(x - mid) > radius:
             x = mid - math.copysign(radius, sigma)
         f_x, done = objective(x)
-        diag.iterations += 1
-        diag.evaluations += 1
-        diag.history.append((x, f_x))
         if done:
-            diag.residual = f_x
-            return x
+            return x, f_x, j + 1, j + 3
         if math.copysign(1.0, f_x) == math.copysign(1.0, f_lo):
             lo, f_lo = x, f_x
         else:
             hi, f_hi = x, f_x
     raise ConvergenceError(
-        f"no convergence after {max_iterations} root-finding steps")
+        f"no convergence after {MAX_ITERATIONS} root-finding steps")
 
 
 def resolve_rate(instance: ModelInstance,
                  spec: ClosureSpec) -> tuple[float, ClosureDiagnostics]:
     """Select a rate according to `spec` and report how it was found."""
-    diag = ClosureDiagnostics(kind=spec.kind)
-
     if spec.kind == "welfare_sweep":
         # Argmax over the grid, ties break to the lowest rate; the first bad
         # point raises as its scalar solve does, so welfare is finite.  The
@@ -166,10 +164,8 @@ def resolve_rate(instance: ModelInstance,
             _values_at_rate(instance, rates[errors[0][0]])
         welfare = columns["welfare"]
         best = int(welfare.argmax())           # the first of equal maxima
-        diag.evaluations = len(rates)
-        diag.history = list(zip(rates, welfare.tolist()))
-        diag.residual = float(welfare[best])
-        return rates[best], diag
+        return rates[best], ClosureDiagnostics(
+            spec.kind, 0, len(rates), float(welfare[best]))
 
     if spec.kind == "balanced_trade":
         def objective(r):
@@ -181,7 +177,8 @@ def resolve_rate(instance: ModelInstance,
             f = values[_TB0] / values[_Y0] - spec.target_share
             return f, abs(f) <= TOLERANCE
 
-    return _find_root(objective, *spec.bracket, MAX_ITERATIONS, diag), diag
+    r, residual, iterations, evaluations = _find_root(objective, *spec.bracket)
+    return r, ClosureDiagnostics(spec.kind, iterations, evaluations, residual)
 
 
 def calibrated_labor_weight(instance: ModelInstance, r: float) -> float:

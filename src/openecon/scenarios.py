@@ -10,6 +10,7 @@ cross-scenario directional checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import reference
@@ -160,6 +161,33 @@ def _run_one(base: ModelInstance, s: Scenario) -> ScenarioResult:
     return result
 
 
+# Each sign check: the parameter a scenario raises, the check's name, and
+# the directions it states.  "<row> up", "down" and "unchanged" compare the
+# scenario's row with the baseline's, where the deficit row is |tb0|.
+_SIGN_CHECKS = [
+    ("gamma", "higher gamma: investment unchanged, deficit nearly unchanged",
+     ("i0 unchanged", "|dtb0| < 0.5% of y0")),
+    ("theta", "higher theta: rate up, wage down, present output and hours up",
+     ("r up", "w0 down", "y0 up", "l0 up")),
+    ("rho", "higher rho: rate, hours, output up; investment, consumption, deficit down",
+     ("r up", "l0 up", "y0 up", "i0 down", "C0 down", "deficit down")),
+    ("a1", "higher a1: rate, investment, consumption, wages, deficit up; hours and output down",
+     ("r up", "i0 up", "C0 up", "w0 up", "w1 up", "l0 down", "y0 down",
+      "deficit up")),
+]
+_CHANGES = {"up": operator.gt, "down": operator.lt, "unchanged": operator.eq}
+
+
+def _holds(direction: str, s: dict[str, float], b: dict[str, float]) -> bool:
+    """Whether scenario rows `s` move from baseline rows `b` as stated."""
+    if direction == "|dtb0| < 0.5% of y0":
+        return abs(s["tb0"] - b["tb0"]) < 0.005 * b["y0"]
+    key, change = direction.split()
+    if key == "deficit":
+        return _CHANGES[change](abs(s["tb0"]), abs(b["tb0"]))
+    return _CHANGES[change](s[key], b[key])
+
+
 def _sign_checks(by_param: dict[str | None, ScenarioResult]) -> list[SignCheck]:
     """Directional comparisons vs baseline of each scenario that raises one
     parameter."""
@@ -167,51 +195,14 @@ def _sign_checks(by_param: dict[str | None, ScenarioResult]) -> list[SignCheck]:
     if base is None:
         return []
     checks: list[SignCheck] = []
-    b = base.rows
-
-    def add(name, conditions):
-        failures = [label for label, ok in conditions if not ok]
-        checks.append(SignCheck(
-            name=name, passed=not failures,
-            detail="all directions hold" if not failures
-            else "violated: " + ", ".join(failures)))
-
-    if "gamma" in by_param:
-        s = by_param["gamma"].rows
-        add("higher gamma: investment unchanged, deficit nearly unchanged", [
-            ("i0 unchanged", s["i0"] == b["i0"]),
-            ("|dtb0| < 0.5% of y0", abs(s["tb0"] - b["tb0"]) < 0.005 * b["y0"]),
-        ])
-    if "theta" in by_param:
-        s = by_param["theta"].rows
-        add("higher theta: rate up, wage down, present output and hours up", [
-            ("r up", s["r"] > b["r"]),
-            ("w0 down", s["w0"] < b["w0"]),
-            ("y0 up", s["y0"] > b["y0"]),
-            ("l0 up", s["l0"] > b["l0"]),
-        ])
-    if "rho" in by_param:
-        s = by_param["rho"].rows
-        add("higher rho: rate, hours, output up; investment, consumption, deficit down", [
-            ("r up", s["r"] > b["r"]),
-            ("l0 up", s["l0"] > b["l0"]),
-            ("y0 up", s["y0"] > b["y0"]),
-            ("i0 down", s["i0"] < b["i0"]),
-            ("C0 down", s["C0"] < b["C0"]),
-            ("deficit down", abs(s["tb0"]) < abs(b["tb0"])),
-        ])
-    if "a1" in by_param:
-        s = by_param["a1"].rows
-        add("higher a1: rate, investment, consumption, wages, deficit up; hours and output down", [
-            ("r up", s["r"] > b["r"]),
-            ("i0 up", s["i0"] > b["i0"]),
-            ("C0 up", s["C0"] > b["C0"]),
-            ("w0 up", s["w0"] > b["w0"]),
-            ("w1 up", s["w1"] > b["w1"]),
-            ("l0 down", s["l0"] < b["l0"]),
-            ("y0 down", s["y0"] < b["y0"]),
-            ("deficit up", abs(s["tb0"]) > abs(b["tb0"])),
-        ])
+    for param, name, directions in _SIGN_CHECKS:
+        if param in by_param:
+            failures = [d for d in directions
+                        if not _holds(d, by_param[param].rows, base.rows)]
+            checks.append(SignCheck(
+                name=name, passed=not failures,
+                detail="all directions hold" if not failures
+                else "violated: " + ", ".join(failures)))
     return checks
 
 

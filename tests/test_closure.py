@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openecon import (BracketError, ClosureSpec, ConvergenceError, DomainError,
@@ -340,6 +340,9 @@ class TestFindRoot:
     @given(seed=st.integers(0, 2**32 - 1),
            lo=st.floats(0.01, 1.99), span=st.floats(1e-3, 1.0),
            target=st.one_of(st.none(), st.floats(-0.6, 0.3)))
+    # the target share at lo = 0.8, then at hi = 1.4: a root at each end
+    @example(seed=0, lo=0.8, span=0.5, target=-0.18496200813564745)
+    @example(seed=0, lo=0.8, span=0.5, target=0.2088538090111398)
     def test_agrees_with_bisection(self, seed, lo, span, target):
         instance = sample_instance(np.random.default_rng(seed))
         hi = min(lo + span * (2.0 - lo), 2.0)
@@ -374,7 +377,14 @@ class TestFindRoot:
         assert lo <= r <= hi
         assert objective(r)[1]
         assert diag.evaluations == len(tried)
-        assert_minmax(diag.history, lo, hi, objective(lo)[0])
+        if objective(lo)[1]:
+            assert (diag.evaluations, diag.iterations) == (1, 0)
+        elif objective(hi)[1]:
+            assert (diag.evaluations, diag.iterations) == (2, 0)
+        else:
+            assert diag.evaluations == diag.iterations + 2
+        assert_minmax([(x, objective(x)[0]) for x in tried[2:]],
+                      lo, hi, objective(lo)[0])
 
     @settings(max_examples=300, deadline=None)
     @given(log_power=st.floats(-4.0, 4.0), root=st.floats(0.001, 0.999),
@@ -388,12 +398,19 @@ class TestFindRoot:
             f = sign * (x ** power - root ** power)
             return f, abs(f) <= 1e-13
 
-        diag = closure_mod.ClosureDiagnostics("test")
+        tried = []
+
+        def recording(x):
+            value = objective(x)
+            tried.append((x, value[0]))
+            return value
+
         try:
-            closure_mod._find_root(objective, 0.0, 1.0, 200, diag)
+            _, _, _, evaluations = closure_mod._find_root(recording, 0.0, 1.0)
+            assert evaluations == len(tried)
         except ConvergenceError:
             pass      # the bracket shrank to adjacent floats first
-        assert_minmax(diag.history, 0.0, 1.0, objective(0.0)[0])
+        assert_minmax(tried[2:], 0.0, 1.0, objective(0.0)[0])
 
     def test_evaluations_on_random_economies(self):
         rng = np.random.default_rng(20260824)
@@ -409,14 +426,15 @@ class TestFindRoot:
         assert sum(evaluations) / len(evaluations) <= 10.0
 
 
-def assert_minmax(history, lo, hi, f_lo):
-    """Rebuilt from `history`, the bracket after j steps is at most
-    2^(2-j) times as wide as [lo, hi], and every step lies inside it."""
+def assert_minmax(steps, lo, hi, f_lo):
+    """Rebuilt from the (x, f(x)) of each step, the bracket after j steps
+    is at most 2^(2-j) times as wide as [lo, hi], and every step lies
+    inside it."""
     # A projected step meets the bound with equality, so rounding in the
     # midpoint and the radius may exceed it by a few ulps.
     slack = 4 * math.ulp(max(abs(lo), abs(hi)))
     a, b = lo, hi
-    for j, (x, f_x) in enumerate(history, start=1):
+    for j, (x, f_x) in enumerate(steps, start=1):
         assert a <= x <= b
         if math.copysign(1.0, f_x) == math.copysign(1.0, f_lo):
             a, f_lo = x, f_x
