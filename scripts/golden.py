@@ -110,6 +110,7 @@ COMMANDS = [
     _table("set_k0_negative.txt"),
     _table("set_k0_negative.txt", "--format", "json"),
     _table("perturb_k0_negative.txt", "--format", "json"),
+    _table("set_and_perturb.txt"),
     _table("bad_bracket_value.txt"),
     _table("bad_bracket_arity.txt"),
     _table("reversed_bracket.txt"),
