@@ -125,12 +125,7 @@ def _emit_equilibrium(eq, fmt, out, diagnostics=None):
     payload = vars(eq)
     if fmt == "json":
         if diagnostics is not None:
-            payload = {"equilibrium": payload, "closure": {
-                "kind": diagnostics.kind,
-                "iterations": diagnostics.iterations,
-                "evaluations": diagnostics.evaluations,
-                "residual": diagnostics.residual,
-            }}
+            payload = {"equilibrium": payload, "closure": vars(diagnostics)}
         out.write(configio.to_json(payload))
     else:
         rows = [[key, value] for key, value in payload.items()]

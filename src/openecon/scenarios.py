@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 from . import reference
 from .closure import ClosureSpec, ConvergenceError, resolve_rate
-from .model import (_CANONICAL, DomainError, Equilibrium, ModelInstance,
-                    annualize_rate, canonical_parameter, solve_at_rate,
-                    with_parameters)
+from .model import (DomainError, Equilibrium, ModelInstance, annualize_rate,
+                    solve_at_rate, with_parameters)
 
 # A reference row fails when row_deviation exceeds this.
 REFERENCE_TOLERANCE = 2e-3
@@ -28,8 +27,9 @@ class Scenario:
     """A named variation of a baseline instance, solved at a given rate.
 
     overrides set parameters to absolute values; perturbations multiply
-    them.  A parameter may appear in at most one of the two.  Exactly one
-    of `rate` and `closure` must be set.
+    them.  Both name ModelInstance fields, and a parameter may appear in at
+    most one of the two.  Exactly one of `rate` and `closure` must be set.
+    The scenario checks, and keeps, its own copies of the dicts it is given.
     """
 
     name: str
@@ -40,11 +40,15 @@ class Scenario:
     reference: dict[str, float] | None = None   # ROW_KEYS key -> expected
 
     def __post_init__(self):
-        # unknown names are left as they are; apply_scenario rejects them
-        def paths(names):
-            return {_CANONICAL.get(name.strip().lower(), name) for name in names}
-
-        dup = paths(self.overrides) & paths(self.perturbations)
+        object.__setattr__(self, "overrides", dict(self.overrides))
+        object.__setattr__(self, "perturbations", dict(self.perturbations))
+        if self.reference is not None:
+            object.__setattr__(self, "reference", dict(self.reference))
+        for param in (*self.overrides, *self.perturbations):
+            if param not in ModelInstance.__dataclass_fields__:
+                raise ValueError(f"scenario {self.name!r} has an unknown "
+                                 f"parameter {param!r}")
+        dup = self.overrides.keys() & self.perturbations.keys()
         if dup:
             raise ValueError(f"parameters in both overrides and perturbations: {dup}")
         if self.rate is None and self.closure is None:
@@ -63,10 +67,8 @@ def apply_scenario(base: ModelInstance, s: Scenario) -> ModelInstance:
     Overrides replace a parameter's value, perturbations scale its value in
     `base`; a Scenario names no parameter in both.
     """
-    values = {canonical_parameter(path): value
-              for path, value in s.overrides.items()}
+    values = dict(s.overrides)
     for path, factor in s.perturbations.items():
-        path = canonical_parameter(path)
         values[path] = getattr(base, path) * factor
     return with_parameters(base, values)
 
@@ -150,15 +152,13 @@ def _run_one(base: ModelInstance, s: Scenario) -> ScenarioResult:
     if rate is None:
         rate, _ = resolve_rate(instance, s.closure)
     rows = report_row(solve_at_rate(instance, rate), instance)
-    result = ScenarioResult(name=s.name, rate=rate, rows=rows,
-                            reference=s.reference)
-    if s.reference is not None:
-        for key, expected in s.reference.items():
-            dev = row_deviation(rows[key], expected)
-            result.deviations[key] = dev
-            if dev > REFERENCE_TOLERANCE:
-                result.failed_rows.append(key)
-    return result
+    deviations = {key: row_deviation(rows[key], expected)
+                  for key, expected in (s.reference or {}).items()}
+    return ScenarioResult(
+        name=s.name, rate=rate, rows=rows, reference=s.reference,
+        deviations=deviations,
+        failed_rows=[key for key, dev in deviations.items()
+                     if dev > REFERENCE_TOLERANCE])
 
 
 # Each sign check: the parameter a scenario raises, the check's name, and
@@ -217,11 +217,9 @@ def run_suite(base: ModelInstance, scenarios: list[Scenario]) -> SuiteReport:
     for s in scenarios:
         try:
             result = _run_one(base, s)
-        except (ValueError, KeyError, ConvergenceError) as exc:
-            # a KeyError's str() is the repr of its message
-            message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+        except (ValueError, ConvergenceError) as exc:
             result = ScenarioResult(name=s.name, rate=s.rate, rows={},
-                                    reference=s.reference, error=message)
+                                    reference=s.reference, error=str(exc))
         results.append(result)
         if result.error is None:
             if not s.overrides and not s.perturbations:
@@ -230,7 +228,7 @@ def run_suite(base: ModelInstance, scenarios: list[Scenario]) -> SuiteReport:
                 # each sign check states what a higher value does
                 ((param, factor),) = s.perturbations.items()
                 if factor > 1:
-                    by_param.setdefault(canonical_parameter(param), result)
+                    by_param.setdefault(param, result)
     return SuiteReport(results=results, sign_checks=_sign_checks(by_param))
 
 
@@ -242,6 +240,6 @@ def paper_suite() -> list[Scenario]:
             name=name,
             rate=reference.REFERENCE_TABLE[name]["r"],
             perturbations={} if param is None else {param: factor},
-            reference=dict(reference.REFERENCE_TABLE[name]),
+            reference=reference.REFERENCE_TABLE[name],
         ))
     return scenarios
