@@ -53,10 +53,12 @@ class TestApplyScenario:
                      perturbations={"gamma": 1.1})
 
     @pytest.mark.parametrize("where", ["overrides", "perturbations"])
-    @pytest.mark.parametrize("name", ["A1", "K0", "tax0", " k0 ", "RHO"])
+    @pytest.mark.parametrize("name", ["A1", "K0", "tax0", " k0 ", "RHO",
+                                      "sigma"])
     def test_parameters_are_named_by_field(self, where, name):
-        """A spelling that is not its field is refused by name; scenario
-        files resolve spellings before they build a Scenario."""
+        """A name that is not a field, such as a file spelling, is refused
+        by name; scenario files resolve spellings before they build a
+        Scenario.  All 17 fields are accepted."""
         with pytest.raises(ValueError, match=re.escape(
                 f"scenario 'x' has an unknown parameter {name!r}")):
             Scenario("x", rate=0.5, **{where: {"gamma": 1.1, name: 1.1}})
