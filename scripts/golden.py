@@ -117,6 +117,7 @@ COMMANDS = [
     _table("bad_target.txt"),
     _table("missing_target.txt"),
     _table("target_beside_balanced_trade.txt"),
+    _table("closure_keys_without_closure.txt"),
     _table("bad_tolerance.txt"),
     _table("bad_max_iterations.txt"),
     _table("negative_max_iterations.txt"),
