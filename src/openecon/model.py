@@ -28,6 +28,7 @@ _RATE_RULE = "inadmissible rate r={} (need r > -1 and delta + r > 0)"
 _OUTPUT_INPUTS = "output requires positive capital, efficiency and hours"
 _L1_RULE = "aggregate future hours L1 must be positive"
 _OVERFLOW = "numerical overflow at r={}"
+_CONSUMPTION = "consumption must be positive"
 
 
 class DomainError(ValueError):
@@ -332,17 +333,6 @@ def capital_demand(instance: ModelInstance, L1: float, r: float) -> float:
     return _capital_demand(instance, L1, r, operator.pow)
 
 
-def _present_hours(instance: ModelInstance, r, w1, power):
-    """Present hours per household before the clamp at l0_max: the closed
-    form, with exponent 1/(theta+alpha), of the fixed point
-    l0 = [beta * w0(l0) * (1+r) / w1]^(1/theta) * l1, where w0 moves with
-    hours through the marginal product."""
-    a, theta = instance.alpha, instance.theta
-    return power(instance.beta * (1.0 + r) * (1.0 - a) * power(instance.k0, a)
-                 * power(instance.a0, 1.0 - a) * power(instance.n0, -a)
-                 * power(instance.l1_max, theta) / w1, 1.0 / (theta + a))
-
-
 def _euler_factor(instance: ModelInstance, r, power):
     """Consumption growth c1/c0 = [beta*(1+r)]^(1/gamma)."""
     return power(instance.beta * (1.0 + r), 1.0 / instance.gamma)
@@ -365,23 +355,6 @@ def annualize_rate(per_period: float, years: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Welfare
-# ---------------------------------------------------------------------------
-
-def _period_utility(c, l, instance: ModelInstance, ops: _Ops):
-    """u(c, l) = c^(1-gamma)/(1-gamma) - phi * l^(1+theta)/(1+theta), with
-    log(c) at gamma = 1.  The power term differs from the normalized CRRA form
-    by the constant 1/(1-gamma), so utility *differences* are continuous in
-    gamma at 1, while levels diverge with the constant."""
-    if (bad := c <= 0) is not False:
-        ops.reject(bad, DomainError, "consumption must be positive")
-    gamma, theta = instance.gamma, instance.theta
-    uc = (ops.log(c) if gamma == 1.0
-          else ops.power(c, 1.0 - gamma) / (1.0 - gamma))
-    return uc - instance.phi * ops.power(l, 1.0 + theta) / (1.0 + theta)
-
-
-# ---------------------------------------------------------------------------
 # Full solve
 # ---------------------------------------------------------------------------
 
@@ -394,35 +367,42 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     Each check runs before the operation it guards, in the float path's
     order.  Over an array, fields that do not vary with r stay floats.
     Returns the 29 values in Equilibrium field order; only solve_at_rate
-    builds the record, through _equilibrium.
+    builds the record, through _equilibrium.  Flat, to save Python calls:
+    capital demand and the Euler factor restate their helpers inline.
     """
-    power, reject = ops.power, ops.reject
-    a, a1, k0 = instance.alpha, instance.a1, instance.k0
+    power, log, reject, beta = ops.power, ops.log, ops.reject, instance.beta
+    a, a1, k0, delta = instance.alpha, instance.a1, instance.k0, instance.delta
+    gamma, theta, phi = instance.gamma, instance.theta, instance.phi
     n0, n1, g0, t0 = instance.n0, instance.n1, instance.g0, instance.t0
     _check_rate(instance, r, reject)
     R = 1.0 + r
+    k0_a = power(k0, a)
 
     l1 = instance.l1_max
     L1 = n1 * l1
-    w1 = (1.0 - a) * a1 * power(a / (instance.delta + r), a / (1.0 - a))
+    w1 = (1.0 - a) * a1 * power(a / (delta + r), a / (1.0 - a))
     if (bad := L1 <= 0) is not False:
         reject(bad, DomainError, _L1_RULE)
-    k1 = _capital_demand(instance, L1, r, power)
+    k1 = a1 * L1 * power(a / (delta + r), 1.0 / (1.0 - a))
     if (bad := k1 <= 0) is not False:
         reject(bad, DomainError, _OUTPUT_INPUTS)
     y1 = power(k1, a) * power(a1 * L1, 1.0 - a)
 
     if (bad := w1 <= 0) is not False:
         reject(bad, DomainError, "future wage must be positive")
-    l0, binding = ops.clamp(_present_hours(instance, r, w1, power),
-                            instance.l0_max)
+    # Present hours before the clamp: the closed form, with exponent
+    # 1/(theta+alpha), of l0 = [beta * w0(l0) * (1+r) / w1]^(1/theta) * l1,
+    # where w0 moves with hours through the marginal product.
+    hours = power(beta * R * (1.0 - a) * k0_a * power(instance.a0, 1.0 - a)
+                  * power(n0, -a) * power(l1, theta) / w1, 1.0 / (theta + a))
+    l0, binding = ops.clamp(hours, instance.l0_max)
     L0 = n0 * l0
     if (bad := L0 <= 0) is not False:
         reject(bad, DomainError, _OUTPUT_INPUTS)
-    y0 = power(k0, a) * power(instance.a0 * L0, 1.0 - a)
+    y0 = k0_a * power(instance.a0 * L0, 1.0 - a)
     w0 = (1.0 - a) * y0 / L0
 
-    i0 = k1 - (1.0 - instance.delta) * k0
+    i0 = k1 - (1.0 - delta) * k0
     x0 = (y0 - w0 * L0 - i0) / n0
     x1 = (y1 - w1 * L1) / n1
     T1 = R * g0 + instance.g1 - t0 * R
@@ -433,7 +413,7 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     if (bad := income <= 0) is not False:
         reject(bad, InfeasibleError,
                "present-value income per household is {} at r={}", income, r)
-    growth = _euler_factor(instance, r, power)
+    growth = power(beta * R, 1.0 / gamma)     # the Euler factor c1/c0
     q = 1.0 + growth / R
     c0 = income / q
     c1 = c0 * growth
@@ -443,8 +423,19 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     tb1 = y1 - C1 - instance.g1
     s0n = y0 - C0 - g0
     s1x = tb1 / R
-    welfare = (_period_utility(c0, l0, instance, ops)
-               + instance.beta * _period_utility(c1, l1, instance, ops))
+    # welfare = u(c0, l0) + beta * u(c1, l1), u(c, l) = c^(1-gamma)/(1-gamma)
+    # - phi * l^(1+theta)/(1+theta), with log(c) at gamma = 1: the power term
+    # differs from the normalized CRRA form by 1/(1-gamma), so utility
+    # *differences* are continuous in gamma at 1, levels diverge with it.
+    if (bad := c0 <= 0) is not False:
+        reject(bad, DomainError, _CONSUMPTION)
+    u0 = ((log(c0) if gamma == 1.0 else power(c0, 1.0 - gamma) / (1.0 - gamma))
+          - phi * power(l0, 1.0 + theta) / (1.0 + theta))
+    if (bad := c1 <= 0) is not False:
+        reject(bad, DomainError, _CONSUMPTION)
+    u1 = ((log(c1) if gamma == 1.0 else power(c1, 1.0 - gamma) / (1.0 - gamma))
+          - phi * power(l1, 1.0 + theta) / (1.0 + theta))
+    welfare = u0 + beta * u1
     # The one overflow rule: a product such as a0 * L0 overflows to inf
     # without raising.  Every earlier field reaches c0 through income, and
     # 0 * x is NaN when x is NaN or inf and +-0 otherwise, so total is not 0

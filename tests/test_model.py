@@ -8,7 +8,9 @@ same values on the kernel's Equilibrium fields.
 import ast
 import copy
 import math
+import operator
 import pickle
+import sys
 import weakref
 from dataclasses import FrozenInstanceError, replace
 
@@ -21,6 +23,7 @@ from openecon import (DomainError, InfeasibleError, ModelInstance,
                       annualize_rate, baseline_instance, capital_demand,
                       solve_at_rate)
 from openecon import model
+from openecon.acceptance import sample_instance
 from openecon.closure import ClosureSpec, resolve_rate
 import reference_model
 from reference_model import (dividends, euler_growth, future_wage,
@@ -333,6 +336,44 @@ class TestValuePath:
         with pytest.raises(DomainError, match="^inadmissible rate r=nan "):
             model.check_rate(baseline, math.nan)
         assert len(rejects) == 2
+
+    def test_passing_evaluation_makes_five_python_calls(self, baseline):
+        # _values_at_rate, _system, the beta property, _check_rate, _clamp;
+        # C functions such as operator.pow raise "c_call" events instead
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            model._values_at_rate(baseline, 0.4821)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= 5, calls
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kernel_restates_its_helpers_bit_for_bit(self, seed):
+        # _system writes capital demand and the Euler factor inline
+        instance = sample_instance(np.random.default_rng(seed))
+        if seed % 4 == 0:
+            instance = replace(instance, gamma=1.0)
+        rates = np.linspace(-instance.delta + 1e-6, 3.0, 25)
+        L1 = instance.n1 * instance.l1_max
+        columns, errors = model.solve_rates(instance, rates)
+        failed = {j for j, _ in errors}
+        assert len(failed) < len(rates)
+        k1 = model._capital_demand(instance, L1, rates, np.float_power)
+        growth = model._euler_factor(instance, rates, np.float_power)
+        for j, r in enumerate(rates.tolist()):
+            if j in failed:
+                continue
+            eq = solve_at_rate(instance, r)
+            assert eq.k1 == capital_demand(instance, L1, r) == columns["k1"][j]
+            assert columns["k1"][j] == k1[j]
+            assert eq.c1 == eq.c0 * model._euler_factor(instance, r, operator.pow)
+            assert columns["c1"][j] == columns["c0"][j] * growth[j]
 
 
 class TestSavingDecomposition:
