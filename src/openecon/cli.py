@@ -234,7 +234,7 @@ def main(argv=None, out=None, err=None) -> int:
         if out is sys.stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return 1
-    except (ValueError, ConvergenceError, OSError, KeyError) as exc:
+    except (ValueError, ConvergenceError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
     return status

@@ -5,7 +5,8 @@ model.PARAMETERS, written with its calibration-table spelling, read with
 any spelling canonical_parameter accepts, and checked by check_parameter.
 Scenario files group lines under `[name]` headers; inside a section,
 `set.<param> = v` overrides a parameter, `perturb.<param> = f` scales it,
-and either `rate = r` or a `closure = kind` block selects the rate.  A
+and either `rate = r` or a `closure = kind` line, with the closure keys it
+reads, selects the rate; a closure key with no such line is an error.  A
 parameter, key or section given twice is an error naming both lines.
 
 Numeric output is deterministic: JSON carries 15 significant digits, CSV
@@ -185,6 +186,8 @@ def parse_scenarios(text: str) -> list[Scenario]:
                 (overrides if prefix == "set" else perturbations)[path] = number
             elif key not in _CLOSURE_KEYS:
                 raise ParseError(f"line {lineno}: unknown scenario key {key!r}")
+            elif "closure" not in entries:
+                raise ParseError(f"line {lineno}: {key} needs a closure line")
         if "closure" in entries:
             closure = _build_closure(entries)
         try:

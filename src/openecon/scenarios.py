@@ -123,6 +123,10 @@ class ScenarioResult:
     failed_rows: list[str] = field(default_factory=list)
     error: str | None = None
 
+    def __post_init__(self):
+        if self.reference is not None:   # its own copy, not its Scenario's
+            self.reference = dict(self.reference)
+
     @property
     def passed(self) -> bool:
         return self.error is None and not self.failed_rows

@@ -233,6 +233,20 @@ class TestScenarioFiles:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("text, message", [
+        ("[a]\nrate = 0.5\nbracket = 0.1, 0.2\ntarget = 3\n",
+         "line 3: bracket needs a closure line"),
+        ("[a]\nrate = 0.5\n[b]\n# swept\nsweep_grid = 0.3, 0.5\nrate = 0.4\n",
+         "line 5: sweep_grid needs a closure line"),
+        ("[a]\ntarget = 0.1\n", "line 2: target needs a closure line"),
+    ])
+    def test_closure_key_without_closure_line(self, text, message):
+        """A closure key is read only beside a closure line; without one it
+        is refused on its own line, not dropped."""
+        with pytest.raises(ParseError) as info:
+            parse_scenarios(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
         ("[x]\nrate = 0.5\nrate = 0.6\n", "line 3: key 'rate' repeats line 2"),
         ("[x]\nclosure = balanced_trade\nbracket = 0.1, 1\nbracket = 0.2, 1\n",
          "line 4: key 'bracket' repeats line 3"),

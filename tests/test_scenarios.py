@@ -207,6 +207,23 @@ class TestSuite:
         assert report.results[0].failed_rows == ["y0"]
         assert not report.passed
 
+    @pytest.mark.parametrize("scenario", [
+        Scenario("off", rate=0.4821, reference={"y0": 1.0}),
+        Scenario("empty", rate=0.4821, reference={}),
+        Scenario("bad", rate=0.4821, reference={"y0": 1.0},
+                 overrides={"alpha": 0.5}, perturbations={"gamma": -1.0}),
+    ], ids=["solved", "empty reference", "failed"])
+    def test_result_reference_is_its_own_copy(self, baseline, scenario):
+        """Editing a result's reference leaves its scenario as it was, so
+        the same suite runs again with the same results."""
+        (first,) = run_suite(baseline, [scenario]).results
+        first.reference["Y0"] = 1.0
+        assert "Y0" not in scenario.reference
+        (again,) = run_suite(baseline, [scenario]).results
+        assert again.reference == {key: value for key, value in
+                                   first.reference.items() if key != "Y0"}
+        assert (again.rows, again.error) == (first.rows, first.error)
+
     @pytest.mark.parametrize("miss, passed", [(0.9 * REFERENCE_TOLERANCE, True),
                                               (1.1 * REFERENCE_TOLERANCE, False)])
     def test_reference_row_passes_within_the_tolerance(self, baseline, miss,
