@@ -15,6 +15,11 @@ result line), so a checkout older than this script can be measured too.
 `env.dont_write_bytecode` records whether PYTHONDONTWRITEBYTECODE is set
 for perfbench's children, which inherit this process's environment: if it
 is, every cold CLI process compiles openecon from source.
+`kernel` holds the Python-level calls ("call" events of sys.setprofile)
+of one passing scalar evaluation, `_values_at_rate` of the baseline at
+r = 0.4821, and its time in microseconds (the `timeit` minimum), measured
+in a child that imports openecon from ROOT/src; it is null where that
+child fails.
 `src_split` counts the lines of ROOT's src/openecon/*.py by kind with the
 tokenize module: a docstring line lies inside a string token that is a
 statement on its own (blank lines inside it included), a code line holds
@@ -39,6 +44,18 @@ from time import perf_counter
 HERE_ROOT = Path(__file__).resolve().parents[1]
 SEED = 1   # the seed CI runs, so BENCH files and CI logs compare directly
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+KERNEL_PROBE = """
+import json, sys, timeit
+from openecon.model import _values_at_rate
+from openecon.reference import baseline_instance
+instance, calls = baseline_instance(), []
+sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(1))
+_values_at_rate(instance, 0.4821)
+sys.setprofile(None)
+best = min(timeit.repeat(lambda: _values_at_rate(instance, 0.4821),
+                         number=10000, repeat=7)) / 10000
+print(json.dumps({"python_calls": len(calls), "us": round(best * 1e6, 3)}))
+"""
 
 
 def git(root: Path, *args: str) -> str | None:
@@ -98,13 +115,25 @@ def perfbench(root: Path, workload: str, seconds: float, trace: int,
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
-def tier1(root: Path) -> dict:
-    """Wall time and pass/fail counts of the Tier-1 pytest command."""
+def src_env() -> dict:
+    """This process's environment with src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, ["src", env.get("PYTHONPATH")]))
+    return env
+
+
+def kernel(root: Path) -> dict | None:
+    """Python calls and time of one passing scalar kernel evaluation."""
+    proc = subprocess.run([sys.executable, "-c", KERNEL_PROBE], cwd=root,
+                          env=src_env(), capture_output=True, text=True)
+    return json.loads(proc.stdout) if proc.returncode == 0 else None
+
+
+def tier1(root: Path) -> dict:
+    """Wall time and pass/fail counts of the Tier-1 pytest command."""
     start = perf_counter()
-    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True,
+    proc = subprocess.run(TIER1, cwd=root, env=src_env(), capture_output=True,
                           text=True)
     wall_s = perf_counter() - start
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
@@ -153,6 +182,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
     record["repo.src_lines"] = traced["metrics"]["repo.src_lines"]["value"]
     record["src_split"] = src_split(root)
+    record["kernel"] = kernel(root)
     record["tier1"] = tier1(root)
 
     out = Path(f"BENCH_{args.pr}.json")
