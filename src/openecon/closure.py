@@ -48,17 +48,20 @@ class ClosureSpec:
     kind is one of KINDS, and _INPUTS states the inputs it reads and their
     defaults; target_share is the desired tb0/y0.  An input is unset when
     None (grid when empty), and a given one that its kind does not read is
-    refused.  The tolerance and the step cap are constants, not inputs.
+    refused.  bracket and grid are kept as tuples: copies, not the caller's.
     """
 
     kind: str
     target_share: float | None = None
     bracket: tuple[float, float] | None = None
     grid: tuple[float, ...] = ()
-    tolerance = TOLERANCE                # unannotated: constants, not fields
-    max_iterations = MAX_ITERATIONS
+    tolerance = TOLERANCE                # unannotated: constants, not inputs;
+    max_iterations = MAX_ITERATIONS      # perfbench's rejection check reads both
 
     def __post_init__(self):
+        for name in ("bracket", "grid"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, tuple(value))
         if self.kind not in KINDS:
             raise ValueError(f"unknown closure kind {self.kind!r}")
         inputs = _INPUTS[self.kind]

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import reference
 from .closure import ClosureSpec, ConvergenceError, resolve_rate
@@ -29,21 +31,20 @@ class Scenario:
     overrides set parameters to absolute values; perturbations multiply
     them.  Both name ModelInstance fields, and a parameter may appear in at
     most one of the two.  Exactly one of `rate` and `closure` must be set.
-    The scenario checks, and keeps, its own copies of the dicts it is given.
+    The scenario checks, and keeps, read-only copies of the mappings given.
     """
 
     name: str
     rate: float | None = None
-    overrides: dict[str, float] = field(default_factory=dict)
-    perturbations: dict[str, float] = field(default_factory=dict)
+    overrides: Mapping[str, float] = field(default_factory=dict)
+    perturbations: Mapping[str, float] = field(default_factory=dict)
     closure: ClosureSpec | None = None
-    reference: dict[str, float] | None = None   # ROW_KEYS key -> expected
+    reference: Mapping[str, float] | None = None   # ROW_KEYS key -> expected
 
     def __post_init__(self):
-        object.__setattr__(self, "overrides", dict(self.overrides))
-        object.__setattr__(self, "perturbations", dict(self.perturbations))
-        if self.reference is not None:
-            object.__setattr__(self, "reference", dict(self.reference))
+        for name in ("overrides", "perturbations", "reference"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, MappingProxyType(dict(value)))
         for param in (*self.overrides, *self.perturbations):
             if param not in ModelInstance.__dataclass_fields__:
                 raise ValueError(f"scenario {self.name!r} has an unknown "

@@ -81,7 +81,7 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d array of rates")
-    if np.any(np.diff(grid) <= 0):
+    if not np.all(np.diff(grid) > 0):          # a NaN fails it too
         raise ValueError("grid must be strictly increasing")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")

@@ -213,6 +213,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^grid rates must be finite$"):
             ClosureSpec("welfare_sweep", grid=grid)
 
+    def test_keeps_its_own_bracket_and_grid(self, baseline):
+        """Editing the caller's list after the checks changes nothing: the
+        spec holds tuples."""
+        bracket, grid = [0.4821, 2.0], [0.3, 0.5]
+        balanced = ClosureSpec("balanced_trade", bracket=bracket)
+        sweep = ClosureSpec("welfare_sweep", grid=grid)
+        bracket[1] = math.nan
+        grid.append(math.inf)
+        assert (balanced.bracket, sweep.grid) == ((0.4821, 2.0), (0.3, 0.5))
+        assert resolve_rate(baseline, balanced) == resolve_rate(
+            baseline, ClosureSpec("balanced_trade", bracket=(0.4821, 2.0)))
+        assert resolve_rate(baseline, sweep)[1].evaluations == 2
+
 
 class TestNoRecords:
     """Root finding, the labor-weight calibration and the stationarity probe

@@ -88,6 +88,23 @@ class TestApplyScenario:
                              perturbations={"rho": 1.15},
                              reference=reference.REFERENCE_TABLE["higher_rho"])
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("reference", "Y0", 1.0), ("reference", "y0", 1.0),
+        ("perturbations", "sigma", 2.0), ("perturbations", "rho", 1.3),
+        ("overrides", "alpha", 0.4),
+    ])
+    def test_dicts_are_read_only(self, baseline, where, key, value):
+        """The scenario's own mappings refuse edits, so no edit after the
+        checks can make run_suite raise, or solve what was not checked."""
+        s = Scenario("higher_rho", rate=0.556, perturbations={"rho": 1.15},
+                     reference=reference.REFERENCE_TABLE["higher_rho"])
+        with pytest.raises(TypeError):
+            getattr(s, where)[key] = value
+        assert run_suite(baseline, [Scenario("baseline", rate=0.4821), s]).passed
+        renamed = dataclasses.replace(s, name="again")
+        assert (renamed.name, renamed.perturbations, renamed.reference) == (
+            "again", {"rho": 1.15}, reference.REFERENCE_TABLE["higher_rho"])
+
     def test_needs_rate_or_closure(self):
         with pytest.raises(ValueError):
             Scenario("bad")
@@ -215,8 +232,10 @@ class TestSuite:
     ], ids=["solved", "empty reference", "failed"])
     def test_result_reference_is_its_own_copy(self, baseline, scenario):
         """Editing a result's reference leaves its scenario as it was, so
-        the same suite runs again with the same results."""
+        the same suite runs again with the same results.  It is a plain
+        dict, not the scenario's read-only view."""
         (first,) = run_suite(baseline, [scenario]).results
+        assert type(first.reference) is dict
         first.reference["Y0"] = 1.0
         assert "Y0" not in scenario.reference
         (again,) = run_suite(baseline, [scenario]).results

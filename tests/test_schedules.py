@@ -1,6 +1,7 @@
 """Saving/investment schedules in both construction modes."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from openecon import ScheduleCurve, compute_schedules, slope_check, solve_rates
 from openecon import model
-from openecon.schedules import default_grid
+from openecon.schedules import MODES, default_grid
 from reference_model import check_rate
 
 GRID = np.linspace(0.30, 0.70, 41)
@@ -93,6 +94,15 @@ class TestValidationAndFlagging:
             compute_schedules(baseline, np.array([]))
         with pytest.raises(ValueError):
             compute_schedules(baseline, GRID, mode="sideways")
+
+    @pytest.mark.parametrize("grid", [[0.5, math.nan, 0.4], [0.4, math.nan],
+                                      [math.nan, 0.4, 0.5], [0.4, 0.5, math.nan]])
+    def test_nan_in_grid(self, baseline, grid):
+        """A NaN compares false both ways, so it cannot hide a decrease."""
+        for mode in MODES:
+            with pytest.raises(ValueError,
+                               match="^grid must be strictly increasing$"):
+                compute_schedules(baseline, grid, mode=mode, r_ref=0.45)
 
     def test_inadmissible_points_are_flagged(self, baseline):
         soft = replace(baseline, delta=0.6)
