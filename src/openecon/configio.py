@@ -1,8 +1,8 @@
 """Plain-text instance and scenario files, plus CSV/JSON emission helpers.
 
-Instance files are flat `key = value` lines, one per parameter of
-model.PARAMETERS, written with its calibration-table spelling, read with
-any spelling canonical_parameter accepts, and checked by check_parameter.
+Instance files are flat `key = value` lines, at most one per parameter of
+model.PARAMETERS, in any spelling canonical_parameter accepts, each value
+checked by check_parameter.
 Scenario files group lines under `[name]` headers; inside a section,
 `set.<param> = v` overrides a parameter, `perturb.<param> = f` scales it,
 and either `rate = r` or a `closure = kind` line, with the closure keys it
@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 
 from .closure import ClosureSpec
-from .model import (PARAMETERS, DomainError, ModelInstance,
-                    canonical_parameter, check_parameter, with_parameters)
+from .model import (DomainError, ModelInstance, canonical_parameter,
+                    check_parameter, with_parameters)
 from .scenarios import Scenario
 from .reference import baseline_instance
 
@@ -98,12 +98,6 @@ def _check_alone(lineno: int, path: str, value: float) -> None:
         check_parameter(path, value)
     except DomainError as exc:
         raise DomainError(f"line {lineno}: {exc}") from None
-
-
-def format_instance(instance: ModelInstance) -> str:
-    """Serialize an instance so that re-parsing reproduces it bit for bit."""
-    return "".join(f"{spelling} = {getattr(instance, path)!r}\n"
-                   for spelling, path, _, _ in PARAMETERS)
 
 
 def read_instance(path: str) -> ModelInstance:

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openecon import DomainError, ModelInstance, solve_at_rate
-from openecon.configio import (ParseError, csv_number, format_instance,
-                               json_number, parse_instance, parse_scenarios,
-                               to_csv, to_json)
+from openecon.configio import (ParseError, csv_number, json_number,
+                               parse_instance, parse_scenarios, to_csv,
+                               to_json)
 from openecon.model import PARAMETERS
 from openecon.scenarios import Scenario
 
@@ -35,14 +35,21 @@ years_per_period = 16.0
 """
 
 
+def instance_text(instance):
+    """Every parameter as an instance-file line, in file order; repr keeps
+    each value bit for bit."""
+    return "".join(f"{spelling} = {getattr(instance, field)!r}\n"
+                   for spelling, field, _, _ in PARAMETERS)
+
+
 class TestInstanceRoundTrip:
     def test_baseline_text(self, baseline):
-        assert format_instance(baseline) == BASELINE_TEXT
+        assert instance_text(baseline) == BASELINE_TEXT
         assert parse_instance(BASELINE_TEXT) == baseline
 
     def test_parameter_table(self, baseline):
         """One row per ModelInstance field; no two rows share a spelling,
-        whatever its case; rows in the order format_instance writes."""
+        whatever its case; rows in instance-file order."""
         assert (sorted(field for _, field, _, _ in PARAMETERS)
                 == sorted(ModelInstance.__dataclass_fields__))
         names = [name for spelling, field, _, _ in PARAMETERS
@@ -50,11 +57,11 @@ class TestInstanceRoundTrip:
         assert len(names) == len(set(names))
         assert [line.split(" = ")[0] for line in BASELINE_TEXT.splitlines()] \
             == [spelling for spelling, _, _, _ in PARAMETERS]
-        assert format_instance(baseline) == BASELINE_TEXT
+        assert instance_text(baseline) == BASELINE_TEXT
 
     def test_bit_identical_equilibria(self, baseline):
         tweaked = replace(baseline, k0=12345.6789, gamma=1.7000000000000002)
-        recovered = parse_instance(format_instance(tweaked))
+        recovered = parse_instance(instance_text(tweaked))
         assert recovered == tweaked
         a = solve_at_rate(tweaked, 0.4821)
         b = solve_at_rate(recovered, 0.4821)
