@@ -1,5 +1,6 @@
 """Property-based invariants of the solved equilibrium."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from openecon import (InfeasibleError, ModelInstance, capital_demand,
+from openecon import (ClosureSpec, ConvergenceError, InfeasibleError,
+                      ModelInstance, capital_demand, resolve_rate,
                       solve_at_rate)
-from openecon.acceptance import iterate_labor_supply
-from reference_model import output, wage_mpl
+from openecon.acceptance import iterate_labor_supply, sample_instance
+from openecon.model import _FIELDS, with_parameters
+from reference_model import lifetime_utility, output, wage_mpl
 
 RATE_GRID = np.linspace(0.1, 1.0, 10)
 
@@ -136,3 +139,114 @@ def test_hours_closed_form_matches_iteration(instance, r):
     assume(not eq.l0_binding)
     iterated = iterate_labor_supply(instance, r, eq.w1)
     assert eq.l0 == pytest.approx(iterated, rel=1e-10)
+
+
+# The model's two exact scale symmetries: multiplying every parameter of
+# one group by s moves no rate and no hours ratio.
+EFFICIENCY = ("a0", "a1", "k0", "g0", "g1", "t0")
+POPULATION = ("n0", "n1", "k0", "g0", "g1", "t0")
+# The Equilibrium fields that stay the same; every other field is multiplied
+# by s, except welfare under EFFICIENCY, which is lifetime utility at s times
+# the consumption and the same hours.
+UNCHANGED = {
+    EFFICIENCY: {"r", "L0", "L1", "l0", "l1", "q", "l0_binding"},
+    POPULATION: {"r", "l0", "l1", "w0", "w1", "c0", "c1", "x0", "x1", "tax0",
+                 "tax1", "q", "welfare", "l0_binding"},
+}
+# Bounds on the relative error, each about three times the worst measured
+# on these draws: 6.6e-16 for the fields not listed, 6.4e-14 for these six,
+# and 3.2e-12 for the fields computed as differences of larger terms.
+SCALE_BOUND = {
+    **dict.fromkeys(("c0", "c1", "C0", "C1", "x1", "welfare"), 2e-13),
+    **dict.fromkeys(("x0", "i0", "T1", "tax1", "tb0", "tb1", "s0n", "s1x"),
+                    1e-11),
+}
+SYMMETRIES = pytest.mark.parametrize("group", [EFFICIENCY, POPULATION],
+                                     ids=["efficiency", "population"])
+
+
+def scale_draws(count=300):
+    """(instance, s): sample_instance draws, s from U(0.3, 3) after each."""
+    rng = np.random.default_rng(12345)
+    for _ in range(count):
+        instance = sample_instance(rng)
+        yield instance, rng.uniform(0.3, 3.0)
+
+
+def scaled(instance, group, s):
+    return with_parameters(instance, {name: getattr(instance, name) * s
+                                      for name in group})
+
+
+@SYMMETRIES
+def test_scale_symmetry_at_fixed_rates(group):
+    """A scaled economy solves at each rate exactly when the original does,
+    and each field moves as UNCHANGED states."""
+    solved = 0
+    for instance, s in scale_draws():
+        other = scaled(instance, group, s)
+        for r in (-0.3, 0.05, 0.5, 1.5):
+            try:
+                eq = solve_at_rate(instance, r)
+            except ValueError as exc:
+                with pytest.raises(type(exc)):
+                    solve_at_rate(other, r)
+                continue
+            solved += 1
+            twin = solve_at_rate(other, r)
+            for name in _FIELDS:
+                value = getattr(eq, name)
+                if name in UNCHANGED[group]:
+                    want = value
+                elif name == "welfare":
+                    want = lifetime_utility(s * eq.c0, eq.l0, s * eq.c1,
+                                            eq.l1, instance)
+                else:
+                    want = s * value
+                assert (abs(getattr(twin, name) - want)
+                        <= SCALE_BOUND.get(name, 2e-15) * abs(want)), (
+                    name, instance, s, r)
+    assert solved == 1156           # of 1200: 44 are InfeasibleError
+
+
+@SYMMETRIES
+def test_scale_symmetry_of_the_closures(group):
+    """r* is the same to 1e-14 (worst measured 2.7e-15) under both
+    root-finding closures, and a draw one refuses is refused alike."""
+    specs = (ClosureSpec("balanced_trade"),
+             ClosureSpec("trade_share_target", target_share=-0.05))
+    resolved = [0, 0]
+    for instance, s in scale_draws():
+        other = scaled(instance, group, s)
+        for k, spec in enumerate(specs):
+            try:
+                r_star, _ = resolve_rate(instance, spec)
+            except (ValueError, ConvergenceError) as exc:
+                with pytest.raises(type(exc)):
+                    resolve_rate(other, spec)
+                continue
+            resolved[k] += 1
+            assert abs(resolve_rate(other, spec)[0] - r_star) <= 1e-14, (
+                instance, s)
+    assert resolved == [216, 222]
+
+
+def test_elasticities_of_r_star_cancel_along_each_symmetry(baseline):
+    """On the baseline, where g0, g1 and t0 are zero, the elasticities of
+    log(1 + r*) to the log parameters of each group sum to zero (measured
+    1.3e-11 at worst).  Central differences, parameter times exp(+-1e-4),
+    as scripts/elasticities.py computes them for README's table."""
+    spec = ClosureSpec("balanced_trade", bracket=(0.01, 5.0))
+    step = 1e-4
+
+    def elasticity(name):
+        x = getattr(baseline, name)
+        up, down = (math.log1p(resolve_rate(with_parameters(
+            baseline, {name: x * math.exp(h)}), spec)[0]) for h in (step, -step))
+        return (up - down) / (2.0 * step)
+
+    e = {name: elasticity(name) for name in ("a0", "a1", "k0", "n0", "n1")}
+    assert {name: round(value, 3) for name, value in e.items()} == {
+        "a0": -0.266, "a1": 0.532, "k0": -0.266, "n0": 0.142, "n1": 0.124}
+    assert abs(e["a0"] + e["a1"] + e["k0"]) <= 1e-10
+    assert abs(e["n0"] + e["n1"] + e["k0"]) <= 1e-10
