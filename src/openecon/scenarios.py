@@ -68,7 +68,7 @@ def apply_scenario(base: ModelInstance, s: Scenario) -> ModelInstance:
     Overrides replace a parameter's value, perturbations scale its value in
     `base`; a Scenario names no parameter in both.
     """
-    values = dict(s.overrides)
+    values = s.overrides.copy()               # the read-only view's dict
     for path, factor in s.perturbations.items():
         values[path] = getattr(base, path) * factor
     return with_parameters(base, values)
