@@ -160,6 +160,13 @@ COMMANDS = [
     _with_instance("tiny_a1.txt", *_table("a_scenario.txt")),
     _with_instance("tiny_a1.txt", *_table("a_scenario.txt", "--format",
                                           "json")),
+    # present output and the future wage's present value underflow to 0
+    _with_instance("tiny_output.txt", "solve", "--rate", "0.5"),
+    _with_instance("tiny_output.txt", "table"),
+    _with_instance("tiny_output.txt", "sweep", "--closure",
+                   "trade_share_target", "--target=-0.1"),
+    _with_instance("tiny_output.txt", "schedules", "--grid=0.3,0.6,3"),
+    _with_instance("tiny_future_wage.txt", *_table("rate_one.txt")),
     _with_instance("repeated.txt", "solve", "--rate", "0.5"),
     _with_instance("unknown_parameter.txt", "solve", "--rate", "0.5"),
     _with_instance("not_a_number.txt", "solve", "--rate", "0.5"),
