@@ -186,6 +186,9 @@ COMMANDS = [
     ["schedules", "--rate", "nan"],
     ["schedules", "--grid=0.3,0.6,1"],
     ["schedules", "--grid=0.3,0.6,3", "--rate", "5"],
+    # a grid whose span STOP - START overflows
+    ["schedules", "--grid=-1e308,1.7e308,2"],
+    ["sweep", "--closure", "welfare_sweep", "--grid=-1e308,1.7e308,2"],
     # the cli_cold mix of the benchmark
     ["schedules", "--grid=0.05,1.2,2000", "--format", "json"],
     ["check"],

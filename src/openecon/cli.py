@@ -106,6 +106,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise configio.ParseError("--grid START and STOP must be finite")
     if points < 2 or stop <= start:
         raise configio.ParseError("--grid needs STOP > START and POINTS >= 2")
+    if not math.isfinite(stop - start):
+        raise configio.ParseError("--grid span STOP - START must be finite")
     if points > MAX_GRID_POINTS:
         raise configio.ParseError(
             f"--grid POINTS must be at most {MAX_GRID_POINTS}")

@@ -26,6 +26,7 @@ MIN_GROSS_RETURN = 1e-9
 _RATE_RULE = "inadmissible rate r={} (need r > -1 and delta + r > 0)"
 
 _OUTPUT_INPUTS = "output requires positive capital, efficiency and hours"
+_PRESENT_OUTPUT = "present output must be positive; it is {} at r={}"
 _L1_RULE = "aggregate future hours L1 must be positive"
 _OVERFLOW = "numerical overflow at r={}"
 _CONSUMPTION = "consumption must be positive"
@@ -400,6 +401,8 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     if (bad := L0 <= 0) is not False:
         reject(bad, DomainError, _OUTPUT_INPUTS)
     y0 = k0_a * power(instance.a0 * L0, 1.0 - a)
+    if (bad := y0 <= 0) is not False:      # a0 * L0 or the product underflows
+        reject(bad, DomainError, _PRESENT_OUTPUT, y0, r)
     w0 = (1.0 - a) * y0 / L0
 
     i0 = k1 - (1.0 - delta) * k0

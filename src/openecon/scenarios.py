@@ -82,6 +82,7 @@ def report_row(eq: Equilibrium, instance: ModelInstance) -> dict[str, float]:
     """
     if eq.r == 0:
         raise DomainError(f"row w0/r is undefined at r={eq.r}")
+    w1_pv = eq.w1 / (1.0 + eq.r)           # 0 where it underflows
     rows = {
         "tb0": eq.tb0,
         "r": eq.r,
@@ -94,7 +95,7 @@ def report_row(eq: Equilibrium, instance: ModelInstance) -> dict[str, float]:
         "C1": eq.C1,
         "i0_y0": eq.i0 / eq.y0,
         "c0_y0": eq.C0 / eq.y0,
-        "wage_ratio": eq.w0 / (eq.w1 / (1.0 + eq.r)),
+        "wage_ratio": eq.w0 / w1_pv if w1_pv else math.inf,
         "tb0_y0": eq.tb0 / eq.y0,
         "w0": eq.w0,
         "w0_r": eq.w0 / eq.r,

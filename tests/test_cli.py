@@ -414,6 +414,17 @@ class TestSchedules:
             assert (code, out) == (2, "")
             assert err == "error: --grid must be START,STOP,POINTS\n"
 
+    def test_grid_span_must_be_finite(self, monkeypatch):
+        """STOP - START = inf would make np.linspace overflow and warn."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        for argv in (["schedules"], ["sweep", "--closure", "welfare_sweep"]):
+            code, out, err = run([*argv, "--grid=-1e308,1.7e308,2"])
+            assert (code, out) == (2, "")
+            assert err == "error: --grid span STOP - START must be finite\n"
+
     def test_grid_points_capped_before_allocation(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("grid allocated")
@@ -668,7 +679,7 @@ FUZZ_VALUES = {
                   "a,b", "0.1,0.2,0.3", "0.01,inf", "-1.5,5e-324", ","],
     "--grid": ["0.3,0.6,4", "-1.5,1,6", "0.3,1.2,11", "0.1,1,5.5", "0.1,1",
                "0,1,1", "nan,1,3", "0.3,0.6,0", "1,0,3", "0,1,1000001",
-               "-inf,1,3", "5e-324,1e-300,3"],
+               "-inf,1,3", "5e-324,1e-300,3", "-1e308,1.7e308,2"],
     "--format": ["csv", "json"], "--mode": ["full", "partial"],
     "--instance-file": FILES, "--scenario-file": FILES,
 }
@@ -694,6 +705,9 @@ def fuzz_files(tmp_path_factory):
              "zero_rate.txt": "[z]\nrate = 0\n[b]\nrate = 0.4821\n",
              "tiny_years.txt": "years_per_period = 1e-300\n",
              "tiny_a1.txt": "A1 = 1e-320\n",
+             "tiny_output.txt": "K0 = 1e-250\nA0 = 1e-250\nl0_max = 1e-100\n",
+             "tiny_future_wage.txt": "A1 = 4.4e-323\n",
+             "rate_one.txt": "[one]\nrate = 1\n",
              "a_scenario.txt": "[a]\nrate = 0.5\n",
              "tiny_rate.txt": "[tiny]\nrate = 1e-310\n[good]\nrate = 0.4821\n"}
     for name, text in texts.items():

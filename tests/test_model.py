@@ -10,6 +10,7 @@ import copy
 import math
 import operator
 import pickle
+import re
 import sys
 import weakref
 from dataclasses import FrozenInstanceError, replace
@@ -285,6 +286,19 @@ class TestSolveAtRate:
     def test_inadmissible_rate(self, baseline):
         with pytest.raises(DomainError):
             solve_at_rate(baseline, -1.5)
+
+    def test_underflowed_present_output(self, baseline):
+        """a0 * L0 = 1e-349 underflows to 0, and with it y0 and w0: the
+        ratio rows and the trade-share objective divide by y0."""
+        tiny = model.with_parameters(baseline, {"k0": 1e-250, "a0": 1e-250,
+                                                "l0_max": 1e-100})
+        message = "present output must be positive; it is 0.0 at r={}"
+        with pytest.raises(DomainError, match="^" + re.escape(
+                message.format(0.5)) + "$"):
+            solve_at_rate(tiny, 0.5)
+        columns, errors = model.solve_rates(tiny, [0.3, 0.5])
+        assert errors == [(0, message.format(0.3)), (1, message.format(0.5))]
+        assert np.all(np.isnan(columns["y0"]))
 
 
 def outcome(fn, *args):

@@ -45,8 +45,8 @@ def reference_solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
     The future labor market is exogenous (l1 = l1_max), the firm picks
     future capital at the given r, the household splits its present-value
     income across the two periods, and the trade balances absorb the rest.
-    Raises DomainError for an inadmissible rate or a value out of floating
-    range, InfeasibleError for non-positive present-value income.  r is
+    Raises DomainError for an inadmissible rate, present output that
+    underflows to 0 or a value out of floating range, InfeasibleError for non-positive present-value income.  r is
     converted to a Python float first: its ** raises on overflow, where a
     numpy scalar's returns inf.
     """
@@ -64,6 +64,9 @@ def reference_solve_at_rate(instance: ModelInstance, r: float) -> Equilibrium:
         l0, binding = labor_supply_present(instance, r, w1)
         L0 = instance.n0 * l0
         y0 = output(instance.k0, instance.a0, L0, instance.alpha)
+        if y0 <= 0:
+            raise DomainError(f"present output must be positive; it is {y0} "
+                              f"at r={r}")
         w0 = wage_mpl(y0, L0, instance.alpha)
 
         i0 = k1 - (1.0 - instance.delta) * instance.k0
@@ -308,9 +311,9 @@ def assert_kernel_matches_reference(instance, rates):
 def edge_economies(b):
     """Overflow (of the firm's powers, of hours before the clamp, of the
     hours term in utility), log utility, L1 underflow, a tiny initial
-    capital, present or future output so large that income is NaN,
-    present hours so many that aggregate consumption is inf while c0 is
-    finite (which the replaced code let through and solve_at_rate rejects),
+    capital, present output that underflows to 0 (a0 * L0 = 1e-349),
+    present or future output so large that income is NaN, present hours
+    so many that aggregate consumption is inf while c0 is finite (which the replaced code let through and solve_at_rate rejects),
     and fields that are all finite while tb0 + s0n leaves the double range
     (at r = 2.0 both are -1.108e308; the overflow rule must accept them)."""
     return {
@@ -319,6 +322,7 @@ def edge_economies(b):
                                    l0_max=1.0, l1_max=1.0),
         "L1_underflow": replace(b, n1=1e-200, l1_max=1e-200),
         "tiny_k0": replace(b, k0=1e-300),
+        "zero_output": replace(b, k0=1e-250, a0=1e-250, l0_max=1e-100),
         "hours_overflow": replace(b, theta=0.05, alpha=0.2, a0=1e100),
         "utility_overflow": replace(b, theta=1.0, l1_max=1e200),
         "nan_income": replace(b, a0=1e300, n0=1e10),

@@ -8,7 +8,7 @@ import pytest
 
 from openecon import (ClosureSpec, DomainError, Scenario, apply_scenario,
                       paper_suite, report_row, run_suite, solve_at_rate)
-from openecon import closure, reference
+from openecon import closure, model, reference
 from openecon.model import ModelInstance, canonical_parameter
 from openecon.scenarios import (REFERENCE_TOLERANCE, ScenarioResult,
                                  _sign_checks, row_deviation)
@@ -146,6 +146,18 @@ class TestReportRow:
         with pytest.raises(DomainError, match=r"^row w0/r is undefined at r=0.0$"):
             report_row(solve_at_rate(baseline, 0.0), baseline)
 
+    def test_underflowed_discounted_future_wage(self, baseline):
+        """w1 = 5e-324 at r = 1, so w1/(1+r) rounds to 0."""
+        tiny = model.with_parameters(baseline, {"a1": 4.4e-323})
+        eq = solve_at_rate(tiny, 1.0)
+        assert eq.w1 == 5e-324 and eq.w1 / 2.0 == 0.0
+        with pytest.raises(DomainError, match=r"^row w0/\(w1/\(1\+r\)\) is "
+                                              r"not finite at r=1.0$"):
+            report_row(eq, tiny)
+        report = run_suite(tiny, [Scenario("one", rate=1.0)])
+        assert report.results[0].error == ("row w0/(w1/(1+r)) is not finite "
+                                           "at r=1.0")
+
     def test_row_deviation_modes(self):
         assert row_deviation(0.35, 0.34) == pytest.approx(0.01)
         assert row_deviation(101.0, 100.0) == pytest.approx(0.01)
@@ -173,6 +185,15 @@ class TestSuite:
         assert report.results[0].passed
         assert report.results[1].error == "alpha must lie in (0, 1)"
         assert not report.passed
+
+    def test_underflowed_present_output_fails_each_scenario(self, baseline):
+        tiny = model.with_parameters(baseline, {"k0": 1e-250, "a0": 1e-250,
+                                                "l0_max": 1e-100})
+        report = run_suite(tiny, paper_suite())
+        assert [r.error for r in report.results] == [
+            f"present output must be positive; it is 0.0 at r={s.rate}"
+            for s in paper_suite()]
+        assert report.sign_checks == [] and not report.passed
 
     def test_two_bad_values_name_the_first_checked(self, baseline):
         """Checks run in the instance's field order, gamma before alpha,
