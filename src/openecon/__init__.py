@@ -8,7 +8,7 @@ from .closure import (BracketError, ClosureDiagnostics, ClosureSpec,
                       welfare_stationarity_check)
 from .scenarios import (Scenario, apply_scenario, paper_suite, report_row,
                         run_suite)
-from .schedules import ScheduleCurve, compute_schedules, slope_check
+from .schedules import ScheduleCurve, compute_schedules
 from .reference import baseline_instance
 
 __all__ = [
@@ -17,7 +17,7 @@ __all__ = [
     "BracketError", "ClosureDiagnostics", "ClosureSpec", "ConvergenceError",
     "calibrated_labor_weight", "resolve_rate", "welfare_stationarity_check",
     "Scenario", "apply_scenario", "paper_suite", "report_row", "run_suite",
-    "ScheduleCurve", "compute_schedules", "slope_check",
+    "ScheduleCurve", "compute_schedules",
     "baseline_instance",
 ]
 

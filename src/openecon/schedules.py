@@ -27,7 +27,7 @@ sweeps) must not pay for loading numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (_OVERFLOW, _RATE_RULE, ModelInstance, _array_ops,
@@ -50,23 +50,13 @@ class ScheduleCurve:
     s1x: np.ndarray
     residual: np.ndarray           # s0n + s1x - i0
     mode: str
-    errors: list[tuple[int, str]] = field(default_factory=list)
+    errors: list[tuple[int, str]]  # (grid index, message) of each NaN point
 
 
-@dataclass
-class SlopeReport:
-    """Per-segment slope signs for the saving sum and the investment curve."""
-
-    segment_rates: np.ndarray        # midpoints of the grid segments
-    saving_sum_slope: np.ndarray
-    i0_slope: np.ndarray
-    flagged_segments: list[int]      # saving sum not upward in partial mode
-
-
-def default_grid(r_ref: float, points: int = 41) -> np.ndarray:
-    """Rate grid from r_ref - 0.2 to r_ref + 0.2, floored at 0.01."""
+def default_grid(r_ref: float) -> np.ndarray:
+    """41 rates from r_ref - 0.2 to r_ref + 0.2, floored at 0.01."""
     import numpy as np
-    return np.linspace(max(0.01, r_ref - 0.2), r_ref + 0.2, points)
+    return np.linspace(max(0.01, r_ref - 0.2), r_ref + 0.2, 41)
 
 
 def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibrium",
@@ -118,28 +108,3 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
         residual = s0n + s1x - i0
     return ScheduleCurve(grid=grid, i0=i0, s0n=s0n, s1x=s1x, residual=residual,
                          mode=mode, errors=errors)
-
-
-def slope_check(curve: ScheduleCurve) -> SlopeReport:
-    """Per-segment slope signs; flags non-upward saving segments in partial mode.
-
-    An upward-sloping saving sum (against the downward investment schedule)
-    is the local-stability condition behind the crossing geometry; in full
-    mode the sum tracks investment identically, so nothing is flagged.
-    """
-    import numpy as np
-    if curve.grid.size < 3:
-        raise ValueError("slope check needs at least 3 grid points")
-    d_r = np.diff(curve.grid)
-    saving_sum = curve.s0n + curve.s1x
-    d_sum = np.diff(saving_sum) / d_r
-    d_i0 = np.diff(curve.i0) / d_r
-    flagged = []
-    if curve.mode == "partial":
-        flagged = [int(j) for j in np.flatnonzero(d_sum <= 0)]
-    return SlopeReport(
-        segment_rates=0.5 * (curve.grid[:-1] + curve.grid[1:]),
-        saving_sum_slope=d_sum,
-        i0_slope=d_i0,
-        flagged_segments=flagged,
-    )
