@@ -208,7 +208,7 @@ def cmd_schedules(args, out, err) -> int:
 
 
 def cmd_check(args, out, err) -> int:
-    from . import acceptance   # loads numpy; the other commands need not
+    from . import acceptance   # only check runs the suite
     results = acceptance.run_all(emit=lambda line: out.write(line + "\n"))
     return 0 if all(r.passed for r in results) else 1
 

@@ -12,7 +12,7 @@ the reported rising segments are exactly those the analysis predicts, and
 that capital demand rises below alpha* and falls above it; see README.
 
 run_all evaluates what the criteria share once per call, with no cache:
-one paper-suite report, one sample of economies with their columns over
+one paper-suite report, one sample of economies with their equilibria at
 CHECK_RATES, and the five worst residuals over that sample.  The per-point
 loops this replaced are kept below as references, and the shared values
 must equal theirs exactly.
@@ -187,9 +187,9 @@ def test_sample_matches_per_point_loop(count, rates, rejected):
 
 def test_run_all_evaluates_shared_work_once_per_call(monkeypatch):
     """Each run_all, the first in a process or a repeat, runs the paper
-    suite once, samples the economies once and makes one solve_rates call
-    per sampled economy, plus criterion 10's."""
-    names = ("run_suite", "sample_feasible_instances", "solve_rates")
+    suite once, samples the economies once and solves each sampled economy
+    at the rates once (one _solve_at_rates call each), plus criterion 10's."""
+    names = ("run_suite", "sample_feasible_instances", "_solve_at_rates")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -206,4 +206,4 @@ def test_run_all_evaluates_shared_work_once_per_call(monkeypatch):
         results = run_all(emit=lambda line: None)
         assert [r.number for r in results if not r.passed] == [8]
         assert calls == {"run_suite": 1, "sample_feasible_instances": 1,
-                         "solve_rates": 101}
+                         "_solve_at_rates": 101}

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -589,9 +590,15 @@ print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules}))
 """
 
 
+def mask_run_time(text):
+    """check's output with criterion 1's run time masked, as the corpus has it."""
+    return re.sub(r"^(\w+  criterion 1: .*, )\d+( ms\))$", r"\1# ms)", text,
+                  flags=re.M)
+
+
 class TestStartUp:
-    """The scalar commands neither load nor need numpy, and CSV output
-    loads no json."""
+    """The scalar commands and check neither load nor need numpy, and CSV
+    output loads no json."""
 
     def test_scalar_commands_leave_numpy_unloaded(self):
         result = run_fresh(SCALAR_SCRIPT, "load", json.dumps(SCALAR_COMMANDS))
@@ -601,6 +608,16 @@ class TestStartUp:
     def test_scalar_commands_run_without_numpy(self):
         result = run_fresh(SCALAR_SCRIPT, "block", json.dumps(SCALAR_COMMANDS))
         assert result["runs"] == [list(run(argv)) for argv in SCALAR_COMMANDS]
+
+    def test_check_leaves_numpy_unloaded(self):
+        """check draws its economies from a pure-Python PCG64, and prints
+        the same lines whether numpy is importable or not."""
+        want = [1, mask_run_time(run(["check"])[1]), ""]
+        for how in ("load", "block"):
+            result = run_fresh(SCALAR_SCRIPT, how, json.dumps([["check"]]))
+            (code, out, err), = result["runs"]
+            assert [code, mask_run_time(out), err] == want
+            assert result["numpy"] is (how == "block")   # blocked: None
 
     def test_csv_sweep_leaves_json_unloaded(self):
         """Only the JSON writers import json."""
