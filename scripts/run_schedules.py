@@ -7,10 +7,14 @@ Each mode prints the 41 rates of schedules.default_grid(R), the slopes of
 the saving sum S0N + S1X and of I0 on the segment that starts at R, and,
 in partial mode, the segments where the saving sum does not rise: a saving
 sum rising against falling investment is the crossing's local-stability
-condition.  In full mode the sum tracks I0 identically.
+condition.  In full mode the sum tracks I0 identically.  A rate below
+0.01, where the grid's floor leaves it outside the grid, exits 2 with
+`error: r_ref must lie within the grid span` on stderr, as
+`openecon schedules --mode partial` does.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -27,8 +31,15 @@ def main():
     instance = baseline_instance()
     grid = default_grid(args.rate)
 
-    for mode in ("full_equilibrium", "partial"):
-        curve = compute_schedules(instance, grid, mode=mode, r_ref=args.rate)
+    try:
+        curves = [compute_schedules(instance, grid, mode=mode, r_ref=args.rate)
+                  for mode in ("full_equilibrium", "partial")]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    for curve in curves:
+        mode = curve.mode
         saving_sum_slope = np.diff(curve.s0n + curve.s1x) / np.diff(curve.grid)
         i0_slope = np.diff(curve.i0) / np.diff(curve.grid)
         print(f"== {mode} ==")
@@ -43,7 +54,8 @@ def main():
         if mode == "partial" and flagged:
             print("flagged segments:", flagged)
         print()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,11 +2,16 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import openecon
 from openecon import compute_schedules, solve_rates
 from openecon import model
 from openecon.schedules import MODES, default_grid
@@ -178,6 +183,18 @@ class TestValidationAndFlagging:
         assert grid[0] == pytest.approx(0.2821)
         assert grid[-1] == pytest.approx(0.6821)
         assert np.all(default_grid(0.05) >= 0.01)
+
+    def test_script_below_the_grid_floor_exits_2(self):
+        """run_schedules.py at a rate under default_grid's 0.01 floor leaves
+        partial mode's reference outside the grid; it says so and exits 2,
+        as `openecon schedules --mode partial --rate 0.005` does."""
+        src = Path(openecon.__file__).resolve().parents[1]
+        script = src.parent / "scripts" / "run_schedules.py"
+        proc = subprocess.run([sys.executable, str(script), "--rate", "0.005"],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: r_ref must lie within the grid span\n")
 
     def test_determinism(self, baseline):
         a = compute_schedules(baseline, GRID, mode="partial", r_ref=R_REF)
