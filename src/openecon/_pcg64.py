@@ -15,40 +15,39 @@ _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
+def _hasher(const: int, mult: int):
+    """SeedSequence's word hash, whose constant steps by `mult` per word."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return result ^ result >> 16
+
+
 def _seed_words(seed: int) -> list[int]:
     """SeedSequence(seed).generate_state(4, uint64), for a pool of 4 words."""
     entropy = [0] if seed == 0 else []
     while seed > 0:
         entropy.append(seed & _M32)
         seed >>= 32
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return result ^ result >> 16
-
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
     pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for word in entropy[4:]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    state, hash_const = [], 0x8B51F9DD
-    for value, _ in zip(cycle(pool), range(8)):
-        value ^= hash_const
-        hash_const = hash_const * 0x58F38DED & _M32
-        value = value * hash_const & _M32
-        state.append(value ^ value >> 16)
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [output(word) for word, _ in zip(cycle(pool), range(8))]
     return [state[j] | state[j + 1] << 32 for j in range(0, 8, 2)]
 
 
@@ -57,6 +56,8 @@ class PCG64:
     suite uses."""
 
     def __init__(self, seed: int):
+        # words 0-1 seed the state, 2-3 the odd increment; numpy steps from
+        # state 0 (to inc), adds the seed and steps once more
         s0, s1, i0, i1 = _seed_words(seed)
         self._inc = ((i0 << 64 | i1) << 1 | 1) & _M128
         self._state = (self._inc + (s0 << 64 | s1)) * _MULT + self._inc & _M128
