@@ -186,6 +186,9 @@ COMMANDS = [
     ["schedules", "--rate", "nan"],
     ["schedules", "--grid=0.3,0.6,1"],
     ["schedules", "--grid=0.3,0.6,3", "--rate", "5"],
+    # a default grid whose floor would put its start above its stop
+    ["schedules", "--rate", "-0.5"],
+    ["schedules", "--rate", "1e300"],
     # a grid whose span STOP - START overflows
     ["schedules", "--grid=-1e308,1.7e308,2"],
     ["sweep", "--closure", "welfare_sweep", "--grid=-1e308,1.7e308,2"],
