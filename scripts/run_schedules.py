@@ -10,7 +10,8 @@ sum rising against falling investment is the crossing's local-stability
 condition.  In full mode the sum tracks I0 identically.  A rate below
 0.01, where the grid's floor leaves it outside the grid, exits 2 with
 `error: r_ref must lie within the grid span` on stderr, as
-`openecon schedules --mode partial` does.
+`openecon schedules --mode partial` does; at a rate of -0.19 or less,
+where the 41 rates do not rise, the error is default_grid's.
 """
 
 import argparse
@@ -29,23 +30,22 @@ def main():
     args = parser.parse_args()
 
     instance = baseline_instance()
-    grid = default_grid(args.rate)
-
+    modes = ("full_equilibrium", "partial")
     try:
-        curves = [compute_schedules(instance, grid, mode=mode, r_ref=args.rate)
-                  for mode in ("full_equilibrium", "partial")]
+        grid = default_grid(args.rate)
+        results = [compute_schedules(instance, grid, mode=mode, r_ref=args.rate)
+                   for mode in modes]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for curve in curves:
-        mode = curve.mode
-        saving_sum_slope = np.diff(curve.s0n + curve.s1x) / np.diff(curve.grid)
-        i0_slope = np.diff(curve.i0) / np.diff(curve.grid)
+    for mode, (columns, _) in zip(modes, results):
+        i0, s0n, s1x = columns["i0"], columns["s0n"], columns["s1x"]
+        saving_sum_slope = np.diff(s0n + s1x) / np.diff(grid)
+        i0_slope = np.diff(i0) / np.diff(grid)
         print(f"== {mode} ==")
         print(f"{'r':>8} {'I0':>12} {'S0N':>12} {'S1X':>12} {'S-I':>12}")
-        for r, i, s0, s1, res in zip(curve.grid, curve.i0, curve.s0n,
-                                     curve.s1x, curve.residual):
+        for r, i, s0, s1, res in zip(grid, i0, s0n, s1x, columns["residual"]):
             print(f"{r:8.4f} {i:12.1f} {s0:12.1f} {s1:12.1f} {res:12.2f}")
         mid = i0_slope.size // 2
         print(f"slopes near r_ref: d(S0N+S1X)/dr = {saving_sum_slope[mid]:.1f}, "

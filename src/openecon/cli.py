@@ -14,7 +14,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import configio, schedules
-from .closure import KINDS, ClosureSpec, ConvergenceError, resolve_rate
+from .closure import KINDS, ClosureSpec, resolve_rate
 from .model import solve_at_rate
 from .scenarios import REFERENCE_TOLERANCE, paper_suite, run_suite
 from .reference import ROW_KEYS, ROW_LABELS, baseline_instance
@@ -193,15 +193,16 @@ def cmd_schedules(args, out, err) -> int:
     grid = (schedules.default_grid(rate) if args.grid is None
             else _parse_grid(args.grid))
     mode = "full_equilibrium" if args.mode == "full" else "partial"
-    curve = schedules.compute_schedules(instance, grid, mode=mode, r_ref=rate)
-    for index, message in curve.errors:
-        err.write(f"grid point {index} (r={curve.grid[index]:.6g}) skipped: "
+    columns, errors = schedules.compute_schedules(instance, grid, mode=mode,
+                                                  r_ref=rate)
+    for index, message in errors:
+        err.write(f"grid point {index} (r={grid[index]:.6g}) skipped: "
                   f"{message}\n")
-    points = configio.Records({"r": curve.grid, "I0": curve.i0,
-                               "S0N": curve.s0n, "S1X": curve.s1x,
-                               "residual": curve.residual})
+    points = configio.Records({"r": grid, "I0": columns["i0"],
+                               "S0N": columns["s0n"], "S1X": columns["s1x"],
+                               "residual": columns["residual"]})
     if args.format == "json":
-        out.write(configio.to_json({"mode": curve.mode, "points": points}))
+        out.write(configio.to_json({"mode": mode, "points": points}))
     else:
         out.write(configio.to_csv(points))
     return 0
@@ -236,7 +237,7 @@ def main(argv=None, out=None, err=None) -> int:
         if out is sys.stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return 1
-    except (ValueError, ConvergenceError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
     return status

@@ -37,7 +37,7 @@ class BracketError(ValueError):
     """The objective does not change sign over the supplied bracket."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ValueError):
     """Root finding did not reach TOLERANCE within MAX_ITERATIONS steps."""
 
 

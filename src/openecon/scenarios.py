@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import reference
-from .closure import ClosureSpec, ConvergenceError, resolve_rate
+from .closure import ClosureSpec, resolve_rate
 from .model import (DomainError, Equilibrium, ModelInstance, annualize_rate,
                     solve_at_rate, with_parameters)
 
@@ -223,7 +223,7 @@ def run_suite(base: ModelInstance, scenarios: list[Scenario]) -> SuiteReport:
     for s in scenarios:
         try:
             result = _run_one(base, s)
-        except (ValueError, ConvergenceError) as exc:
+        except ValueError as exc:
             result = ScenarioResult(name=s.name, rate=s.rate, rows={},
                                     reference=s.reference, error=str(exc))
         results.append(result)

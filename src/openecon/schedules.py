@@ -27,7 +27,6 @@ sweeps) must not pay for loading numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import (_OVERFLOW, _RATE_RULE, ModelInstance, _array_ops,
@@ -40,32 +39,26 @@ if TYPE_CHECKING:          # annotations only
 MODES = ("full_equilibrium", "partial")
 
 
-@dataclass
-class ScheduleCurve:
-    """I0, S0N, S1X per grid rate, with identity residuals."""
-
-    grid: np.ndarray
-    i0: np.ndarray
-    s0n: np.ndarray
-    s1x: np.ndarray
-    residual: np.ndarray           # s0n + s1x - i0
-    mode: str
-    errors: list[tuple[int, str]]  # (grid index, message) of each NaN point
-
-
 def default_grid(r_ref: float) -> np.ndarray:
-    """41 rates from r_ref - 0.2 to r_ref + 0.2, floored at 0.01."""
+    """41 rates from r_ref - 0.2 to r_ref + 0.2, floored at 0.01; ValueError
+    where they do not rise (r_ref <= -0.19, or so large they round together)."""
     import numpy as np
-    return np.linspace(max(0.01, r_ref - 0.2), r_ref + 0.2, 41)
+    grid = np.linspace(max(0.01, r_ref - 0.2), r_ref + 0.2, 41)
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError(f"no default grid at r_ref={r_ref:.6g}: its 41 rates "
+                         "from max(0.01, r_ref - 0.2) to r_ref + 0.2 do not rise")
+    return grid
 
 
 def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibrium",
-                      r_ref: float | None = None) -> ScheduleCurve:
-    """Evaluate the three schedules on `grid`.
+                      r_ref: float | None = None
+                      ) -> tuple[dict[str, np.ndarray], list[tuple[int, str]]]:
+    """The schedules on `grid`, as (columns, errors) like model.solve_rates.
 
-    Points where the model is inadmissible or a value overflows are recorded
-    in `errors` and set to NaN.  Partial mode requires r_ref inside the grid
-    span.
+    columns maps i0, s0n, s1x and residual (s0n + s1x - i0) to arrays over
+    the grid.  errors lists (j, message) for each point where the model is
+    inadmissible or a value overflows; those points are NaN.  Partial mode
+    requires r_ref inside the grid span.
     """
     import numpy as np
     grid = np.asarray(grid, dtype=float)
@@ -106,5 +99,4 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
 
     with np.errstate(all="ignore"):
         residual = s0n + s1x - i0
-    return ScheduleCurve(grid=grid, i0=i0, s0n=s0n, s1x=s1x, residual=residual,
-                         mode=mode, errors=errors)
+    return {"i0": i0, "s0n": s0n, "s1x": s1x, "residual": residual}, errors

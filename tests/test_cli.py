@@ -638,8 +638,8 @@ import openecon
 loaded = "openecon.schedules" in sys.modules
 numpy_at_import = "numpy" in sys.modules
 from openecon import baseline_instance, compute_schedules
-curve = compute_schedules(baseline_instance(), [0.3, 0.5, 0.7])
-print(json.dumps([loaded, numpy_at_import, curve.i0.tolist()]))
+columns, _ = compute_schedules(baseline_instance(), [0.3, 0.5, 0.7])
+print(json.dumps([loaded, numpy_at_import, columns["i0"].tolist()]))
 """)
         loaded, numpy_at_import, i0 = result
         assert loaded and not numpy_at_import

@@ -53,6 +53,17 @@ class TestBalancedTrade:
                            match="^no convergence after 1 root-finding steps$"):
             resolve_rate(baseline, spec)
 
+    def test_convergence_error_is_a_value_error(self, baseline, monkeypatch):
+        """Every refusal is a ValueError, so one except clause catches all."""
+        monkeypatch.setattr(closure_mod, "MAX_ITERATIONS", 1)
+        spec = ClosureSpec("balanced_trade", bracket=(0.4821, 2.0))
+        try:
+            resolve_rate(baseline, spec)
+        except ValueError as exc:
+            assert type(exc) is ConvergenceError
+        else:
+            pytest.fail("resolve_rate converged in one step")
+
 
 def test_headline_claim_on_sampled_economies():
     """The paper's claim, on the model: a higher discount rate rho or a
@@ -336,9 +347,9 @@ def closure_objective(instance, spec):
     def objective(r):
         eq = solve_at_rate(instance, r)
         if spec.kind == "balanced_trade":
-            return eq.tb0, abs(eq.tb0) <= spec.tolerance * eq.y0
+            return eq.tb0, abs(eq.tb0) <= closure_mod.TOLERANCE * eq.y0
         f = eq.tb0 / eq.y0 - spec.target_share
-        return f, abs(f) <= spec.tolerance
+        return f, abs(f) <= closure_mod.TOLERANCE
     return objective
 
 
@@ -365,7 +376,7 @@ class TestFindRoot:
                             bracket=(lo, hi)))
         objective = closure_objective(instance, spec)
         try:
-            reference_bisect(objective, lo, hi, spec.max_iterations)
+            reference_bisect(objective, lo, hi, closure_mod.MAX_ITERATIONS)
         except BracketError:
             with pytest.raises(BracketError):
                 resolve_rate(instance, spec)
