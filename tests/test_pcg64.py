@@ -2,8 +2,8 @@
 
 acceptance draws its economies from openecon._pcg64.PCG64(seed) so that
 `check` runs without numpy; these tests hold it to
-numpy.random.default_rng(seed) bit for bit, on seeds of one, two and three
-32-bit words and on random interleavings of uniform and integers draws.
+numpy.random.default_rng(seed) bit for bit, on seeds of one to nine 32-bit
+words and on random interleavings of uniform and integers draws.
 """
 
 import numpy as np
@@ -13,9 +13,13 @@ from hypothesis import strategies as st
 from openecon._pcg64 import PCG64
 from openecon.acceptance import CHECK_RATES, _linspace, sample_instance
 
+# seeds of five words and more take _seed_words' loop over entropy words
+# past the pool's four
 SEEDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 70),
+                  st.integers(2 ** 128, 2 ** 256),
                   st.sampled_from([0, 7, 20260824, 2 ** 32, 2 ** 64 - 1,
-                                   2 ** 64, 2 ** 64 + 1]))
+                                   2 ** 64, 2 ** 64 + 1, 2 ** 128 - 1, 2 ** 128,
+                                   2 ** 130, 2 ** 200 + 12345]))
 FINITE = st.floats(-1e6, 1e6)
 # ("uniform", lo, span) or ("integers", lo, width): width 1 draws nothing,
 # and Lemire's method redraws about half the draws of width 2**31 + 1
