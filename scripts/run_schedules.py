@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from openecon import baseline_instance, compute_schedules
-from openecon.schedules import default_grid
+from openecon.schedules import MODES, default_grid
 
 
 def main():
@@ -30,16 +30,15 @@ def main():
     args = parser.parse_args()
 
     instance = baseline_instance()
-    modes = ("full_equilibrium", "partial")
     try:
         grid = default_grid(args.rate)
         results = [compute_schedules(instance, grid, mode=mode, r_ref=args.rate)
-                   for mode in modes]
+                   for mode in MODES]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for mode, (columns, _) in zip(modes, results):
+    for mode, (columns, _) in zip(MODES, results):
         i0, s0n, s1x = columns["i0"], columns["s0n"], columns["s1x"]
         saving_sum_slope = np.diff(s0n + s1x) / np.diff(grid)
         i0_slope = np.diff(i0) / np.diff(grid)
