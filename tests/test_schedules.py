@@ -29,6 +29,16 @@ def slopes(grid, columns):
             np.diff(columns["i0"]) / d_r)
 
 
+def run_script(rate):
+    """(exit code, stdout, stderr) of scripts/run_schedules.py --rate RATE."""
+    src = Path(openecon.__file__).resolve().parents[1]
+    script = src.parent / "scripts" / "run_schedules.py"
+    proc = subprocess.run([sys.executable, str(script), "--rate", rate],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestFullEquilibrium:
     def test_investment_strictly_decreasing(self, baseline):
         columns, _ = compute_schedules(baseline, GRID)
@@ -213,22 +223,19 @@ class TestValidationAndFlagging:
                 r"from max\(0\.01, r_ref - 0\.2\) to r_ref \+ 0\.2 do not rise$")):
             default_grid(r_ref)
 
-    @pytest.mark.parametrize("rate, message", [
-        ("0.005", "r_ref must lie within the grid span"),
-        ("-0.5", "no default grid at r_ref=-0.5: its 41 rates from "
-                 "max(0.01, r_ref - 0.2) to r_ref + 0.2 do not rise")])
-    def test_script_below_the_grid_floor_exits_2(self, rate, message):
+    def test_script_below_the_grid_floor_exits_2(self):
         """run_schedules.py at a rate under default_grid's 0.01 floor leaves
-        partial mode's reference outside the grid, and at -0.19 or less the
-        default grid does not rise; it says so and exits 2, as
-        `openecon schedules --mode partial --rate R` does."""
-        src = Path(openecon.__file__).resolve().parents[1]
-        script = src.parent / "scripts" / "run_schedules.py"
-        proc = subprocess.run([sys.executable, str(script), "--rate", rate],
-                              env={**os.environ, "PYTHONPATH": str(src)},
-                              capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            2, "", f"error: {message}\n")
+        partial mode's reference outside the grid; it says so and exits 2,
+        as `openecon schedules --mode partial --rate 0.005` does."""
+        assert run_script("0.005") == (
+            2, "", "error: r_ref must lie within the grid span\n")
+
+    def test_script_without_a_default_grid_exits_2(self):
+        """At -0.19 or less the default grid does not rise: the script
+        prints default_grid's message, with no traceback, and exits 2."""
+        assert run_script("-0.5") == (
+            2, "", "error: no default grid at r_ref=-0.5: its 41 rates from "
+            "max(0.01, r_ref - 0.2) to r_ref + 0.2 do not rise\n")
 
     def test_determinism(self, baseline):
         a, _ = compute_schedules(baseline, GRID, mode="partial", r_ref=R_REF)
