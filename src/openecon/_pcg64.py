@@ -33,7 +33,7 @@ def _mix(x: int, y: int) -> int:
 
 def _seed_words(seed: int) -> list[int]:
     """SeedSequence(seed).generate_state(4, uint64), for a pool of 4 words."""
-    entropy = [0] if seed == 0 else []
+    entropy = []
     while seed > 0:
         entropy.append(seed & _M32)
         seed >>= 32

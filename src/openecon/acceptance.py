@@ -16,9 +16,8 @@ from ._pcg64 import PCG64
 from .closure import (ClosureSpec, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
 from .model import (DomainError, Equilibrium, InfeasibleError, ModelInstance,
-                    _equilibrium, _euler_factor, _values_at_rate,
-                    annualize_rate, capital_demand, solve_at_rate,
-                    with_parameters)
+                    _euler_factor, annualize_rate, capital_demand,
+                    solve_at_rate, with_parameters)
 from .reference import baseline_instance
 from .scenarios import paper_suite, run_suite
 
@@ -75,7 +74,7 @@ def sample_instance(rng) -> ModelInstance:
 def _solve_at_rates(instance: ModelInstance, rates) -> list[Equilibrium] | None:
     """The equilibrium at each of `rates`, or None if any solve raises."""
     try:
-        return [_equilibrium(_values_at_rate(instance, r)) for r in rates]
+        return [solve_at_rate(instance, r) for r in rates]
     except (DomainError, InfeasibleError):
         return None
 

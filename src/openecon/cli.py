@@ -118,9 +118,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _closure_from_args(args) -> ClosureSpec:
     return ClosureSpec(
         kind=args.closure, target_share=args.target,
-        bracket=None if args.bracket is None else tuple(_parse_fields(
-            args.bracket, "--bracket", "LO,HI", (float, float))),
-        grid=() if args.grid is None else tuple(_parse_grid(args.grid)))
+        bracket=None if args.bracket is None else _parse_fields(
+            args.bracket, "--bracket", "LO,HI", (float, float)),
+        grid=() if args.grid is None else _parse_grid(args.grid))
 
 
 def _emit_equilibrium(eq, fmt, out, diagnostics=None):

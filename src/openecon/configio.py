@@ -1,8 +1,8 @@
 """Plain-text instance and scenario files, plus CSV/JSON emission helpers.
 
 Instance files are flat `key = value` lines, at most one per parameter of
-model.PARAMETERS, in any spelling canonical_parameter accepts, each value
-checked by check_parameter.
+model.PARAMETERS, each value checked by check_parameter.  Both kinds of
+file name a parameter by its spelling or field, resolved by _parameter.
 Scenario files group lines under `[name]` headers; inside a section,
 `set.<param> = v` overrides a parameter, `perturb.<param> = f` scales it,
 and either `rate = r` or a `closure = kind` line, with the closure keys it
@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 
 from .closure import ClosureSpec
-from .model import (DomainError, ModelInstance, canonical_parameter,
-                    check_parameter, with_parameters)
+from .model import (PARAMETERS, DomainError, ModelInstance, check_parameter,
+                    with_parameters)
 from .scenarios import Scenario
 from .reference import baseline_instance
 
@@ -65,9 +65,15 @@ def _once(seen: dict[str, int], name: str, lineno: int, what: str) -> None:
     seen[name] = lineno
 
 
+_SPELLINGS = {name.lower(): field for spelling, field, _, _ in PARAMETERS
+              for name in (spelling, field)}
+
+
 def _parameter(lineno: int, name: str) -> str:
+    """The field of a parameter's file spelling or field name (e.g. 'A1',
+    'tax0' or 'a1'), in any case, ignoring surrounding space."""
     try:
-        return canonical_parameter(name)
+        return _SPELLINGS[name.strip().lower()]
     except KeyError:
         raise ParseError(f"line {lineno}: unknown parameter {name!r}") from None
 

@@ -73,21 +73,6 @@ PARAMETERS = (
      "years_per_period must be positive"),
 )
 
-_CANONICAL = {name.lower(): field for spelling, field, _, _ in PARAMETERS
-              for name in (spelling, field)}
-
-
-def canonical_parameter(name: str) -> str:
-    """Normalize a parameter spelling (e.g. 'A1', 'tax0') to its field.
-
-    Spellings and fields match case-insensitively, ignoring surrounding space.
-    """
-    try:
-        return _CANONICAL[name.strip().lower()]
-    except KeyError:
-        raise KeyError(f"unknown parameter {name!r}") from None
-
-
 @dataclass(frozen=True, kw_only=True, slots=True)
 class ModelInstance:
     """A complete parameterization of the two-period economy.
@@ -152,17 +137,13 @@ def _check(pairs) -> None:
     """Raise the DomainError of the first (field, value) pair, in the order
     given, that a range rule of PARAMETERS rejects, else of the first value
     that is not finite.  Every rule reads one field."""
-    total = 0.0
     for field, value in pairs:
         rule, message = _RULES[field]
         if rule is not None and rule(value):
             raise DomainError(message)
-        total += value
-    # A NaN or inf makes the sum one; a sum that overflows costs the loop.
-    if not math.isfinite(total):
-        for field, value in pairs:
-            if not math.isfinite(value):
-                raise DomainError(f"{field} must be finite")
+    for field, value in pairs:
+        if not math.isfinite(value):
+            raise DomainError(f"{field} must be finite")
 
 
 def check_parameter(field: str, value: float) -> None:
@@ -303,17 +284,13 @@ def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _check_rate(instance: ModelInstance, r, reject):
-    """check_rate's test on a float or a rate array, through `reject`;
-    returns the points it rejects (False for a passing float)."""
+    """The rate rule, r > -1 and delta + r > MIN_GROSS_RETURN (not NaN), on
+    a float or a rate array, run once per evaluation: returns the points it
+    rejects (False for a passing float), after passing them to `reject`."""
     bad = (r <= -1.0) | (instance.delta + r <= MIN_GROSS_RETURN) | (r != r)
     if bad is not False:
         reject(bad, DomainError, _RATE_RULE, r)
     return bad
-
-
-def check_rate(instance: ModelInstance, r: float) -> None:
-    """Raise DomainError unless r > -1 and delta + r > MIN_GROSS_RETURN (not NaN)."""
-    _check_rate(instance, r, _reject)
 
 
 def _capital_demand(instance: ModelInstance, L1: float, r, power):
@@ -328,7 +305,7 @@ def capital_demand(instance: ModelInstance, L1: float, r: float) -> float:
     where (1-alpha)/alpha + ln(alpha/(delta+r)) < 0 and rising where that
     is positive: hump-shaped, peaking near alpha = 0.4615 at delta + r = 1.4821.
     """
-    check_rate(instance, r)
+    _check_rate(instance, r, _reject)
     if L1 <= 0:
         raise DomainError(_L1_RULE)
     return _capital_demand(instance, L1, r, operator.pow)
@@ -360,7 +337,8 @@ def annualize_rate(per_period: float, years: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
-    """The complete equation system at r, a float or an array of rates.
+    """The complete equation system at r, a float or an array of rates that
+    the caller has passed through _check_rate.
 
     The future labor market is exogenous (l1 = l1_max), the firm picks
     future capital at the given r, the household splits its present-value
@@ -375,7 +353,6 @@ def _system(instance: ModelInstance, r, ops: _Ops) -> tuple:
     a, a1, k0, delta = instance.alpha, instance.a1, instance.k0, instance.delta
     gamma, theta, phi = instance.gamma, instance.theta, instance.phi
     n0, n1, g0, t0 = instance.n0, instance.n1, instance.g0, instance.t0
-    _check_rate(instance, r, reject)
     R = 1.0 + r
     k0_a = power(k0, a)
 
@@ -457,6 +434,7 @@ def _values_at_rate(instance: ModelInstance, r: float) -> tuple:
     """solve_at_rate's values, without the record.  r becomes a Python float
     first: its ** raises on overflow, where a numpy scalar's returns inf."""
     r = float(r)
+    _check_rate(instance, r, _reject)
     try:
         return _system(instance, r, _FLOATS)
     except OverflowError:      # where Python's float ** exceeds the double range

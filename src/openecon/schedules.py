@@ -16,7 +16,7 @@ Two modes:
 
 Both modes evaluate the whole grid as arrays: full mode through
 model.solve_rates, partial mode through the model's rate check, capital
-demand and Euler factor with its array ops.  Values are bit-identical to the
+demand and Euler factor with np.float_power.  Values are bit-identical to the
 per-point scalar functions, and inadmissible, infeasible or overflowing
 points carry the scalar path's error messages.
 
@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .model import (_OVERFLOW, _RATE_RULE, ModelInstance, _array_ops,
-                    _capital_demand, _check_rate, _euler_factor, solve_at_rate,
-                    solve_rates)
+from .model import (_OVERFLOW, _RATE_RULE, ModelInstance, _capital_demand,
+                    _check_rate, _euler_factor, solve_at_rate, solve_rates)
 
 if TYPE_CHECKING:          # annotations only
     import numpy as np
@@ -81,17 +80,16 @@ def compute_schedules(instance: ModelInstance, grid, mode: str = "full_equilibri
         ref = solve_at_rate(instance, r_ref)
         inc0 = ref.w0 * ref.l0 + ref.x0 - ref.tax0
         inc1 = ref.w1 * ref.l1 + ref.x1 - ref.tax1
-        ops, ok = _array_ops(grid.shape)
         with np.errstate(all="ignore"):
-            inadmissible = _check_rate(instance, grid, ops.reject)
+            inadmissible = _check_rate(instance, grid, lambda *_: None)
             R = 1.0 + grid
-            k1 = _capital_demand(instance, ref.L1, grid, ops.power)
-            growth = _euler_factor(instance, grid, ops.power)
+            k1 = _capital_demand(instance, ref.L1, grid, np.float_power)
+            growth = _euler_factor(instance, grid, np.float_power)
             c0 = (inc0 + inc1 / R) / (1.0 + growth / R)
             i0 = k1 - (1.0 - instance.delta) * instance.k0
             s0n = ref.y0 - instance.n0 * c0 - instance.g0
             s1x = ref.tb1 / R
-        ok &= np.isfinite(i0) & np.isfinite(s0n) & np.isfinite(s1x)
+        ok = ~inadmissible & np.isfinite(i0) & np.isfinite(s0n) & np.isfinite(s1x)
         errors = [(int(j), (_RATE_RULE if inadmissible[j] else
                             _OVERFLOW).format(grid[j]))
                   for j in np.flatnonzero(~ok)]

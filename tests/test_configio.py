@@ -116,6 +116,11 @@ class TestInstanceRoundTrip:
             parse_instance(text)
         assert str(info.value) == message
 
+    def test_finite_values_whose_sum_overflows_parse(self):
+        instance = parse_instance("K0 = 1.5e308\nl0_max = 1.5e308\n"
+                                  "l1_max = 1.5e308\n")
+        assert (instance.k0, instance.l0_max, instance.l1_max) == (1.5e308,) * 3
+
     @pytest.mark.parametrize("text, error, message", [
         ("K0 = -1\nfoo = 1\n", ParseError, "line 2: unknown parameter 'foo'"),
         ("K0 = -1\nalpha = x\n", ParseError,
@@ -124,6 +129,7 @@ class TestInstanceRoundTrip:
          "line 1: alpha must lie in (0, 1)"),
         ("gamma = inf\nalpha = 3\n", DomainError, "line 1: gamma must be finite"),
         ("tax0 = inf\n", DomainError, "line 1: t0 must be finite"),
+        ("tax0 = -inf\nG0 = inf\n", DomainError, "line 1: t0 must be finite"),
     ])
     def test_precedence(self, text, error, message):
         """Every line parses before any value is checked; values are then

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from openecon import (DomainError, InfeasibleError, ModelInstance,
                       annualize_rate, baseline_instance, capital_demand,
-                      solve_at_rate)
-from openecon import model
+                      compute_schedules, solve_at_rate, solve_rates)
+from openecon import model, schedules
 from openecon.acceptance import sample_instance
 from openecon.closure import ClosureSpec, resolve_rate
 import reference_model
@@ -339,7 +339,7 @@ class TestValuePath:
 
     def test_passing_checks_make_no_call(self, baseline, rejects):
         solve_at_rate(baseline, 0.4821)
-        model.check_rate(baseline, 0.4821)
+        model.capital_demand(baseline, 1.0, 0.4821)
         assert rejects == []
         model._values_at_rate(baseline, 0.4821)
         assert rejects == []
@@ -348,8 +348,32 @@ class TestValuePath:
         with pytest.raises(DomainError, match="^inadmissible rate r=-1.5 "):
             solve_at_rate(baseline, -1.5)
         with pytest.raises(DomainError, match="^inadmissible rate r=nan "):
-            model.check_rate(baseline, math.nan)
+            model.capital_demand(baseline, 1.0, math.nan)
         assert len(rejects) == 2
+
+    def test_rate_rule_runs_once_per_evaluation(self, baseline, monkeypatch):
+        """Each evaluation passes its rate, or its array of rates, through
+        model._check_rate once: the kernel does not check again."""
+        checked, check = [], model._check_rate
+
+        def counting(instance, r, reject):
+            checked.append(r)
+            return check(instance, r, reject)
+
+        monkeypatch.setattr(model, "_check_rate", counting)
+        monkeypatch.setattr(schedules, "_check_rate", counting)
+        model._values_at_rate(baseline, 0.4821)
+        assert checked == [0.4821]
+        rates = np.linspace(0.1, 1.0, 10_000)
+        checked.clear()
+        columns, errors = solve_rates(baseline, rates)
+        assert errors == [] and len(checked) == 1
+        assert np.array_equal(checked[0], rates)
+        # partial mode: its reference solve's one check, then the grid's one
+        checked.clear()
+        compute_schedules(baseline, rates, "partial", 0.4821)
+        assert len(checked) == 2 and checked[0] == 0.4821
+        assert np.array_equal(checked[1], rates)
 
     def test_passing_evaluation_makes_five_python_calls(self, baseline):
         # _values_at_rate, _system, the beta property, _check_rate, _clamp;
@@ -562,6 +586,17 @@ class TestValidation:
         # and every range check before the finiteness check
         with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\)$"):
             model.with_parameters(BASE, {"gamma": math.inf, "alpha": 3.0})
+
+    def test_finite_values_whose_sum_overflows_build(self):
+        huge = dict.fromkeys(("k0", "l0_max", "l1_max"), 1.5e308)
+        record = replace(BASE, **huge)
+        assert model.with_parameters(BASE, huge) == record
+        assert (record.k0, record.l0_max, record.l1_max) == (1.5e308,) * 3
+
+    def test_first_non_finite_field_in_field_order(self):
+        # g0 comes before t0 in field order, whatever order the dict gives
+        with pytest.raises(DomainError, match="^g0 must be finite$"):
+            model.with_parameters(BASE, {"t0": -math.inf, "g0": math.inf})
 
     def test_keywords_only(self):
         values = [getattr(BASE, name) for name in ModelInstance.__dataclass_fields__]

@@ -9,7 +9,8 @@ import pytest
 from openecon import (ClosureSpec, DomainError, Scenario, apply_scenario,
                       paper_suite, report_row, run_suite, solve_at_rate)
 from openecon import closure, model, reference
-from openecon.model import ModelInstance, canonical_parameter
+from openecon.configio import ParseError, _parameter
+from openecon.model import ModelInstance
 from openecon.scenarios import (REFERENCE_TOLERANCE, ScenarioResult,
                                  _sign_checks, row_deviation)
 
@@ -124,10 +125,10 @@ class TestApplyScenario:
         for spelling, path in SPELLINGS.items():
             for name in (spelling, path):
                 for form in (name, name.upper(), f"  {name}\t "):
-                    assert canonical_parameter(form) == path, form
+                    assert _parameter(1, form) == path, form
         for name in ("tax", "t1", "A 1", "alpha0", ""):
-            with pytest.raises(KeyError):
-                canonical_parameter(name)
+            with pytest.raises(ParseError, match="^line 1: unknown parameter "):
+                _parameter(1, name)
 
 
 class TestReportRow:

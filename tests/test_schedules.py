@@ -157,9 +157,10 @@ class TestValidationAndFlagging:
                                                  mode):
         """On the baseline, 1429 of these 10k rates are below -1.  Their
         messages come from the array pass's rate check, byte for byte as the
-        per-point replay gave them.  No float check rejects a point (neither
-        in a float solve nor in check_rate, which calls model._reject), and
-        the only float solve is partial mode's at its reference rate."""
+        per-point replay gave them.  No float check rejects a point (the
+        float path's rate check and kernel both reject through
+        model._reject), and the only float solve is partial mode's at its
+        reference rate."""
         replayed, values_at_rate, float_reject = [], model._values_at_rate, \
             model._reject
 
