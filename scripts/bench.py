@@ -20,10 +20,11 @@ of one passing scalar evaluation, `_values_at_rate` of the baseline at
 r = 0.4821, and its time in microseconds (the `timeit` minimum), measured
 in a child that imports openecon from ROOT/src; it is null where that
 child fails.
-`src_split` counts the lines of ROOT's src/openecon/*.py by kind with the
-tokenize module: a docstring line lies inside a string token that is a
-statement on its own (blank lines inside it included), a code line holds
-any other token, a comment line only a comment, and a blank line nothing.
+`src_split_by_file` counts the lines of each of ROOT's src/openecon/*.py
+by kind with the tokenize module: a docstring line lies inside a string
+token that is a statement on its own (blank lines inside it included), a
+code line holds any other token, a comment line only a comment, and a blank
+line nothing.  `src_split` is its sum over the files.
 Standard library only.  Runs one process at a time: perfbench pins itself
 and its children to one CPU.
 """
@@ -44,6 +45,7 @@ from time import perf_counter
 HERE_ROOT = Path(__file__).resolve().parents[1]
 SEED = 1   # the seed CI runs, so BENCH files and CI logs compare directly
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+KINDS = ("code", "docstring", "comment", "blank")
 KERNEL_PROBE = """
 import json, sys, timeit
 from openecon.model import _values_at_rate
@@ -77,12 +79,14 @@ def src_tree(root: Path) -> str | None:
         return proc.stdout.strip()
 
 
-def src_split(root: Path) -> dict[str, int]:
-    """Code, docstring, comment and blank lines of root/src/openecon/*.py."""
-    counts = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+def src_split_by_file(root: Path) -> dict[str, dict[str, int]]:
+    """File name -> its code, docstring, comment and blank lines, for each
+    root/src/openecon/*.py."""
+    split = {}
     starts = (tokenize.ENCODING, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
     ends = (tokenize.NEWLINE, tokenize.ENDMARKER)
     for path in sorted((root / "src" / "openecon").glob("*.py")):
+        counts = split[path.name] = dict.fromkeys(KINDS, 0)
         with open(path, "rb") as fh:
             tokens = [t for t in tokenize.tokenize(fh.readline)
                       if t.type not in (tokenize.NL, tokenize.COMMENT)]
@@ -98,7 +102,7 @@ def src_split(root: Path) -> dict[str, int]:
             kind = ("code" if lineno in code else "docstring" if lineno in docstring
                     else "blank" if not line.strip() else "comment")
             counts[kind] += 1
-    return counts
+    return split
 
 
 def perfbench(root: Path, workload: str, seconds: float, trace: int,
@@ -181,7 +185,9 @@ def main(argv=None) -> int:
         print(f"{workload}: {record['workloads'][workload]['end_to_end']}",
               file=sys.stderr)
     record["repo.src_lines"] = traced["metrics"]["repo.src_lines"]["value"]
-    record["src_split"] = src_split(root)
+    by_file = record["src_split_by_file"] = src_split_by_file(root)
+    record["src_split"] = {kind: sum(counts[kind] for counts in by_file.values())
+                           for kind in KINDS}
     record["kernel"] = kernel(root)
     record["tier1"] = tier1(root)
 
