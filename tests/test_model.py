@@ -366,7 +366,7 @@ class TestValuePath:
         assert checked == [0.4821]
         rates = np.linspace(0.1, 1.0, 10_000)
         checked.clear()
-        columns, errors = solve_rates(baseline, rates)
+        _, errors = solve_rates(baseline, rates)
         assert errors == [] and len(checked) == 1
         assert np.array_equal(checked[0], rates)
         # partial mode: its reference solve's one check, then the grid's one
