@@ -10,8 +10,10 @@ odd pairs CHANGE first, so a drift in the machine's speed falls on both
 sides.  Each run is read through its result line.  For every
 end-to-end metric of PARENT's BENCHMARK.json the script prints each side's
 median and quartiles, the ratio of the medians (CHANGE / PARENT), how many
-pairs CHANGE won, and whether the median moved by more than the distance
-between PARENT's quartiles; then every run's `correct` and `failed`.
+pairs CHANGE won, whether the median moved by more than the distance
+between PARENT's quartiles, and whether it stayed within the metric's
+`bound`: CHANGE's median is worse than PARENT's by at most `bound` times
+PARENT's median.  Then every run's `correct` and `failed`.
 Standard library only; openecon is never imported here.
 """
 
@@ -58,7 +60,8 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}, {args.pairs} pairs, seeds "
           f"{args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'metric':<12} {'parent: median [q1, q3]':<36} "
-          f"{'change: median [q1, q3]':<36} {'ratio':>7} {'wins':>6}  beyond IQR")
+          f"{'change: median [q1, q3]':<36} {'ratio':>7} {'wins':>6}  "
+          "beyond IQR  within bound")
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
         old, new = ([r["metrics"][name]["value"] for r in results[side]]
@@ -69,7 +72,8 @@ def main(argv=None) -> int:
         print(f"{name:<12} {f'{pm:.5g} [{p1:.5g}, {p3:.5g}]':<36} "
               f"{f'{cm:.5g} [{c1:.5g}, {c3:.5g}]':<36} "
               f"{cm / pm if pm else float('nan'):>7.4f} {wins:>3}/{args.pairs:<2}"
-              f"  {'yes' if gain > p3 - p1 else 'no'}")
+              f"  {'yes' if gain > p3 - p1 else 'no':<10}"
+              f"  {'yes' if -gain <= metric['bound'] * pm else 'no'}")
     for side in ("parent", "change"):
         runs = ", ".join(f"{r['correct']}/{r['failed']}" for r in results[side])
         print(f"{side} correct/failed per pair: {runs}")

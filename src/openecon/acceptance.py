@@ -56,7 +56,7 @@ def sample_instance(rng) -> ModelInstance:
     stays positive across the standard rate grid; draws that still turn out
     infeasible are rejected by the callers.
     """
-    n = float(rng.integers(1, 40))
+    n = rng.integers(1, 40)
     return ModelInstance(
         gamma=rng.uniform(0.5, 3.0), theta=rng.uniform(1.0, 12.0),
         rho=rng.uniform(0.05, 1.0), phi=rng.uniform(0.5, 2.0),

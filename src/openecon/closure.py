@@ -21,14 +21,7 @@ DEFAULT_BRACKET = (0.01, 2.0)
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-10      # root finding's bound on |tb0|/y0 or |tb0/y0 - target|
 STEP = 1e-4            # welfare_stationarity_check's finite-difference step
-# kind -> {each input it reads: its default, or None where it must be given}
-_ROOT_FINDING = {"bracket": DEFAULT_BRACKET}
-_INPUTS = {
-    "balanced_trade": _ROOT_FINDING,
-    "trade_share_target": {"target_share": None, **_ROOT_FINDING},
-    "welfare_sweep": {"grid": None},
-}
-KINDS = tuple(_INPUTS)
+KINDS = ("balanced_trade", "trade_share_target", "welfare_sweep")
 _Y0, _L0, _W0, _C0, _TB0, _WELFARE = map(
     _FIELDS.index, ("y0", "l0", "w0", "c0", "tb0", "welfare"))
 
@@ -45,10 +38,10 @@ class ConvergenceError(ValueError):
 class ClosureSpec:
     """How to choose r.
 
-    kind is one of KINDS, and _INPUTS states the inputs it reads and their
-    defaults; target_share is the desired tb0/y0.  An input is unset when
-    None (grid when empty), and a given one that its kind does not read is
-    refused.  bracket and grid are kept as tuples: copies, not the caller's.
+    kind is one of KINDS; target_share is the desired tb0/y0.  An input is
+    unset when None (grid when empty).  __post_init__ states what each kind
+    needs, defaults or refuses: target_share, then bracket, then grid.
+    bracket and grid are kept as tuples: copies, not the caller's.
     """
 
     kind: str
@@ -64,18 +57,18 @@ class ClosureSpec:
                 object.__setattr__(self, name, tuple(value))
         if self.kind not in KINDS:
             raise ValueError(f"unknown closure kind {self.kind!r}")
-        inputs = _INPUTS[self.kind]
-        for name in ("target_share", "bracket", "grid"):
-            value = getattr(self, name)
-            noun = "rate grid" if name == "grid" else name
-            if (len(value) if name == "grid" else value is not None):
-                if name not in inputs:
-                    raise ValueError(f"{self.kind} closure takes no {noun}")
-            elif name in inputs:
-                if inputs[name] is None:
-                    article = "a " if name == "grid" else ""
-                    raise ValueError(f"{self.kind} closure needs {article}{noun}")
-                object.__setattr__(self, name, inputs[name])
+        if self.target_share is not None and self.kind != "trade_share_target":
+            raise ValueError(f"{self.kind} closure takes no target_share")
+        if self.target_share is None and self.kind == "trade_share_target":
+            raise ValueError(f"{self.kind} closure needs target_share")
+        if self.bracket is not None and self.kind == "welfare_sweep":
+            raise ValueError(f"{self.kind} closure takes no bracket")
+        if self.bracket is None and self.kind != "welfare_sweep":
+            object.__setattr__(self, "bracket", DEFAULT_BRACKET)
+        if len(self.grid) and self.kind != "welfare_sweep":
+            raise ValueError(f"{self.kind} closure takes no rate grid")
+        if not len(self.grid) and self.kind == "welfare_sweep":
+            raise ValueError(f"{self.kind} closure needs a rate grid")
         if self.bracket is not None:
             lo, hi = self.bracket
             if not (math.isfinite(lo) and math.isfinite(hi)):

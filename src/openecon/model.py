@@ -93,8 +93,9 @@ class ModelInstance:
     k0, years_per_period : initial capital, years per period (> 0)
 
     The range rules of PARAMETERS run in field order, then one check that
-    every field is finite; the first failure raises DomainError.  Slotted,
-    so an instance has no __dict__: its fields read at slot speed.
+    every field is finite; the first failure raises DomainError.  Fields are
+    then stored as Python floats, never numpy scalars, in slots: with no
+    __dict__, they read at slot speed.
     """
 
     gamma: float
@@ -116,7 +117,10 @@ class ModelInstance:
     years_per_period: float = 16.0
 
     def __post_init__(self):
-        _check(tuple(zip(_PARAMETER_NAMES, _parameter_values(self))))
+        values = _parameter_values(self)
+        _check(tuple(zip(_PARAMETER_NAMES, values)))
+        for setter, value in zip(_SETTERS, values):
+            setter(self, float(value))
 
     @property
     def beta(self) -> float:
@@ -152,34 +156,27 @@ def check_parameter(field: str, value: float) -> None:
     _check(((field, value),))
 
 
-def _field_order(item: tuple[str, float]) -> int:
-    """Sort key of a (field, value) item: the field's place in field order.
-    An unknown field raises TypeError, as the generated __init__ does."""
-    try:
-        return _INDEX[item[0]]
-    except KeyError:
-        raise TypeError(f"ModelInstance has no field {item[0]!r}") from None
-
-
 def with_parameters(instance: ModelInstance,
                     values: dict[str, float]) -> ModelInstance:
-    """`instance` with each field named in `values` set, checked as any new
-    instance is; `instance` itself if `values` is empty.
+    """`instance` with each field named in `values` set, checked and stored
+    as in any new instance; `instance` itself if `values` is empty.
 
-    Only the fields in `values` are checked, in field order: the rest have
-    passed in `instance`, so the first error is the one a full build raises.
-    The copy is filled through the slot setters, with no __init__ call.
+    An unknown field raises TypeError first.  Only the fields in `values`
+    are checked, in field order: the rest have passed in `instance`, so the
+    first error is the one a full build raises.
     """
     if not values:
         return instance
-    changed = sorted(values.items(), key=_field_order)
+    for field in values:
+        if field not in _INDEX:
+            raise TypeError(f"ModelInstance has no field {field!r}")
+    changed = sorted(values.items(), key=lambda item: _INDEX[item[0]])
     _check(changed)
-    fields = list(_parameter_values(instance))
-    for field, value in changed:
-        fields[_INDEX[field]] = value
     copy = object.__new__(ModelInstance)
-    for setter, value in zip(_SETTERS, fields):
+    for setter, value in zip(_SETTERS, _parameter_values(instance)):
         setter(copy, value)
+    for field, value in changed:
+        _SETTERS[_INDEX[field]](copy, float(value))
     return copy
 
 

@@ -176,6 +176,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{kind} closure takes no rate grid$"):
             ClosureSpec(kind, target_share=target, grid=(0.3, 0.5))
 
+    @pytest.mark.parametrize("kind, inputs, message", [
+        ("trade_share_target", dict(grid=(0.3,)),
+         "trade_share_target closure needs target_share"),
+        ("welfare_sweep", dict(bracket=(0.1, 0.2)),
+         "welfare_sweep closure takes no bracket"),
+        ("welfare_sweep", dict(target_share=0.1, bracket=(0.1, 0.2)),
+         "welfare_sweep closure takes no target_share"),
+        ("balanced_trade", dict(bracket=(2.0, 1.0), grid=(0.3,)),
+         "balanced_trade closure takes no rate grid"),
+        ("trade_share_target", dict(target_share=math.nan,
+                                    bracket=(math.nan, 1.0)),
+         "bracket ends must be finite"),
+    ])
+    def test_two_faults_raise_the_first_rule(self, kind, inputs, message):
+        """The rules run in order: target_share, bracket, grid, then the
+        finiteness and order checks."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClosureSpec(kind, **inputs)
+
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             ClosureSpec("balanced_trade", bracket=(1.0, 0.5))

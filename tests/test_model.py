@@ -652,6 +652,21 @@ class TestCopy:
         assert_same_instance(model.with_parameters(BASE, values),
                              replace(BASE, **values))
 
+    @pytest.mark.parametrize("build", [
+        lambda values: replace(BASE, **values),
+        lambda values: model.with_parameters(BASE, values),
+    ], ids=["replace", "with_parameters"])
+    def test_numpy_scalars_are_stored_as_floats(self, build):
+        """numpy float64 fields are stored as Python floats, so the kernel
+        computes in floats: an overflow raises its DomainError, not numpy's
+        RuntimeWarning (an error under this suite's warning filter)."""
+        values = {field: np.float64(getattr(BASE, field)) for field in FIELDS}
+        instance = build({**values, "n0": np.float64(1e306)})
+        assert {type(getattr(instance, field)) for field in FIELDS} == {float}
+        with pytest.raises(DomainError,
+                           match=r"^numerical overflow at r=0\.4821$"):
+            solve_at_rate(instance, 0.4821)
+
 
 # Valid in every field, each rule's boundary, and the non-finite values.
 EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]
@@ -677,12 +692,17 @@ def test_with_parameters_is_replace(values):
         == built(replace, BASE, **values)
 
 
-@given(values=changes, at=st.integers(0, 17))
+@given(values=changes, at=st.integers(0, 17),
+       second=st.none() | st.integers(0, 18))
 @settings(max_examples=100, deadline=None)
-def test_unknown_field_raises_type_error_from_both(values, at):
-    """Before any value is checked, wherever the unknown key stands."""
+def test_unknown_field_raises_type_error_from_both(values, at, second):
+    """Before any value is checked, wherever the unknown key stands; of
+    two unknown keys, with_parameters names the first in dict order."""
     items = list(values.items())
-    items.insert(min(at, len(items)), ("sigma", 1.0))
+    at = min(at, len(items))
+    items.insert(at, ("sigma", 1.0))
+    if second is not None:
+        items.insert(min(at + 1 + second, len(items)), ("kappa", math.nan))
     assert built(replace, BASE, **dict(items))[0] is TypeError
     assert built(model.with_parameters, BASE, dict(items)) \
         == (TypeError, "ModelInstance has no field 'sigma'")
