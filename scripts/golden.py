@@ -186,6 +186,8 @@ COMMANDS = [
     ["schedules", "--rate", "nan"],
     ["schedules", "--grid=0.3,0.6,1"],
     ["schedules", "--grid=0.3,0.6,3", "--rate", "5"],
+    # partial mode with the default reference rate outside the grid
+    ["schedules", "--mode", "partial", "--grid=0.1,0.2,2"],
     # a default grid whose floor would put its start above its stop
     ["schedules", "--rate", "-0.5"],
     ["schedules", "--rate", "1e300"],
