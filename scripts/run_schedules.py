@@ -9,9 +9,10 @@ in partial mode, the segments where the saving sum does not rise: a saving
 sum rising against falling investment is the crossing's local-stability
 condition.  In full mode the sum tracks I0 identically.  A rate below
 0.01, where the grid's floor leaves it outside the grid, exits 2 with
-`error: r_ref must lie within the grid span` on stderr, as
-`openecon schedules --mode partial` does; at a rate of -0.19 or less,
-where the 41 rates do not rise, the error is default_grid's.
+compute_schedules' `error: r_ref must lie within the grid span` on stderr
+(`openecon schedules --mode partial` refuses it first, naming --rate); at
+a rate of -0.19 or less, where the 41 rates do not rise, the error is
+default_grid's.
 """
 
 import argparse

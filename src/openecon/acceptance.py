@@ -16,17 +16,10 @@ from ._pcg64 import PCG64
 from .closure import (ClosureSpec, calibrated_labor_weight, resolve_rate,
                       welfare_stationarity_check)
 from .model import (DomainError, Equilibrium, InfeasibleError, ModelInstance,
-                    _euler_factor, annualize_rate, capital_demand,
-                    solve_at_rate, with_parameters)
+                    _euler_factor, _linspace, annualize_rate,
+                    capital_demand, solve_at_rate, with_parameters)
 from .reference import baseline_instance
 from .scenarios import paper_suite, run_suite
-
-
-def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
-    """numpy.linspace(start, stop, num) bit for bit: j * step + start, with
-    the last point exactly stop."""
-    step = (stop - start) / (num - 1)
-    return (*(j * step + start for j in range(num - 1)), stop)
 
 
 CHECK_RATES = _linspace(0.1, 1.0, 20)

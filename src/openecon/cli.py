@@ -24,6 +24,7 @@ if TYPE_CHECKING:          # annotations only
 
 # A grid point costs about 30 float64 values while it is evaluated.
 MAX_GRID_POINTS = 1_000_000
+DEFAULT_RATE = 0.4821      # schedules' reference rate
 
 
 def _add_common(parser):
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--rate", type=float,
                    help="reference rate: centres the default grid and anchors "
-                        "partial mode (default 0.4821)")
+                        f"partial mode (default {DEFAULT_RATE})")
     p.add_argument("--grid", metavar="START,STOP,POINTS",
                    help="rate grid (default 41 points around the reference rate)")
     p.add_argument("--mode", choices=("full", "partial"), default="full")
@@ -99,7 +100,7 @@ def _parse_fields(spec: str, option: str, form: str, types: tuple) -> list:
     raise configio.ParseError(f"{option} must be {form}")
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> np.ndarray | tuple[float, ...]:
     start, stop, points = _parse_fields(spec, "--grid", "START,STOP,POINTS",
                                         (float, float, int))
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -111,8 +112,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     if points > MAX_GRID_POINTS:
         raise configio.ParseError(
             f"--grid POINTS must be at most {MAX_GRID_POINTS}")
-    import numpy as np
-    return np.linspace(start, stop, points)
+    return schedules.rate_grid(start, stop, points)
 
 
 def _closure_from_args(args) -> ClosureSpec:
@@ -184,7 +184,7 @@ def cmd_sweep(args, out, err) -> int:
 
 
 def cmd_schedules(args, out, err) -> int:
-    rate = 0.4821 if args.rate is None else args.rate
+    rate = DEFAULT_RATE if args.rate is None else args.rate
     if not math.isfinite(rate):
         raise configio.ParseError("--rate must be finite")
     if args.mode == "full" and args.grid is not None and args.rate is not None:
@@ -192,6 +192,10 @@ def cmd_schedules(args, out, err) -> int:
     instance = _load_instance(args)
     grid = (schedules.default_grid(rate) if args.grid is None
             else _parse_grid(args.grid))
+    if args.mode == "partial" and not grid[0] <= rate <= grid[-1]:
+        raise configio.ParseError(
+            f"--mode partial needs --rate (default {DEFAULT_RATE}) within "
+            f"the grid, {grid[0]:.6g} to {grid[-1]:.6g}")
     mode = "full_equilibrium" if args.mode == "full" else "partial"
     columns, errors = schedules.compute_schedules(instance, grid, mode=mode,
                                                   r_ref=rate)

@@ -19,6 +19,7 @@ strict, so a non-finite float anywhere else raises ValueError.
 from __future__ import annotations
 
 import math
+import sys
 
 from .closure import ClosureSpec
 from .model import (PARAMETERS, DomainError, ModelInstance, check_parameter,
@@ -221,10 +222,12 @@ def csv_number(x: float) -> str:
 
 
 class Records:
-    """Rows of floats held as columns: key -> list or float array of values,
-    one per row.  to_json writes them as it writes the rows as dicts, but
-    with null for a value that json_number makes NaN or infinite; to_csv
-    writes the keys, in their order, as the header."""
+    """Rows of floats held as columns: key -> sequence (list, tuple,
+    memoryview) or float array of values, one per row.  to_json writes them
+    as it writes the rows as dicts, but with null for a value that
+    json_number makes NaN or infinite; to_csv writes the keys, in their
+    order, as the header.  Columns with no numpy array among them are
+    written without numpy."""
 
     def __init__(self, columns: dict):
         if len(set(map(len, columns.values()))) > 1:
@@ -235,9 +238,17 @@ class Records:
         return len(next(iter(self.columns.values()), ()))
 
     def table(self, keys):
-        """The columns of `keys` as one float array, a row per record."""
-        import numpy as np
+        """The columns of `keys` as one float array, a row per record, or
+        None where none of them is a numpy array."""
+        np = sys.modules.get("numpy")
+        if np is None or not any(isinstance(self.columns[k], np.ndarray)
+                                 for k in keys):
+            return None
         return np.array([self.columns[k] for k in keys], dtype=float).T
+
+    def values(self, keys) -> list[float]:
+        """The values of the columns of `keys`, row by row, in one list."""
+        return [v for row in zip(*(self.columns[k] for k in keys)) for v in row]
 
 
 def to_json(payload) -> str:
@@ -279,16 +290,19 @@ def _dump(node, indent: str, parts: list[str]) -> None:
                     + "\n" + inner + "}")
 
         table = node.table(keys)
-        plain = _plain_values(table).all(axis=1).tolist()
-        values = table.ravel().tolist()
-        odd = [i for i, ok in enumerate(plain) if not ok]
-        if odd:
-            # the other rows' values, through _json_floats in one call
-            width = len(keys)
-            texts = _json_floats(table[odd].ravel().tolist())
-            for n, i in enumerate(odd):
-                values[i * width:(i + 1) * width] = \
-                    texts[n * width:(n + 1) * width]
+        if table is None:     # every row through _json_floats, in one call
+            plain, values = [False] * len(node), _json_floats(node.values(keys))
+        else:
+            plain = _plain_values(table).all(axis=1).tolist()
+            values = table.ravel().tolist()
+            odd = [i for i, ok in enumerate(plain) if not ok]
+            if odd:
+                # the other rows' values, through _json_floats in one call
+                width = len(keys)
+                texts = _json_floats(table[odd].ravel().tolist())
+                for n, i in enumerate(odd):
+                    values[i * width:(i + 1) * width] = \
+                        texts[n * width:(n + 1) * width]
         floats, texts = template("%.15g"), template("%s")
         rows = ",\n".join([floats if ok else texts for ok in plain])
         parts += ["[\n", rows % tuple(values), "\n" + indent + "]"]
@@ -354,7 +368,9 @@ def to_csv(rows: list[list] | Records) -> str:
         keys = list(rows.columns)
         line = ",".join(["%.6g"] * len(keys)) + "\n"
         template = _csv_row(keys).replace("%", "%%") + "\n" + line * len(rows)
-        return template % tuple(rows.table(keys).ravel().tolist())
+        table = rows.table(keys)
+        values = rows.values(keys) if table is None else table.ravel().tolist()
+        return template % tuple(values)
     return "\n".join(map(_csv_row, rows)) + "\n"
 
 

@@ -256,6 +256,17 @@ def _reject(failed, error: type, message: str, *args) -> None:
 _FLOATS = _Ops(operator.pow, math.log, _clamp, _reject)
 
 
+def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
+    """numpy.linspace(start, stop, num) bit for bit, for num >= 2: j * step
+    + start, or j / (num - 1) * span + start where the step underflows to 0,
+    with the last point exactly stop."""
+    div, span = num - 1, stop - start
+    step = span / div
+    if step == 0:
+        return (*(j / div * span + start for j in range(div)), stop)
+    return (*(j * step + start for j in range(div)), stop)
+
+
 def _array_ops(shape: tuple[int, ...]) -> tuple[_Ops, np.ndarray]:
     """Ops over rate arrays of `shape`, and their mask of vouched points."""
     import numpy as np

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import openecon
-from openecon.cli import build_parser, main
-from openecon import closure, reference
+from openecon.cli import _parse_grid, build_parser, main
+from openecon import closure, reference, schedules
 from openecon.closure import KINDS
 from openecon.model import PARAMETERS
 
@@ -25,6 +25,9 @@ SRC = str(Path(openecon.__file__).resolve().parents[1])
 SCALAR_COMMANDS = [["solve", "--rate", "0.4821"], ["table"],
                    ["sweep", "--closure", "balanced_trade",
                     "--bracket", "0.4821,2.0"]]
+SMALL_GRID_SCHEDULES = [["schedules"],
+                        ["schedules", "--grid=0.05,1.2,2000", "--format", "json"],
+                        ["schedules", "--mode", "partial", "--format", "csv"]]
 
 
 def run(argv):
@@ -514,6 +517,17 @@ class TestSchedules:
             f"numerical overflow at r={r}"
             for r in (0.3, 0.39999999999999997, 0.5, 0.6)]
 
+    @pytest.mark.parametrize("argv", [["--grid=0.1,0.2,2"],
+                                      ["--rate", "0.005"],
+                                      ["--grid=0.1,0.2,2", "--rate", "0.3"]])
+    def test_partial_rate_outside_the_grid_exits_2(self, argv):
+        """The reference rate, typed or the default, must lie in the grid:
+        the refusal names --rate, its default and the grid's ends."""
+        code, out, err = run(["schedules", "--mode", "partial", *argv])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: --mode partial needs --rate \(default "
+                            r"0\.4821\) within the grid, \S+ to \S+\n", err)
+
     @pytest.mark.parametrize("argv", [["--rate", "nan"],
                                       ["--rate", "inf", "--mode", "partial"],
                                       ["--rate=-inf", "--grid=0.1,1,5"]])
@@ -597,8 +611,9 @@ def mask_run_time(text):
 
 
 class TestStartUp:
-    """The scalar commands and check neither load nor need numpy, and CSV
-    output loads no json."""
+    """The scalar commands, check and schedules on grids up to
+    ARRAY_BREAK_EVEN points neither load nor need numpy, and CSV output
+    loads no json."""
 
     def test_scalar_commands_leave_numpy_unloaded(self):
         result = run_fresh(SCALAR_SCRIPT, "load", json.dumps(SCALAR_COMMANDS))
@@ -631,6 +646,24 @@ print(code, "json" in sys.modules)
             timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
 
+    def test_small_grid_schedules_leave_numpy_unloaded(self):
+        """Grids up to ARRAY_BREAK_EVEN points take the scalar path while
+        numpy is not loaded: it stays unloaded, a blocked numpy changes no
+        byte, and the bytes are the array path's (this process has numpy)."""
+        want = [list(run(argv)) for argv in SMALL_GRID_SCHEDULES]
+        for how in ("load", "block"):
+            result = run_fresh(SCALAR_SCRIPT, how,
+                               json.dumps(SMALL_GRID_SCHEDULES))
+            assert result["runs"] == want
+            assert result["numpy"] is (how == "block")   # blocked: None
+
+    def test_large_grid_schedules_load_numpy(self):
+        argv = ["schedules", "--format", "csv",
+                f"--grid=0.05,1.2,{schedules.ARRAY_BREAK_EVEN + 1}"]
+        result = run_fresh(SCALAR_SCRIPT, "load", json.dumps([argv]))
+        assert result["runs"] == [list(run(argv))]
+        assert result["numpy"] is True
+
     def test_package_still_binds_schedules(self):
         result = run_fresh("""
 import json, sys
@@ -662,6 +695,41 @@ for argv in json.loads(sys.argv[1]):
     runs.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(runs))
 """
+
+
+# --grid specs with subnormal spans, a step that underflows to 0 (where
+# numpy takes its denormal branch), signed zeros and huge ends.
+EDGE_GRID_SPECS = ["0,1e-320,3", "0,5e-324,3", "0,2.5e-323,21",
+                   "0,1e-320,1000", "5e-324,1e-300,3", "-0.0,1,5",
+                   "-1e-320,0,7", "-8e307,8e307,5", "1e300,1.0000000001e300,7",
+                   "-1.5,2,2000"]
+
+
+def seeded_grid_specs(seed, count):
+    """--grid specs that _parse_grid accepts: ends of any magnitude, spans
+    from a few ulps to 1000 times START, or subnormal, 2 to 3000 points."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        start = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 300))
+        if rng.random() < 0.8:
+            span = abs(start) * 10.0 ** rng.uniform(-15, 3)
+        else:
+            span = 10.0 ** rng.uniform(-323, -300)
+        stop = max(start + span, math.nextafter(start, math.inf))
+        specs.append(f"{start!r},{stop!r},{rng.integers(2, 3000)}")
+    return specs
+
+
+@pytest.mark.parametrize("spec", EDGE_GRID_SPECS + seeded_grid_specs(3303, 60))
+def test_scalar_grid_is_numpys_linspace(spec, monkeypatch):
+    """The pure-Python linspace gives np.linspace's floats bit for bit."""
+    start, stop, points = spec.split(",")
+    want = np.linspace(float(start), float(stop), int(points))
+    monkeypatch.setattr(schedules, "_use_arrays", lambda grid: False)
+    grid = _parse_grid(spec)
+    assert type(grid) is tuple
+    assert np.array(grid).tobytes() == want.tobytes()
 
 
 class TestParserReuse:

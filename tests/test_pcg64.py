@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openecon._pcg64 import PCG64
-from openecon.acceptance import CHECK_RATES, _linspace, sample_instance
+from openecon.acceptance import CHECK_RATES, sample_instance
+from openecon.model import _linspace
 
 # seeds of five words and more take _seed_words' loop over entropy words
 # past the pool's four

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import openecon
-from openecon import compute_schedules, solve_rates
+from openecon import compute_schedules, schedules, solve_rates
 from openecon import model
+from openecon.acceptance import sample_instance
+from openecon.configio import read_instance
 from openecon.schedules import MODES, default_grid
 from reference_model import check_rate
 
@@ -226,8 +228,10 @@ class TestValidationAndFlagging:
 
     def test_script_below_the_grid_floor_exits_2(self):
         """run_schedules.py at a rate under default_grid's 0.01 floor leaves
-        partial mode's reference outside the grid; it says so and exits 2,
-        as `openecon schedules --mode partial --rate 0.005` does."""
+        partial mode's reference outside the grid; it prints
+        compute_schedules' message and exits 2.  `openecon schedules --mode
+        partial --rate 0.005` also exits 2, with its own message, which
+        names --rate."""
         assert run_script("0.005") == (
             2, "", "error: r_ref must lie within the grid span\n")
 
@@ -244,3 +248,89 @@ class TestValidationAndFlagging:
         assert np.array_equal(a["i0"], b["i0"])
         assert np.array_equal(a["s0n"], b["s0n"])
         assert np.array_equal(a["s1x"], b["s1x"])
+
+
+def both_paths(monkeypatch, *args):
+    """compute_schedules(*args) on the array path, then on the scalar path:
+    each as (column types, columns' bytes, errors), or the exception's type
+    and text."""
+    outcomes = []
+    for arrays in (True, False):
+        monkeypatch.setattr(schedules, "_use_arrays", lambda grid: arrays)
+        try:
+            columns, errors = compute_schedules(*args)
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+            continue
+        outcomes.append(({type(v) for v in columns.values()},
+                         {k: np.asarray(v).tobytes() for k, v in columns.items()},
+                         errors))
+    return outcomes
+
+
+class TestBothPaths:
+    """The scalar path, which runs while numpy is not loaded and the grid is
+    small, gives the array path's columns bit for bit and its errors."""
+
+    def test_sampled_economies(self, monkeypatch):
+        """50 seeded economies, on grids that often start below r = -1 or
+        -delta; partial mode anchored at both grid ends and inside."""
+        rng = np.random.default_rng(3301)
+        kinds = set()
+        for _ in range(50):
+            instance = sample_instance(rng)
+            start = rng.uniform(-1.6, 0.8)
+            grid = np.linspace(start, start + rng.uniform(0.05, 4.0),
+                               rng.integers(2, 60))
+            for mode, r_ref in [("full_equilibrium", None),
+                                ("partial", grid[0]), ("partial", grid[-1]),
+                                ("partial", rng.uniform(grid[0], grid[-1]))]:
+                array_path, scalar_path = both_paths(
+                    monkeypatch, instance, grid, mode, r_ref)
+                if len(array_path) == 3:
+                    assert array_path[0] == {np.ndarray}
+                    assert scalar_path[0] == {memoryview}
+                    kinds.add("skipped" if array_path[2] else "clean")
+                else:
+                    kinds.add("raised")
+                assert scalar_path[1:] == array_path[1:]
+        assert kinds == {"clean", "skipped", "raised"}
+
+    @pytest.mark.parametrize("overrides, grid, r_ref", [
+        ({}, [-1.5, -1.0, -0.5, 0.4821, 2.0], 0.4821),
+        # partial_overflow.txt: capital demand overflows at the first point
+        ("partial_overflow.txt", [-0.09999999, 5.0, 10.0], 10.0),
+        # c1/c0 = [beta (1 + r)]^(1/gamma) overflows to inf, while c0, and
+        # with it every column, stays finite (0 and its neighbours)
+        ({"gamma": 5e-4}, [0.05, 0.5, 1.0, 2.0], 0.05),
+        # C0 = n0 * c0 overflows in full mode
+        ({"n0": 1e306}, [0.3, 0.4, 0.5], 0.4),
+    ])
+    def test_edge_economies(self, monkeypatch, baseline, overrides, grid,
+                            r_ref):
+        if isinstance(overrides, str):
+            instance = read_instance(str(Path(__file__).parent / "golden"
+                                         / "inputs" / overrides))
+        else:
+            instance = model.with_parameters(baseline, overrides)
+        for mode in MODES:
+            array_path, scalar_path = both_paths(monkeypatch, instance, grid,
+                                                 mode, r_ref)
+            assert scalar_path[1:] == array_path[1:]
+
+    @pytest.mark.parametrize("grid, message", [
+        ([], "grid must be a non-empty 1-d array of rates"),
+        ([[0.3, 0.5]], "grid must be a non-empty 1-d array of rates"),
+        ([0.5, 0.4], "grid must be strictly increasing"),
+        ([0.3, math.nan, 0.5], "grid must be strictly increasing"),
+    ])
+    def test_bad_grids(self, monkeypatch, baseline, grid, message):
+        assert both_paths(monkeypatch, baseline, grid) == [
+            (ValueError, message)] * 2
+
+    def test_columns_refuse_to_concatenate(self, monkeypatch, baseline):
+        monkeypatch.setattr(schedules, "_use_arrays", lambda grid: False)
+        columns, _ = compute_schedules(baseline, [0.3, 0.5, 0.7])
+        assert len(columns["i0"]) == 3 and columns["i0"][1] > 0
+        with pytest.raises(TypeError):
+            columns["s0n"] + columns["s1x"]
